@@ -32,7 +32,6 @@ from .bis import (
 from .dirichlet import (
     merge_duplicates,
     sample_dirichlet,
-    sample_uniform_simplex,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "q_truncated_mean",
     "sample_dirichlet",
     "sample_realization",
-    "sample_uniform_simplex",
     "sample_unit_dp_grid",
     "sample_unit_dp_stick",
     "student_t_interval",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,8 @@ from scipy import stats as sps
 
 from . import rng as rngmod
 from .bis import BisConfig, bis_run, interval_estimate
-from .errors import TooFewSamplesError
+from .dirichlet import sample_dirichlet
+from .errors import EmptySamplesError, TooFewSamplesError
 from .functionals import Functional, evaluate_rows
 from .pbox import BoundingInterval, IntervalEstimate, WeightedStepCdf
 
@@ -74,6 +74,8 @@ def generate(gen: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _percentile_interval(values: np.ndarray, credibility: float) -> IntervalEstimate:
     n = values.size
+    if n == 0:
+        raise EmptySamplesError("no resampled values to invert")
     ecdf = WeightedStepCdf(values, np.full(n, 1.0 / n))
     lo = ecdf.quantile((1.0 - credibility) / 2.0)
     hi = ecdf.quantile((1.0 + credibility) / 2.0)
@@ -138,8 +140,7 @@ def bayesian_bootstrap_interval(
     arr = np.asarray(data, dtype=float).reshape(-1)
     if arr.size < 1:
         raise TooFewSamplesError("need at least one observation")
-    e = -np.log1p(-rng.random((n_resample, arr.size)))
-    w = e / e.sum(axis=1, keepdims=True)
+    w = sample_dirichlet(np.ones(arr.size), rng, size=n_resample)
     order = np.argsort(arr, kind="stable")
     values = evaluate_rows(f, arr[order], w[:, order])
     return _percentile_interval(values, credibility)
@@ -175,13 +176,11 @@ def coverage_experiment(
     n_resample: int,
     interval: BoundingInterval,
     seed: int,
-    workers: int = 1,
 ) -> CoverageReport:
     """Repeatedly draw datasets and record how often the interval hits true_q.
 
     The per-trial data stream depends only on (seed, trial), so different
-    methods see identical datasets for the same seed.  Trials may run
-    concurrently; aggregation is by trial index.
+    methods see identical datasets for the same seed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -210,12 +209,7 @@ def coverage_experiment(
             est = interval_estimate(bis_run(data, interval, cfg), credibility)
         return est.lo, est.hi
 
-    trials = range(n_trials)
-    if workers > 1 and n_trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(run_trial, trials))
-    else:
-        pairs = [run_trial(t) for t in trials]
+    pairs = [run_trial(t) for t in range(n_trials)]
     lows = np.array([p[0] for p in pairs])
     highs = np.array([p[1] for p in pairs])
     hits = (lows <= true_q) & (true_q <= highs)

@@ -20,10 +20,9 @@ from .errors import (
     AtObservationError,
     EmptySamplesError,
     InvalidProbabilityError,
-    NonFiniteError,
     OutOfBoundsError,
 )
-from .functionals import Functional, evaluate_rows
+from .functionals import Functional, bounds_for_monotonic
 from .pbox import (
     BoundingInterval,
     IntervalEstimate,
@@ -122,15 +121,6 @@ def sample_realization(
     return ImpreciseRealization(weights=w, lower=lower, upper=upper)
 
 
-def _draw_weight_block(params, uniform, length, rng):
-    k = params.size
-    if uniform:
-        e = -np.log1p(-rng.random((length, k)))
-        return e / e.sum(axis=1, keepdims=True)
-    g = rng.gamma(params, size=(length, k))
-    return g / g.sum(axis=1, keepdims=True)
-
-
 def bis_run(data, interval: BoundingInterval, cfg: BisConfig, workers: int = 1) -> QSamples:
     """Run the interval resampling algorithm.
 
@@ -138,8 +128,11 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig, workers: int = 1) 
     the cells between merged order statistics, form the lower/upper step
     CDFs sharing those weights, and evaluate the functional on both.  The
     weight draws are blocked with one RNG substream per block derived from
-    ``(cfg.seed, block_index)``; output is identical for any ``workers``.
+    ``(cfg.seed, block_index)``; ``workers`` threads (at least 1) run the
+    blocks and the output is identical for any ``workers``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
     if cfg.n_resample < default_n_resample(cfg.credibility):
@@ -149,21 +142,14 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig, workers: int = 1) 
             UserWarning,
             stacklevel=2,
         )
-    uniform = bool(np.all(params == 1.0))
-    lower_pts = reduced[1:]
-    upper_pts = reduced[:-1]
-    f = cfg.functional
     n = cfg.n_resample
-    starts = range(0, n, _BLOCK)
 
-    def run_block(block_index_start):
-        b, start = block_index_start
-        length = min(_BLOCK, n - start)
-        block_rng = rngmod.substream(cfg.seed, b)
-        w = _draw_weight_block(params, uniform, length, block_rng)
-        return evaluate_rows(f, upper_pts, w), evaluate_rows(f, lower_pts, w)
+    def run_block(b):
+        length = min(_BLOCK, n - b * _BLOCK)
+        w = sample_dirichlet(params, rngmod.substream(cfg.seed, b), size=length)
+        return bounds_for_monotonic(w, reduced, cfg.functional)
 
-    blocks = list(enumerate(starts))
+    blocks = range(math.ceil(n / _BLOCK))
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, blocks))
@@ -195,15 +181,6 @@ def interval_estimate(qs: QSamples, credibility: float) -> IntervalEstimate:
     return IntervalEstimate(lo=lo, hi=hi, credibility=credibility)
 
 
-def _validated_data(data, interval: BoundingInterval) -> np.ndarray:
-    arr = np.asarray(data, dtype=float).reshape(-1)
-    if arr.size and not np.isfinite(arr).all():
-        raise NonFiniteError("observations must be finite")
-    if arr.size and ((arr < interval.lo) | (arr > interval.hi)).any():
-        raise OutOfBoundsError("observations must lie within the interval")
-    return arr
-
-
 def point_condition_betas(
     data, interval: BoundingInterval, x: float
 ) -> tuple[BetaParams, BetaParams]:
@@ -213,7 +190,7 @@ def point_condition_betas(
     the lower bound value follows Beta(n_below, n_above + 1) and the upper
     bound value Beta(n_below + 1, n_above).
     """
-    arr = _validated_data(data, interval)
+    arr = make_extended_order_stats(data, interval).points[1:-1]
     if not interval.lo < x < interval.hi:
         raise OutOfBoundsError(f"x must lie strictly inside the interval, got {x!r}")
     if (arr == x).any():
@@ -233,12 +210,11 @@ def probabilistic_projection_params(
     yields a precise random CDF whose value at an off-data point x follows
     Beta(n_below + 1/2, n_above + 1/2), the Jeffreys-prior posterior.
     """
-    arr = _validated_data(data, interval)
-    pts = np.concatenate(([interval.lo], np.sort(arr), [interval.hi]))
+    stats = make_extended_order_stats(data, interval)
     raw = np.concatenate(
-        ([PRIOR_WEIGHT / 2.0], np.ones(arr.size), [PRIOR_WEIGHT / 2.0])
+        ([PRIOR_WEIGHT / 2.0], np.ones(stats.n_obs), [PRIOR_WEIGHT / 2.0])
     )
-    points, inverse = np.unique(pts, return_inverse=True)
+    points, inverse = np.unique(stats.points, return_inverse=True)
     params = np.bincount(inverse.reshape(-1), weights=raw)
     points.setflags(write=False)
     params.setflags(write=False)

@@ -109,7 +109,9 @@ def cmd_infer(args) -> int:
     data = read_observations(args.input, args.column)
     interval = BoundingInterval(args.bounds[0], args.bounds[1])
     functional = Functional.parse(args.param)
-    n_resample = args.resamples or default_n_resample(args.credibility)
+    n_resample = args.resamples
+    if n_resample is None:
+        n_resample = default_n_resample(args.credibility)
     cfg = BisConfig(
         functional=functional,
         credibility=args.credibility,
@@ -167,9 +169,9 @@ def cmd_pbox(args) -> int:
 def cmd_compare(args) -> int:
     config = preset(args.preset)
     methods = args.methods or list(config["methods"])
-    n_resample = args.resamples or config["n_resample"]
-    credibility = args.credibility or config["credibility"]
-    n_sample = args.n_sample or config["n_sample"]
+    n_resample = config["n_resample"] if args.resamples is None else args.resamples
+    credibility = config["credibility"] if args.credibility is None else args.credibility
+    n_sample = config["n_sample"] if args.n_sample is None else args.n_sample
     true_q = config["true_q"] if args.true_q is None else args.true_q
     manifest = _manifest(
         "compare", args, config["functional"].kind, credibility, n_resample, args.seed
@@ -190,7 +192,6 @@ def cmd_compare(args) -> int:
             n_resample=n_resample,
             interval=config["interval"],
             seed=args.seed,
-            workers=args.workers,
         )
         rows.append(
             (
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--n-sample", type=int, default=None)
     compare.add_argument("--true-q", type=float, default=None)
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--workers", type=int, default=1)
     compare.add_argument("--out", default=None)
     compare.set_defaults(func=cmd_compare)
 

@@ -1,9 +1,11 @@
-"""Dirichlet weight sampling and unit Dirichlet process realisations.
+"""Dirichlet weight sampling, tie merging and unit Dirichlet process realisations.
 
-The unit Dirichlet process (sometimes called the identity Dirichlet
-process) is a random distortion of the uniform CDF on [0, 1] with
-concentration ``alpha``; two samplers are provided, one on a fixed grid of
-cells and one by truncated stick breaking.
+``sample_dirichlet`` is the one weight sampler: single vectors and blocks
+of rows, uniform-simplex and general parameters.  The unit Dirichlet
+process (sometimes called the identity Dirichlet process) is a random
+distortion of the uniform CDF on [0, 1] with concentration ``alpha``; two
+samplers are provided, one on a fixed grid of cells and one by truncated
+stick breaking.
 """
 
 from __future__ import annotations
@@ -13,38 +15,34 @@ import numpy as np
 from .pbox import ExtendedOrderStats, WeightedStepCdf
 
 
-def sample_uniform_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a uniform point on the unit simplex (n nonnegative weights).
+def sample_dirichlet(
+    params, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Draw weight vectors from a Dirichlet distribution.
 
-    Normalizes n unit-rate exponentials, generated as -log(U) with U drawn
-    from (0, 1] so the log never sees zero.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    e = -np.log1p(-rng.random(n))
-    return e / e.sum()
-
-
-def sample_dirichlet(params, rng: np.random.Generator) -> np.ndarray:
-    """Draw a weight vector from a Dirichlet distribution.
-
-    ``params`` is a sequence of positive concentration parameters.  The
-    all-ones case delegates to the exponential-based simplex sampler; other
-    parameters use gamma variates.
+    ``params`` is a sequence of positive concentration parameters.  With
+    ``size`` None one vector is returned, otherwise a ``(size, len(params))``
+    block of rows drawn in order from ``rng``.  All-ones parameters (the
+    uniform simplex) normalise unit exponentials, generated as -log(U) with
+    U drawn from (0, 1] so the log never sees zero; other parameters
+    normalise gamma variates.
     """
     a = np.asarray(params, dtype=float).reshape(-1)
-    if a.size == 0 or (a <= 0).any() or np.isnan(a).any():
+    if a.size == 0 or not (a > 0).all():
         raise ValueError("Dirichlet parameters must be positive")
+    shape = a.shape if size is None else (size, a.size)
     if np.all(a == 1.0):
-        return sample_uniform_simplex(a.size, rng)
-    g = rng.gamma(a)
-    total = g.sum()
-    if total <= 0.0:
+        g = -np.log1p(-rng.random(shape))
+    else:
+        g = rng.gamma(a, size=shape)
+    rows = g.reshape(-1, a.size)
+    total = rows.sum(axis=1, keepdims=True)
+    dead = total[:, 0] <= 0.0
+    if dead.any():
         # all gammas underflowed (tiny shapes); the limit law is a random vertex
-        w = np.zeros(a.size)
-        w[int(rng.integers(a.size))] = 1.0
-        return w
-    return g / total
+        rows[dead, rng.integers(a.size, size=int(dead.sum()))] = 1.0
+        total[dead] = 1.0
+    return (rows / total).reshape(shape)
 
 
 def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,10 @@
 
 All functionals implemented here are monotonic with respect to first-order
 stochastic dominance, so their extremes over a probability box are attained
-at the box's own bounds (see ``bounds_for_monotonic``).  Functionals are
-total on finite-support distributions and return signed infinities where a
-result is unbounded rather than raising.
+at the box's own bounds; ``bounds_for_monotonic`` is the one place that
+pairs each extreme with its bound.  Functionals are total on finite-support
+distributions and return signed infinities where a result is unbounded
+rather than raising.
 """
 
 from __future__ import annotations
@@ -189,19 +190,23 @@ def q_cvar(dist: WeightedStepCdf, p: float) -> float:
     return float(_cvar_rows(dist.supports, dist.weights[None, :], p)[0])
 
 
-def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple[float, float]:
-    """Extremes of a monotonic functional over one imprecise realisation.
+def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
+    """Extremes of a monotonic functional over imprecise realisations.
 
     ``weights`` are cell weights for the cells between consecutive
-    ``reduced_points``.  The maximum is attained on the lower bound CDF
-    (weights at cell right endpoints) and the minimum on the upper bound
-    CDF (weights at cell left endpoints).
+    ``reduced_points``: one vector, or a block with one realisation per
+    row.  The minimum is attained on the upper bound CDF (weights at cell
+    left endpoints) and the maximum on the lower bound CDF (weights at cell
+    right endpoints).  Returns ``(q_min, q_max)`` as floats for one vector
+    and as arrays for a block.
     """
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float)
+    rows = np.atleast_2d(w)
     pts = np.asarray(reduced_points, dtype=float).reshape(-1)
-    if w.size + 1 != pts.size:
+    if rows.shape[1] + 1 != pts.size:
         raise ValueError("need one more point than weights")
-    rows = w[None, :]
-    q_max = float(evaluate_rows(f, pts[1:], rows)[0])
-    q_min = float(evaluate_rows(f, pts[:-1], rows)[0])
+    q_min = evaluate_rows(f, pts[:-1], rows)
+    q_max = evaluate_rows(f, pts[1:], rows)
+    if w.ndim < 2:
+        return float(q_min[0]), float(q_max[0])
     return q_min, q_max

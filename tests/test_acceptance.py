@@ -17,7 +17,7 @@ from conftest import SMALL_SAMPLE, oracle_split_mean, random_fraction_instance
 
 from bisampling.baselines import coverage_experiment, preset
 from bisampling.bis import BisConfig, bis_run, interval_estimate, sample_realization
-from bisampling.dirichlet import merge_duplicates, sample_uniform_simplex
+from bisampling.dirichlet import merge_duplicates, sample_dirichlet
 from bisampling.functionals import (
     Functional,
     evaluate_rows,
@@ -135,7 +135,7 @@ def test_criterion_6_property_suite():
     """Bundle of distribution-free invariants."""
     # simplex sampler: normalization and Beta(1, 15) first marginal
     rng = stream(3)
-    draws = np.array([sample_uniform_simplex(16, rng) for _ in range(20_000)])
+    draws = np.array([sample_dirichlet(np.ones(16), rng) for _ in range(20_000)])
     assert (draws >= 0).all()
     assert np.abs(draws.sum(axis=1) - 1.0).max() <= 1e-12
     assert sps.kstest(draws[:, 0], "beta", args=(1, 15)).pvalue > 0.01
@@ -149,7 +149,7 @@ def test_criterion_6_property_suite():
     rng = stream(22)
     full = np.empty(10_000)
     for i in range(full.size):
-        w = sample_uniform_simplex(len(data) + 1, rng)
+        w = sample_dirichlet(np.ones(len(data) + 1), rng)
         full[i] = evaluate_rows(Functional("mean"), stats.points[1:], w[None])[0]
     ks_p = sps.ks_2samp(merged.q_max, full).pvalue
     assert ks_p > 0.01

@@ -19,6 +19,7 @@ from bisampling.errors import (
     AtObservationError,
     EmptySamplesError,
     InvalidProbabilityError,
+    NonFiniteError,
     OutOfBoundsError,
 )
 from bisampling.functionals import Functional
@@ -116,6 +117,12 @@ class TestBisRun:
             qs = bis_run(small_sample, POSITIVE, cfg)
             assert (qs.q_min <= qs.q_max).all()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, small_sample, workers):
+        cfg = BisConfig(Functional.parse("median"), 0.9, 1000, 0)
+        with pytest.raises(ValueError, match="workers"):
+            bis_run(small_sample, POSITIVE, cfg, workers=workers)
+
     def test_warns_below_rule_of_thumb(self, small_sample):
         cfg = BisConfig(Functional("mean"), 0.99, 100, 0)
         with pytest.warns(UserWarning, match="rule of thumb"):
@@ -142,10 +149,9 @@ class TestBisRun:
         rng = stream(22)
         full = np.empty(10_000)
         from bisampling.functionals import evaluate_rows
-        from bisampling.dirichlet import sample_uniform_simplex
 
         for i in range(full.size):
-            w = sample_uniform_simplex(len(data) + 1, rng)
+            w = sample_dirichlet(np.ones(len(data) + 1), rng)
             full[i] = evaluate_rows(f, stats.points[1:], w[None])[0]
         assert sps.ks_2samp(merged.q_max, full).pvalue > 0.01
 
@@ -232,6 +238,28 @@ class TestPointConditionBetas:
     def test_outside_interval_rejected(self, small_sample):
         with pytest.raises(OutOfBoundsError):
             point_condition_betas(small_sample, POSITIVE, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda data, iv: point_condition_betas(data, iv, 0.5),
+        lambda data, iv: probabilistic_projection_params(data, iv),
+    ],
+    ids=["point_condition_betas", "probabilistic_projection_params"],
+)
+class TestDataValidation:
+    UNIT = BoundingInterval(0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_observation(self, call, bad):
+        with pytest.raises(NonFiniteError):
+            call([0.2, bad, 0.7], self.UNIT)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_observation_outside_interval(self, call, bad):
+        with pytest.raises(OutOfBoundsError):
+            call([0.2, bad, 0.7], self.UNIT)
 
 
 class TestProbabilisticProjection:

@@ -175,6 +175,31 @@ class TestCompare:
         assert hit in (0.0, 1.0)
 
 
+class TestZeroOrNegativeOption:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["infer", "--resamples", "0"],
+            ["infer", "--workers", "0"],
+            ["infer", "--workers", "-3"],
+            ["compare", "--resamples", "0"],
+            ["compare", "--credibility", "0"],
+            ["compare", "--n-sample", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_code(self, capsys, sample_file, extra):
+        command, *options = extra
+        if command == "infer":
+            argv = ["infer", sample_file, "--param", "median", "--bounds", "0", "inf"]
+        else:
+            argv = ["compare", "--preset", "table3", "--trials", "2"]
+        code, out, err = run(capsys, argv + options)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+
 class TestUdpSample:
     def test_grid_columns(self, capsys):
         code, out, _ = run(

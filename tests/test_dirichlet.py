@@ -5,7 +5,6 @@ from scipy import stats as sps
 from bisampling.dirichlet import (
     merge_duplicates,
     sample_dirichlet,
-    sample_uniform_simplex,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
 )
@@ -19,19 +18,19 @@ class TestUniformSimplex:
     def test_single_component_is_one(self):
         rng = stream(1)
         for _ in range(10):
-            assert sample_uniform_simplex(1, rng).tolist() == [1.0]
+            assert sample_dirichlet(np.ones(1), rng).tolist() == [1.0]
 
     def test_normalization_and_nonnegativity(self):
         rng = stream(2)
         for n in (2, 3, 16, 100):
-            w = sample_uniform_simplex(n, rng)
+            w = sample_dirichlet(np.ones(n), rng)
             assert (w >= 0).all()
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_component_means_and_beta_marginal(self):
         # for 16 components each W_i has mean 1/16 and marginal Beta(1, 15)
         rng = stream(3)
-        draws = np.array([sample_uniform_simplex(16, rng) for _ in range(100_000)])
+        draws = np.array([sample_dirichlet(np.ones(16), rng) for _ in range(100_000)])
         var = (1 / 16) * (15 / 16) / 17
         se = np.sqrt(var / draws.shape[0])
         assert (np.abs(draws.mean(axis=0) - 1 / 16) < 4 * se).all()
@@ -39,15 +38,26 @@ class TestUniformSimplex:
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            sample_uniform_simplex(0, stream(0))
+            sample_dirichlet(np.ones(0), stream(0))
 
 
 class TestSampleDirichlet:
-    def test_all_ones_matches_uniform_simplex_law(self):
-        r1, r2 = stream(4), stream(4)
-        a = sample_dirichlet(np.ones(3), r1)
-        b = sample_uniform_simplex(3, r2)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize(
+        "params", [np.ones(300), np.linspace(0.2, 3.0, 300)], ids=["ones", "mixed"]
+    )
+    def test_block_equals_single_draws(self, params):
+        block = sample_dirichlet(params, stream(4), size=5)
+        rng = stream(4)
+        singles = np.array([sample_dirichlet(params, rng) for _ in range(5)])
+        assert block.shape == (5, params.size)
+        assert np.array_equal(block, singles)
+
+    def test_underflowing_shapes_give_vertices(self):
+        # every gamma of shape 1e-300 underflows to zero; each row is a vertex
+        block = sample_dirichlet(np.full(7, 1e-300), stream(13), size=50)
+        assert not np.isnan(block).any()
+        assert ((block == 1.0).sum(axis=1) == 1).all()
+        assert ((block == 0.0).sum(axis=1) == 6).all()
 
     def test_two_parameter_beta_marginal(self):
         rng = stream(5)
@@ -59,8 +69,9 @@ class TestSampleDirichlet:
         assert sample_dirichlet([5.0], stream(6)).tolist() == [1.0]
 
     def test_rejects_nonpositive_params(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, 0.0], stream(0))
+        for params in ([1.0, 0.0], [1.0, -2.0], [1.0, float("nan")]):
+            with pytest.raises(ValueError):
+                sample_dirichlet(params, stream(0))
 
     def test_determinism(self):
         a = sample_dirichlet([1.0, 2.0, 0.5], stream(9))
@@ -163,10 +174,10 @@ class TestDeterminism:
         r1, r2 = stream(99), stream(99)
         for _ in range(5):
             assert np.array_equal(
-                sample_uniform_simplex(8, r1), sample_uniform_simplex(8, r2)
+                sample_dirichlet(np.ones(8), r1), sample_dirichlet(np.ones(8), r2)
             )
 
     def test_substreams_differ(self):
-        a = sample_uniform_simplex(8, substream(1, 0))
-        b = sample_uniform_simplex(8, substream(1, 1))
+        a = sample_dirichlet(np.ones(8), substream(1, 0))
+        b = sample_dirichlet(np.ones(8), substream(1, 1))
         assert not np.array_equal(a, b)

@@ -158,6 +158,18 @@ class TestBoundsForMonotonic:
         with pytest.raises(ValueError):
             bounds_for_monotonic([0.5, 0.5], [0.0, 1.0], Functional("mean"))
 
+    def test_block_matches_single_rows(self):
+        rng = np.random.default_rng(37)
+        pts = np.array([0.0, 0.5, 0.5, 2.0, 3.5, INF])
+        block = rng.dirichlet(np.ones(5), size=40)
+        for f in (Functional("mean"), Functional("quantile", 0.4), Functional("cvar", 0.6)):
+            q_min, q_max = bounds_for_monotonic(block, pts, f)
+            assert q_min.shape == q_max.shape == (40,)
+            singles = np.array([bounds_for_monotonic(w, pts, f) for w in block])
+            # a block's mean is one matrix product, so it may differ in the last bits
+            np.testing.assert_allclose(q_min, singles[:, 0], rtol=1e-13)
+            np.testing.assert_allclose(q_max, singles[:, 1], rtol=1e-13)
+
     def test_ordering_over_random_instances(self):
         rng = np.random.default_rng(35)
         functionals = [
