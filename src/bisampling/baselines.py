@@ -186,6 +186,8 @@ def coverage_experiment(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if math.isnan(true_q):
+        raise ValueError("true_q must not be NaN")
 
     def run_trial(t):
         data = generate(gen, n_sample, rngmod.substream(seed, t, 0))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,9 @@ from .pbox import (
 # pseudo-observation weight carried by the bounding interval itself
 PRIOR_WEIGHT = 1.0
 
-# realisations are drawn in fixed blocks, one RNG substream per block, so
-# results do not depend on worker count or scheduling
+# realisations are drawn in fixed blocks so the block temporaries stay
+# bounded; one RNG substream per block keeps seeded outputs independent of
+# the order in which the blocks run
 _BLOCK = 256
 
 
@@ -121,18 +121,15 @@ def sample_realization(
     return ImpreciseRealization(weights=w, lower=lower, upper=upper)
 
 
-def bis_run(data, interval: BoundingInterval, cfg: BisConfig, workers: int = 1) -> QSamples:
+def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
     """Run the interval resampling algorithm.
 
     For each of ``cfg.n_resample`` realisations: draw a weight vector over
     the cells between merged order statistics, form the lower/upper step
     CDFs sharing those weights, and evaluate the functional on both.  The
     weight draws are blocked with one RNG substream per block derived from
-    ``(cfg.seed, block_index)``; ``workers`` threads (at least 1) run the
-    blocks and the output is identical for any ``workers``.
+    ``(cfg.seed, block_index)``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
     if cfg.n_resample < default_n_resample(cfg.credibility):
@@ -143,20 +140,14 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig, workers: int = 1) 
             stacklevel=2,
         )
     n = cfg.n_resample
-
-    def run_block(b):
-        length = min(_BLOCK, n - b * _BLOCK)
-        w = sample_dirichlet(params, rngmod.substream(cfg.seed, b), size=length)
-        return bounds_for_monotonic(w, reduced, cfg.functional)
-
-    blocks = range(math.ceil(n / _BLOCK))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-    q_min = np.concatenate([r[0] for r in results])
-    q_max = np.concatenate([r[1] for r in results])
+    q_min, q_max = np.empty(n), np.empty(n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        block_rng = rngmod.substream(cfg.seed, start // _BLOCK)
+        w = sample_dirichlet(params, block_rng, size=stop - start)
+        q_min[start:stop], q_max[start:stop] = bounds_for_monotonic(
+            w, reduced, cfg.functional
+        )
     return QSamples(q_min=q_min, q_max=q_max)
 
 

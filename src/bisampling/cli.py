@@ -118,7 +118,7 @@ def cmd_infer(args) -> int:
         n_resample=n_resample,
         seed=args.seed,
     )
-    qs = bis_run(data, interval, cfg, workers=args.workers)
+    qs = bis_run(data, interval, cfg)
     est = interval_estimate(qs, args.credibility)
     manifest = _manifest("infer", args, args.param, args.credibility, n_resample, args.seed)
     result = {
@@ -147,6 +147,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_pbox(args) -> int:
+    if args.realisations < 0:
+        raise BisamplingError("--realisations must not be negative")
     data = read_observations(args.input, args.column)
     interval = BoundingInterval(args.bounds[0], args.bounds[1])
     stats = make_extended_order_stats(data, interval)
@@ -264,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument("--resamples", type=int, default=None)
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--workers", type=int, default=1)
     infer.add_argument("--out", default=None)
     infer.add_argument("--qbox", default=None, help="also write the q-box ECDFs as CSV")
     infer.set_defaults(func=cmd_infer)

@@ -82,9 +82,9 @@ def _mean_rows(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     finite = np.isfinite(s)
     if finite.all():
         return w @ s
-    out = w[:, finite] @ s[finite]
-    pos = w[:, s == np.inf].sum(axis=1) > 0
-    neg = w[:, s == -np.inf].sum(axis=1) > 0
+    out = w @ np.where(finite, s, 0.0)
+    pos = w @ (s == np.inf) > 0
+    neg = w @ (s == -np.inf) > 0
     if (pos & neg).any():
         raise IndeterminateSumError("positive weight at both -inf and +inf")
     out = np.where(pos, np.inf, out)
@@ -92,76 +92,73 @@ def _mean_rows(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_terms(s, w, p):
-    """Shared pieces of the atom-split tail sums.
+def _split_mean_rows(s, w, cum, idx, p: float, tail: bool) -> np.ndarray:
+    """Atom-split mean of the mass below p, or of the mass above it (tail).
 
-    Returns (rows, idx, cum, cws) where ``idx`` is the split atom per row
-    and ``cws`` the cumulative weighted sums with infinite supports zeroed.
+    ``cum`` and ``idx`` are the cumulative weights and the split atom per
+    row; every column of ``s`` shares them.  Only the part of the split
+    atom's mass on the chosen side of p contributes.
     """
     rows = np.arange(w.shape[0])
-    cum = np.cumsum(w, axis=1)
-    idx = _first_index_at_least(cum, p)
+    cols = np.arange(s.shape[0])
     s_fin = np.where(np.isfinite(s), s, 0.0)
-    cws = np.cumsum(w * s_fin, axis=1)
-    return rows, idx, cum, cws
-
-
-def _trunc_mean_rows(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    rows, idx, cum, cws = _split_terms(s, w, p)
-    prev = np.maximum(idx - 1, 0)
-    below = np.where(idx > 0, cws[rows, prev], 0.0)
-    cum_prev = np.where(idx > 0, cum[rows, prev], 0.0)
-    mass_at = np.maximum(p - cum_prev, 0.0)
+    if tail:
+        strict = np.where(cols > idx[:, None], w, 0.0) @ s_fin
+        mass_at = np.maximum(cum[rows, idx] - p, 0.0)
+        extreme, scale = np.inf, 1.0 - p
+    else:
+        strict = np.where(cols < idx[:, None], w, 0.0) @ s_fin
+        cum_prev = np.where(idx > 0, cum[rows, idx - 1], 0.0)
+        mass_at = np.maximum(p - cum_prev, 0.0)
+        extreme, scale = -np.inf, p
+    mass_at = mass_at[:, None]
     with np.errstate(invalid="ignore"):
         at_term = np.where(mass_at > 0, mass_at * s[idx], 0.0)
-    out = (below + at_term) / p
-    neg = s == -np.inf
-    if neg.any():
-        # a fully included -inf atom drives the whole sum to -inf
-        last_neg = int(np.nonzero(neg)[0][-1])
-        forced = (idx > last_neg) & (w[:, neg].sum(axis=1) > 0)
-        out = np.where(forced, -np.inf, out)
-    return out
-
-
-def _cvar_rows(s: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    rows, idx, cum, cws = _split_terms(s, w, p)
-    above = cws[:, -1] - cws[rows, idx]
-    mass_at = np.maximum(cum[rows, idx] - p, 0.0)
-    with np.errstate(invalid="ignore"):
-        at_term = np.where(mass_at > 0, mass_at * s[idx], 0.0)
-    out = (at_term + above) / (1.0 - p)
-    pos = s == np.inf
-    if pos.any():
-        first_pos = int(np.nonzero(pos)[0][0])
-        forced = (idx < first_pos) & (w[:, pos].sum(axis=1) > 0)
-        out = np.where(forced, np.inf, out)
+    out = (strict + at_term) / scale
+    at_extreme = s == extreme
+    n_extreme = at_extreme.sum(axis=0)
+    if n_extreme.any():
+        # an infinite atom wholly on the chosen side drives the sum to it
+        if tail:
+            inside = idx[:, None] < s.shape[0] - n_extreme
+        else:
+            inside = idx[:, None] >= n_extreme
+        forced = inside & (w @ at_extreme > 0)
+        out = np.where(forced, extreme, out)
     return out
 
 
 def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     """Apply ``f`` to each row of ``weight_rows`` as weights on ``supports``.
 
-    ``supports`` must be sorted non-decreasing (ties allowed; tied atoms
-    behave as one merged atom).  This is the vectorized backend shared by
-    the scalar functionals and the resampling engine.
+    ``supports`` is one sorted vector, or an ``(n, m)`` matrix of m sorted
+    columns sharing the weights (ties allowed; tied atoms behave as one
+    merged atom).  Returns ``(k,)`` for a vector and ``(k, m)`` for a
+    matrix, k being the number of weight rows.  This is the vectorized
+    backend shared by the scalar functionals and the resampling engine.
     """
-    s = np.asarray(supports, dtype=float).reshape(-1)
+    s = np.asarray(supports, dtype=float)
+    matrix = s.ndim == 2
+    if not matrix:
+        s = s.reshape(-1, 1)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    if w.shape[1] != s.size:
+    if w.shape[1] != s.shape[0]:
         raise ValueError("weight rows must match the number of supports")
     if f.kind == "mean":
-        return _mean_rows(s, w)
-    if f.kind == "quantile":
-        return s[_first_index_at_least(np.cumsum(w, axis=1), f.p)]
-    if f.kind == "trunc_mean":
-        return _trunc_mean_rows(s, w, f.p)
-    return _cvar_rows(s, w, f.p)
+        out = _mean_rows(s, w)
+    else:
+        cum = np.cumsum(w, axis=1)
+        idx = _first_index_at_least(cum, f.p)
+        if f.kind == "quantile":
+            out = s[idx]
+        else:
+            out = _split_mean_rows(s, w, cum, idx, f.p, tail=f.kind == "cvar")
+    return out if matrix else out[:, 0]
 
 
 def q_mean(dist: WeightedStepCdf) -> float:
     """Mean of a step distribution; +/-inf when an extreme atom has mass."""
-    return float(_mean_rows(dist.supports, dist.weights[None, :])[0])
+    return float(evaluate_rows(Functional("mean"), dist.supports, dist.weights)[0])
 
 
 def q_quantile(dist: WeightedStepCdf, p: float) -> float:
@@ -176,18 +173,16 @@ def q_truncated_mean(dist: WeightedStepCdf, p: float) -> float:
 
     The atom at the p-quantile is split: only the mass needed to reach
     exactly p contributes.  This makes the decomposition
-    ``mean = p * trunc_mean + (1 - p) * cvar`` exact.
+    ``mean = p * trunc_mean + (1 - p) * cvar`` exact.  ``Functional``
+    rejects a p outside (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidProbabilityError(f"p must be in (0, 1), got {p!r}")
-    return float(_trunc_mean_rows(dist.supports, dist.weights[None, :], p)[0])
+    f = Functional("trunc_mean", p)
+    return float(evaluate_rows(f, dist.supports, dist.weights)[0])
 
 
 def q_cvar(dist: WeightedStepCdf, p: float) -> float:
     """Mean of the upper (1-p) tail with the same atom-splitting rule."""
-    if not 0.0 < p < 1.0:
-        raise InvalidProbabilityError(f"p must be in (0, 1), got {p!r}")
-    return float(_cvar_rows(dist.supports, dist.weights[None, :], p)[0])
+    return float(evaluate_rows(Functional("cvar", p), dist.supports, dist.weights)[0])
 
 
 def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
@@ -205,8 +200,7 @@ def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
     pts = np.asarray(reduced_points, dtype=float).reshape(-1)
     if rows.shape[1] + 1 != pts.size:
         raise ValueError("need one more point than weights")
-    q_min = evaluate_rows(f, pts[:-1], rows)
-    q_max = evaluate_rows(f, pts[1:], rows)
+    q = evaluate_rows(f, np.column_stack((pts[:-1], pts[1:])), rows)
     if w.ndim < 2:
-        return float(q_min[0]), float(q_max[0])
-    return q_min, q_max
+        return float(q[0, 0]), float(q[0, 1])
+    return q[:, 0], q[:, 1]

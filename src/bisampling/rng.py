@@ -1,8 +1,9 @@
 """Seedable deterministic random streams with stable substreams.
 
 Substreams are derived from an integer key tuple via ``SeedSequence``, so
-parallel workers can draw from disjoint streams that depend only on
-(seed, index) and never on scheduling order.
+each block or trial draws from its own stream that depends only on
+(seed, index), and seeded outputs do not depend on the order in which the
+blocks or trials run.
 """
 
 from __future__ import annotations

@@ -129,6 +129,14 @@ class TestCoverageExperiment:
         )
         assert r.hit_rate in (0.0, 1.0)
 
+    def test_rejects_nan_true_q(self):
+        gen = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
+        with pytest.raises(ValueError, match="true_q"):
+            coverage_experiment(
+                gen, float("nan"), "student_t", MEAN, 20, 0.9, 1, 0,
+                BoundingInterval(0.0, 50.0), seed=16,
+            )
+
     def test_deterministic_given_seed(self):
         gen = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
         kwargs = dict(

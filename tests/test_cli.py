@@ -180,11 +180,11 @@ class TestZeroOrNegativeOption:
         "extra",
         [
             ["infer", "--resamples", "0"],
-            ["infer", "--workers", "0"],
-            ["infer", "--workers", "-3"],
+            ["pbox", "--realisations", "-1"],
             ["compare", "--resamples", "0"],
             ["compare", "--credibility", "0"],
             ["compare", "--n-sample", "0"],
+            ["compare", "--true-q", "nan"],
         ],
         ids=" ".join,
     )
@@ -192,6 +192,8 @@ class TestZeroOrNegativeOption:
         command, *options = extra
         if command == "infer":
             argv = ["infer", sample_file, "--param", "median", "--bounds", "0", "inf"]
+        elif command == "pbox":
+            argv = ["pbox", sample_file, "--bounds", "0", "inf"]
         else:
             argv = ["compare", "--preset", "table3", "--trials", "2"]
         code, out, err = run(capsys, argv + options)
@@ -249,14 +251,6 @@ class TestReproducibility:
                 "inf", "--seed", "42", "--credibility", "0.8"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_byte_identical_with_workers(self, capsys, sample_file, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["infer", sample_file, "--param", "median", "--bounds", "0", "inf",
-                "--seed", "9"]
-        assert main(argv + ["--out", str(a)]) == 0
-        assert main(argv + ["--workers", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_pbox_byte_identical(self, capsys, sample_file, tmp_path):

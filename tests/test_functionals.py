@@ -239,3 +239,54 @@ class TestEvaluateRows:
             assert evaluate_rows(f, s, w)[0] == pytest.approx(
                 f.evaluate(merged), abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ([1.0, 1.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0, 4.0]),
+            ([-INF, 1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 2.0, 4.0, 5.0]),
+            ([0.0, 1.0, 1.0, 3.0, 4.0], [1.0, 1.0, 3.0, 4.0, INF]),
+            ([-INF, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, INF]),
+            ([-INF, -INF, 1.0, 2.0, 4.0], [-INF, 1.0, 2.0, 4.0, 5.0]),
+            ([0.0, 1.0, 2.0, INF, INF], [1.0, 2.0, 3.0, 4.0, INF]),
+        ],
+        ids=["ties", "neg-inf-first", "pos-inf-last", "both-sides",
+             "neg-inf-counts", "pos-inf-counts"],
+    )
+    def test_support_matrix_matches_single_columns(self, left, right):
+        rng = np.random.default_rng(41)
+        w = rng.dirichlet(np.ones(5), size=40)
+        # rows without mass on an extreme atom, and rows whose split atom
+        # is the first or the last one
+        w[10:20, 0] = 0.0
+        w[20:30, -1] = 0.0
+        w[30:35] = [0.7, 0.1, 0.1, 0.05, 0.05]
+        w[35:] = [0.05, 0.05, 0.1, 0.1, 0.7]
+        w /= w.sum(axis=1, keepdims=True)
+        s = np.column_stack((left, right))
+        seen_inf = seen_finite = False
+        for f in (Functional("mean"), Functional("quantile", 0.5),
+                  Functional("trunc_mean", 0.6), Functional("cvar", 0.4)):
+            got = evaluate_rows(f, s, w)
+            assert got.shape == (40, 2)
+            for j in range(2):
+                want = evaluate_rows(f, s[:, j], w)
+                if f.kind == "quantile":
+                    assert np.array_equal(got[:, j], want)
+                else:
+                    np.testing.assert_allclose(got[:, j], want, rtol=1e-13)
+                    if np.isinf(s[:, j]).any():
+                        seen_inf |= np.isinf(want).any()
+                        seen_finite |= np.isfinite(want).any()
+        # with an infinite atom, forced and finite results both occur
+        assert seen_inf == seen_finite == (not np.isfinite(s).all())
+
+    def test_support_matrix_indeterminate_column(self):
+        s = np.column_stack(([-INF, 1.0, 2.0, INF], [1.0, 2.0, 3.0, 4.0]))
+        w = np.full((3, 4), 0.25)
+        mean = Functional("mean")
+        assert np.isfinite(evaluate_rows(mean, s[:, 1], w)).all()
+        with pytest.raises(IndeterminateSumError):
+            evaluate_rows(mean, s, w)
+        with pytest.raises(IndeterminateSumError):
+            evaluate_rows(mean, s[:, 0], w)
