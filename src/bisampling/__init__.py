@@ -32,6 +32,7 @@ from .bis import (
 from .dirichlet import (
     merge_duplicates,
     sample_dirichlet,
+    sample_split_index,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "q_truncated_mean",
     "sample_dirichlet",
     "sample_realization",
+    "sample_split_index",
     "sample_unit_dp_grid",
     "sample_unit_dp_stick",
     "student_t_interval",

@@ -8,20 +8,21 @@ distributions and records the extremes of a monotonic functional on each;
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .dirichlet import merge_duplicates, sample_dirichlet
+from .dirichlet import merge_duplicates, sample_dirichlet, sample_split_index
 from .errors import (
     AtObservationError,
     EmptySamplesError,
     InvalidProbabilityError,
     OutOfBoundsError,
 )
-from .functionals import Functional, bounds_for_monotonic
+from .functionals import Functional, bounds_for_monotonic, quantile_bounds
 from .pbox import (
     BoundingInterval,
     IntervalEstimate,
@@ -52,8 +53,9 @@ class BisConfig:
             raise InvalidProbabilityError(
                 f"credibility must be in (0, 1), got {self.credibility!r}"
             )
-        if self.n_resample < 1:
-            raise ValueError("n_resample must be at least 1")
+        n = self.n_resample
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_resample must be an integer of at least 1, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +130,10 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
     the cells between merged order statistics, form the lower/upper step
     CDFs sharing those weights, and evaluate the functional on both.  The
     weight draws are blocked with one RNG substream per block derived from
-    ``(cfg.seed, block_index)``.
+    ``(cfg.seed, block_index)``.  A quantile depends on the weights only
+    through the cell where their cumulative sum reaches p, so for quantiles
+    that cell is drawn from its exact law with the stream of ``cfg.seed``
+    and no weights are drawn.
     """
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
@@ -140,14 +145,17 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
             stacklevel=2,
         )
     n = cfg.n_resample
+    f = cfg.functional
+    if f.kind == "quantile":
+        idx = sample_split_index(params, f.p, rngmod.stream(cfg.seed), n)
+        q_min, q_max = quantile_bounds(idx, reduced)
+        return QSamples(q_min=q_min, q_max=q_max)
     q_min, q_max = np.empty(n), np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         block_rng = rngmod.substream(cfg.seed, start // _BLOCK)
         w = sample_dirichlet(params, block_rng, size=stop - start)
-        q_min[start:stop], q_max[start:stop] = bounds_for_monotonic(
-            w, reduced, cfg.functional
-        )
+        q_min[start:stop], q_max[start:stop] = bounds_for_monotonic(w, reduced, f)
     return QSamples(q_min=q_min, q_max=q_max)
 
 

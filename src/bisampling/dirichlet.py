@@ -1,18 +1,28 @@
 """Dirichlet weight sampling, tie merging and unit Dirichlet process realisations.
 
 ``sample_dirichlet`` is the one weight sampler: single vectors and blocks
-of rows, uniform-simplex and general parameters.  The unit Dirichlet
-process (sometimes called the identity Dirichlet process) is a random
-distortion of the uniform CDF on [0, 1] with concentration ``alpha``; two
-samplers are provided, one on a fixed grid of cells and one by truncated
-stick breaking.
+of rows, uniform-simplex and general parameters.  ``sample_split_index``
+draws the cell where the cumulative weight first reaches a level from its
+exact law, without drawing weights.  The unit Dirichlet process (sometimes
+called the identity Dirichlet process) is a random distortion of the
+uniform CDF on [0, 1] with concentration ``alpha``; two samplers are
+provided, one on a fixed grid of cells and one by truncated stick breaking.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import betaincc
 
+from .errors import InvalidProbabilityError
 from .pbox import ExtendedOrderStats, WeightedStepCdf
+
+
+def _positive_params(params) -> np.ndarray:
+    a = np.asarray(params, dtype=float).reshape(-1)
+    if a.size == 0 or not (a > 0).all():
+        raise ValueError("Dirichlet parameters must be positive")
+    return a
 
 
 def sample_dirichlet(
@@ -27,9 +37,7 @@ def sample_dirichlet(
     U drawn from (0, 1] so the log never sees zero; other parameters
     normalise gamma variates.
     """
-    a = np.asarray(params, dtype=float).reshape(-1)
-    if a.size == 0 or not (a > 0).all():
-        raise ValueError("Dirichlet parameters must be positive")
+    a = _positive_params(params)
     shape = a.shape if size is None else (size, a.size)
     if np.all(a == 1.0):
         g = -np.log1p(-rng.random(shape))
@@ -43,6 +51,29 @@ def sample_dirichlet(
         rows[dead, rng.integers(a.size, size=int(dead.sum()))] = 1.0
         total[dead] = 1.0
     return (rows / total).reshape(shape)
+
+
+def sample_split_index(
+    params, p: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw the first cell where Dirichlet cumulative weight reaches ``p``.
+
+    By the aggregation property the weight of cells 0..j follows
+    Beta(A_j, A - A_j), with A_j the sum of their parameters and A the sum
+    of all, so P(index <= j) = P(Beta(A_j, A - A_j) >= p), which is 1 at
+    the last cell.  This law is computed once in O(len(params)) and
+    inverted at ``size`` uniforms drawn from (0, 1], so no weight vector is
+    ever formed.
+    """
+    a = _positive_params(params)
+    if not 0.0 < p < 1.0:
+        raise InvalidProbabilityError(f"p must be in (0, 1), got {p!r}")
+    head = np.cumsum(a)[:-1]
+    # the rest summed from the right stays positive where A - A_j would round to 0
+    rest = np.cumsum(a[::-1])[::-1][1:]
+    cdf = np.append(betaincc(head, rest, p), 1.0)
+    np.maximum.accumulate(cdf, out=cdf)
+    return np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
 
 
 def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,9 @@
 
 All functionals implemented here are monotonic with respect to first-order
 stochastic dominance, so their extremes over a probability box are attained
-at the box's own bounds; ``bounds_for_monotonic`` is the one place that
-pairs each extreme with its bound.  Functionals are total on finite-support
+at the box's own bounds; ``_cell_endpoints`` is the one place that pairs
+each extreme with its bound, for ``bounds_for_monotonic`` and
+``quantile_bounds``.  Functionals are total on finite-support
 distributions and return signed infinities where a result is unbounded
 rather than raising.
 """
@@ -92,35 +93,37 @@ def _mean_rows(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_mean_rows(s, w, cum, idx, p: float, tail: bool) -> np.ndarray:
+def _split_mean_rows(s, w, idx, p: float, tail: bool) -> np.ndarray:
     """Atom-split mean of the mass below p, or of the mass above it (tail).
 
-    ``cum`` and ``idx`` are the cumulative weights and the split atom per
-    row; every column of ``s`` shares them.  Only the part of the split
-    atom's mass on the chosen side of p contributes.
+    ``idx`` is the split atom per row; every column of ``s`` shares it.
+    The atoms strictly on the chosen side contribute their whole weight and
+    the split atom the rest of that side's mass (p below, 1 - p above).
+    The sum is divided by the mass actually summed, so each result is a
+    convex combination of its atoms.  That mass is summed from the side's
+    own atoms because a difference of cumulative sums near 1 loses the
+    small tail masses of p near 1.
     """
-    rows = np.arange(w.shape[0])
-    cols = np.arange(s.shape[0])
-    s_fin = np.where(np.isfinite(s), s, 0.0)
-    if tail:
-        strict = np.where(cols > idx[:, None], w, 0.0) @ s_fin
-        mass_at = np.maximum(cum[rows, idx] - p, 0.0)
-        extreme, scale = np.inf, 1.0 - p
-    else:
-        strict = np.where(cols < idx[:, None], w, 0.0) @ s_fin
-        cum_prev = np.where(idx > 0, cum[rows, idx - 1], 0.0)
-        mass_at = np.maximum(p - cum_prev, 0.0)
-        extreme, scale = -np.inf, p
-    mass_at = mass_at[:, None]
+    n_atoms = s.shape[0]
+    cols = np.arange(n_atoms)
+    side = cols > idx[:, None] if tail else cols < idx[:, None]
+    # the ones column sums the strict side's mass in the same product
+    terms = np.column_stack((np.where(np.isfinite(s), s, 0.0), np.ones(n_atoms)))
+    sums = np.where(side, w, 0.0) @ terms
+    strict, mass = sums[:, :-1], sums[:, -1:]
+    mass_at = np.maximum((1.0 - p if tail else p) - mass, 0.0)
     with np.errstate(invalid="ignore"):
         at_term = np.where(mass_at > 0, mass_at * s[idx], 0.0)
-    out = (strict + at_term) / scale
+    out = (strict + at_term) / (mass + mass_at)
+    # rounding can leave the ratio an ulp outside the range of its atoms
+    out = np.clip(out, s[idx], s[-1]) if tail else np.clip(out, s[0], s[idx])
+    extreme = np.inf if tail else -np.inf
     at_extreme = s == extreme
     n_extreme = at_extreme.sum(axis=0)
     if n_extreme.any():
         # an infinite atom wholly on the chosen side drives the sum to it
         if tail:
-            inside = idx[:, None] < s.shape[0] - n_extreme
+            inside = idx[:, None] < n_atoms - n_extreme
         else:
             inside = idx[:, None] >= n_extreme
         forced = inside & (w @ at_extreme > 0)
@@ -152,7 +155,7 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
         if f.kind == "quantile":
             out = s[idx]
         else:
-            out = _split_mean_rows(s, w, cum, idx, f.p, tail=f.kind == "cvar")
+            out = _split_mean_rows(s, w, idx, f.p, tail=f.kind == "cvar")
     return out if matrix else out[:, 0]
 
 
@@ -185,22 +188,43 @@ def q_cvar(dist: WeightedStepCdf, p: float) -> float:
     return float(evaluate_rows(Functional("cvar", p), dist.supports, dist.weights)[0])
 
 
+def _cell_endpoints(reduced_points) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right endpoints of the cells between consecutive points.
+
+    A monotonic functional is smallest on the upper bound CDF, whose
+    weights sit on cell left endpoints, and largest on the lower bound CDF,
+    whose weights sit on cell right endpoints: the left endpoints give
+    ``q_min`` and the right ones ``q_max``.
+    """
+    pts = np.asarray(reduced_points, dtype=float).reshape(-1)
+    return pts[:-1], pts[1:]
+
+
 def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
     """Extremes of a monotonic functional over imprecise realisations.
 
     ``weights`` are cell weights for the cells between consecutive
     ``reduced_points``: one vector, or a block with one realisation per
-    row.  The minimum is attained on the upper bound CDF (weights at cell
-    left endpoints) and the maximum on the lower bound CDF (weights at cell
-    right endpoints).  Returns ``(q_min, q_max)`` as floats for one vector
-    and as arrays for a block.
+    row.  Returns ``(q_min, q_max)`` as floats for one vector and as arrays
+    for a block.
     """
     w = np.asarray(weights, dtype=float)
     rows = np.atleast_2d(w)
-    pts = np.asarray(reduced_points, dtype=float).reshape(-1)
-    if rows.shape[1] + 1 != pts.size:
+    left, right = _cell_endpoints(reduced_points)
+    if rows.shape[1] != left.size:
         raise ValueError("need one more point than weights")
-    q = evaluate_rows(f, np.column_stack((pts[:-1], pts[1:])), rows)
+    q = evaluate_rows(f, np.column_stack((left, right)), rows)
     if w.ndim < 2:
         return float(q[0, 0]), float(q[0, 1])
     return q[:, 0], q[:, 1]
+
+
+def quantile_bounds(split_index, reduced_points) -> tuple[np.ndarray, np.ndarray]:
+    """Extremes of a quantile over realisations, from their split cells.
+
+    Both bound CDFs of a realisation share its cell weights, so a quantile
+    reaches its level in the same cell ``split_index`` on both, and the
+    extremes are that cell's endpoints.  Returns ``(q_min, q_max)`` arrays.
+    """
+    left, right = _cell_endpoints(reduced_points)
+    return left[split_index], right[split_index]

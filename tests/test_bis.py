@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from bisampling.bis import (
@@ -22,7 +23,7 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
-from bisampling.functionals import Functional
+from bisampling.functionals import Functional, bounds_for_monotonic
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
 from bisampling.rng import stream, substream
 
@@ -91,6 +92,16 @@ class TestSampleRealization:
         assert sps.kstest(hi, "beta", args=(7, 9)).pvalue > 0.01
 
 
+class TestBisConfig:
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True], ids=["0", "-1", "2.5", "True"])
+    def test_rejects_bad_n_resample(self, n):
+        with pytest.raises(ValueError, match="n_resample"):
+            BisConfig(Functional("mean"), 0.9, n, 0)
+
+    def test_accepts_numpy_integer(self):
+        assert BisConfig(Functional("mean"), 0.9, np.int64(5), 0).n_resample == 5
+
+
 class TestBisRun:
     def test_mean_upper_bound_always_infinite(self, small_sample):
         cfg = BisConfig(Functional("mean"), 0.9, 1000, 0)
@@ -122,12 +133,27 @@ class TestBisRun:
         with pytest.warns(UserWarning, match="rule of thumb"):
             bis_run(small_sample, POSITIVE, cfg)
 
-    def test_deterministic_and_parallel_identical(self, small_sample):
-        cfg = BisConfig(Functional.parse("median"), 0.9, 1000, 11)
+    # the median takes the exact split-index path, the truncated mean the blocks
+    @pytest.mark.parametrize("f", ["median", "trunc-mean:0.8"])
+    def test_deterministic_given_seed(self, small_sample, f):
+        cfg = BisConfig(Functional.parse(f), 0.9, 1000, 11)
         a = bis_run(small_sample, POSITIVE, cfg)
         b = bis_run(small_sample, POSITIVE, cfg)
         assert np.array_equal(a.q_min, b.q_min)
         assert np.array_equal(a.q_max, b.q_max)
+
+    @pytest.mark.parametrize("p", [0.9, 0.99999, 0.9999999999999])
+    @pytest.mark.parametrize("kind", ["cvar", "trunc-mean"])
+    def test_split_means_stay_in_bounds_at_extreme_p(self, kind, p):
+        # atom-split means are convex combinations of their atoms
+        cfg = BisConfig(Functional.parse(f"{kind}:{p}"), 0.9, 2000, 1)
+        qs = bis_run([1.0, 2.0, 3.0], BoundingInterval(0.0, 5.0), cfg)
+        for q in (qs.q_min, qs.q_max):
+            assert ((q >= 0.0) & (q <= 5.0)).all()
+        if kind == "cvar" and p > 0.9:
+            # the upper 1-p tail of the upper CDF lies on its last atom, 3,
+            # unless that atom's weight falls below 1-p (about 3(1-p) a draw)
+            assert (qs.q_min >= 3.0).all()
 
     def test_merged_and_unmerged_distributions_agree(self):
         # resampling with merged tied cells matches the full simplex draw
@@ -146,6 +172,63 @@ class TestBisRun:
             w = sample_dirichlet(np.ones(len(data) + 1), rng)
             full[i] = evaluate_rows(f, stats.points[1:], w[None])[0]
         assert sps.ks_2samp(merged.q_max, full).pvalue > 0.01
+
+
+def exact_split_cdf(points, p):
+    """P(split index <= i), i = 0..n, over the n+1 unmerged cells of ``points``.
+
+    Under uniform weights the first i+1 cells weigh Beta(i+1, n-i); tied
+    points are zero-width cells, which the law covers without merging.
+    """
+    n = points.size - 2
+    i = np.arange(n)
+    return np.append(sps.beta.sf(p, i + 1, n - i), 1.0)
+
+
+class TestExactSplitLaw:
+    """The quantile path against Monte Carlo blocks and the Beta oracle."""
+
+    N = 20_000
+    Z = 5.0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        data=st.lists(st.integers(0, 6).map(float), max_size=8),
+        interval=st.sampled_from([BoundingInterval(0.0, 6.0), POSITIVE,
+                                  BoundingInterval(-INF, INF)]),
+        p=st.floats(0.001, 0.999),
+        c=st.floats(0.5, 0.95),
+        seed=st.integers(0, 2**32),
+    )
+    def test_quantile_path_matches_exact_law(self, data, interval, p, c, seed):
+        n_draws, z = self.N, self.Z
+        f = Functional("quantile", p)
+        qs = bis_run(data, interval, BisConfig(f, c, n_draws, seed))
+        reduced, params = reduced_for(data, interval)
+        w = sample_dirichlet(params, substream(seed, 1), size=n_draws)
+        mc_min, mc_max = bounds_for_monotonic(w, reduced, f)
+        points = make_extended_order_stats(data, interval).points
+        cdf = exact_split_cdf(points, p)
+        # P(q_min <= v) and P(q_max <= v) at every distinct point v
+        for ends, samples in ((points[:-1], (qs.q_min, mc_min)),
+                              (points[1:], (qs.q_max, mc_max))):
+            for v in np.unique(points):
+                below = np.searchsorted(ends, v, side="right")
+                exact = cdf[below - 1] if below else 0.0
+                # a variance floor of one draw, where the normal approximation
+                # of the count fails (cells too rare to be drawn at all)
+                var = max(exact * (1.0 - exact), 1.0 / n_draws)
+                tol = z * math.sqrt(var / n_draws)
+                for q in samples:
+                    assert abs(np.mean(q <= v) - exact) <= tol
+        # each endpoint within a z-sigma rank band of the exact endpoint
+        est = interval_estimate(qs, c)
+        for got, a, shift in ((est.lo, (1.0 - c) / 2.0, 0),
+                              (est.hi, (1.0 + c) / 2.0, 1)):
+            d = z * math.sqrt(a * (1.0 - a) / n_draws)
+            band = [points[np.searchsorted(cdf, level, side="left") + shift]
+                    for level in (max(a - d, 0.0), min(a + d, 1.0))]
+            assert band[0] <= got <= band[1]
 
 
 class TestIntervalEstimate:

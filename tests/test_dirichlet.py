@@ -5,9 +5,11 @@ from scipy import stats as sps
 from bisampling.dirichlet import (
     merge_duplicates,
     sample_dirichlet,
+    sample_split_index,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
 )
+from bisampling.errors import InvalidProbabilityError
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
 from bisampling.rng import stream, substream
 
@@ -77,6 +79,29 @@ class TestSampleDirichlet:
         a = sample_dirichlet([1.0, 2.0, 0.5], stream(9))
         b = sample_dirichlet([1.0, 2.0, 0.5], stream(9))
         assert np.array_equal(a, b)
+
+
+class TestSampleSplitIndex:
+    def test_matches_weight_blocks(self):
+        # general (non-integer) parameters, against cumulative Dirichlet weights
+        params, p, n = np.array([0.5, 2.0, 1.5, 0.2, 3.0]), 0.4, 20_000
+        idx = sample_split_index(params, p, stream(5), n)
+        w = sample_dirichlet(params, stream(6), size=n)
+        mc = (np.cumsum(w, axis=1) >= p).argmax(axis=1)
+        for j in range(params.size):
+            a, b = np.mean(idx <= j), np.mean(mc <= j)
+            f = (a + b) / 2.0
+            assert abs(a - b) <= 5.0 * np.sqrt(2.0 * f * (1.0 - f) / n)
+
+    def test_single_cell(self):
+        assert sample_split_index([3.0], 0.5, stream(7), 10).tolist() == [0] * 10
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            sample_split_index([1.0, 0.0], 0.5, stream(0), 3)
+        for p in (0.0, 1.0, float("nan")):
+            with pytest.raises(InvalidProbabilityError):
+                sample_split_index([1.0, 1.0], p, stream(0), 3)
 
 
 class TestMergeDuplicates:

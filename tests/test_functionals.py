@@ -230,6 +230,18 @@ class TestEvaluateRows:
                 d = step(s, w[i])
                 assert rows[i] == pytest.approx(f.evaluate(d), abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-13, 1e-5, 0.5, 0.9, 0.99999, 1 - 1e-13])
+    def test_split_means_within_their_atoms(self, p):
+        # a convex combination of atoms stays inside their range
+        rng = np.random.default_rng(43)
+        grid = [0.1, 1 / 3, 0.7, 2.0, 3.0, 5.0, 7.7, 1e3]
+        for _ in range(200):
+            s = np.sort(rng.choice(grid, size=int(rng.integers(1, 8)), replace=False))
+            w = rng.dirichlet(np.ones(s.size), size=32)
+            for f in (Functional("trunc_mean", p), Functional("cvar", p)):
+                out = evaluate_rows(f, s, w)
+                assert ((out >= s[0]) & (out <= s[-1])).all()
+
     def test_duplicate_supports_behave_as_merged(self):
         s = np.array([1.0, 1.0, 2.0])
         w = np.array([[0.25, 0.25, 0.5]])
