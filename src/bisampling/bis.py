@@ -15,14 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .dirichlet import merge_duplicates, sample_dirichlet, sample_split_index
+from .dirichlet import (
+    merge_duplicates,
+    sample_dirichlet,
+    sample_split_index,
+    weight_chunks,
+)
 from .errors import (
     AtObservationError,
     EmptySamplesError,
     InvalidProbabilityError,
     OutOfBoundsError,
 )
-from .functionals import Functional, bounds_for_monotonic, quantile_bounds
+from .functionals import Functional, cell_supports, evaluate_rows, quantile_bounds
 from .pbox import (
     BoundingInterval,
     IntervalEstimate,
@@ -33,10 +38,12 @@ from .pbox import (
 # pseudo-observation weight carried by the bounding interval itself
 PRIOR_WEIGHT = 1.0
 
-# realisations are drawn in fixed blocks so the block temporaries stay
-# bounded; one RNG substream per block keeps seeded outputs independent of
-# the order in which the blocks run
-_BLOCK = 256
+# bytes of weights per chunk of realisations: a chunk and the few
+# temporaries of its size stay in a 2 MiB L2 cache.  Each chunk holds at
+# least one row, so the working set is O(n), whatever the number of
+# resamples.  The rows come in order from one stream, so this size does
+# not change the weights drawn.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,14 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
 
     For each of ``cfg.n_resample`` realisations: draw a weight vector over
     the cells between merged order statistics, form the lower/upper step
-    CDFs sharing those weights, and evaluate the functional on both.  The
-    weight draws are blocked with one RNG substream per block derived from
-    ``(cfg.seed, block_index)``.  A quantile depends on the weights only
-    through the cell where their cumulative sum reaches p, so for quantiles
-    that cell is drawn from its exact law with the stream of ``cfg.seed``
-    and no weights are drawn.
+    CDFs sharing those weights, and evaluate the functional on both.  All
+    draws come from the one stream of ``cfg.seed``.  A quantile depends on
+    the weights only through the cell where their cumulative sum reaches
+    p, so for quantiles that cell is drawn from its exact law and no
+    weights are drawn.  Other functionals take the weights unnormalised
+    (every functional is scale invariant), in chunks of about
+    ``_CHUNK_BYTES`` from one reused buffer, and the cell supports are
+    prepared once per run; memory is O(n) beyond the q-samples.
     """
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
@@ -146,16 +155,19 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
         )
     n = cfg.n_resample
     f = cfg.functional
+    rng = rngmod.stream(cfg.seed)
     if f.kind == "quantile":
-        idx = sample_split_index(params, f.p, rngmod.stream(cfg.seed), n)
+        idx = sample_split_index(params, f.p, rng, n)
         q_min, q_max = quantile_bounds(idx, reduced)
         return QSamples(q_min=q_min, q_max=q_max)
+    supports = cell_supports(reduced)
+    chunk_rows = max(1, _CHUNK_BYTES // (8 * params.size))
     q_min, q_max = np.empty(n), np.empty(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block_rng = rngmod.substream(cfg.seed, start // _BLOCK)
-        w = sample_dirichlet(params, block_rng, size=stop - start)
-        q_min[start:stop], q_max[start:stop] = bounds_for_monotonic(w, reduced, f)
+    start = 0
+    for w in weight_chunks(params, rng, n, chunk_rows):
+        stop = start + w.shape[0]
+        q_min[start:stop], q_max[start:stop] = evaluate_rows(f, supports, w).T
+        start = stop
     return QSamples(q_min=q_min, q_max=q_max)
 
 

@@ -1,7 +1,9 @@
 """Dirichlet weight sampling, tie merging and unit Dirichlet process realisations.
 
-``sample_dirichlet`` is the one weight sampler: single vectors and blocks
-of rows, uniform-simplex and general parameters.  ``sample_split_index``
+One draw, ``_fill_rows``, makes every Dirichlet weight: ``sample_dirichlet``
+normalises its rows into single vectors or blocks, and ``weight_chunks``
+streams them unnormalised in chunks of one reused buffer for the
+resampling engine.  ``sample_split_index``
 draws the cell where the cumulative weight first reaches a level from its
 exact law, without drawing weights.  The unit Dirichlet process (sometimes
 called the identity Dirichlet process) is a random distortion of the
@@ -10,6 +12,8 @@ provided, one on a fixed grid of cells and one by truncated stick breaking.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import betaincc
@@ -25,6 +29,23 @@ def _positive_params(params) -> np.ndarray:
     return a
 
 
+def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out):
+    """Fill the rows of ``out`` with unnormalised Dirichlet(a) weights.
+
+    A row whose draws are all zero (every gamma underflowed, or one cell
+    drew an exact zero) becomes a random vertex, the limit law of such a
+    row.  Such a row starts with a zero, so only those rows are scanned.
+    """
+    if exponential:
+        rng.standard_exponential(out=out)
+    else:
+        rng.standard_gamma(a, out=out)
+    maybe = np.flatnonzero(out[:, 0] <= 0.0)
+    dead = maybe[~out[maybe].any(axis=1)]
+    if dead.size:
+        out[dead, rng.integers(a.size, size=dead.size)] = 1.0
+
+
 def sample_dirichlet(
     params, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
@@ -32,25 +53,33 @@ def sample_dirichlet(
 
     ``params`` is a sequence of positive concentration parameters.  With
     ``size`` None one vector is returned, otherwise a ``(size, len(params))``
-    block of rows drawn in order from ``rng``.  All-ones parameters (the
-    uniform simplex) normalise unit exponentials, generated as -log(U) with
-    U drawn from (0, 1] so the log never sees zero; other parameters
-    normalise gamma variates.
+    block of rows drawn in order from ``rng``.  These are the rows of
+    ``weight_chunks`` divided by their totals: unit exponentials for
+    all-ones parameters (the uniform simplex), gamma variates otherwise.
     """
     a = _positive_params(params)
-    shape = a.shape if size is None else (size, a.size)
-    if np.all(a == 1.0):
-        g = -np.log1p(-rng.random(shape))
-    else:
-        g = rng.gamma(a, size=shape)
-    rows = g.reshape(-1, a.size)
-    total = rows.sum(axis=1, keepdims=True)
-    dead = total[:, 0] <= 0.0
-    if dead.any():
-        # all gammas underflowed (tiny shapes); the limit law is a random vertex
-        rows[dead, rng.integers(a.size, size=int(dead.sum()))] = 1.0
-        total[dead] = 1.0
-    return (rows / total).reshape(shape)
+    rows = np.empty((1 if size is None else size, a.size))
+    _fill_rows(a, bool(np.all(a == 1.0)), rng, rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows[0] if size is None else rows
+
+
+def weight_chunks(params, rng: np.random.Generator, size: int, chunk_rows: int):
+    """Draw ``size`` unnormalised Dirichlet weight rows, ``chunk_rows`` at a time.
+
+    Yields views of one reused ``(chunk_rows, len(params))`` buffer, each
+    overwritten by the next chunk; the last may hold fewer rows.  Rows are
+    filled in order from ``rng`` and a generator fills sequentially, so the
+    rows drawn do not depend on ``chunk_rows``.  A row is proportional to a
+    Dirichlet draw; its total is left as drawn.
+    """
+    a = _positive_params(params)
+    exponential = bool(np.all(a == 1.0))
+    buf = np.empty((min(chunk_rows, size), a.size))
+    for start in range(0, size, chunk_rows):
+        out = buf[: min(chunk_rows, size - start)]
+        _fill_rows(a, exponential, rng, out)
+        yield out
 
 
 def sample_split_index(
@@ -61,9 +90,10 @@ def sample_split_index(
     By the aggregation property the weight of cells 0..j follows
     Beta(A_j, A - A_j), with A_j the sum of their parameters and A the sum
     of all, so P(index <= j) = P(Beta(A_j, A - A_j) >= p), which is 1 at
-    the last cell.  This law is computed once in O(len(params)) and
-    inverted at ``size`` uniforms drawn from (0, 1], so no weight vector is
-    ever formed.
+    the last cell.  The law is inverted at ``size`` uniforms drawn from
+    (0, 1], so no weight vector is ever formed.  It is evaluated only on
+    the window of cells that a uniform can select (see ``_law_window``);
+    the indices drawn equal those of the law evaluated on every cell.
     """
     a = _positive_params(params)
     if not 0.0 < p < 1.0:
@@ -71,9 +101,46 @@ def sample_split_index(
     head = np.cumsum(a)[:-1]
     # the rest summed from the right stays positive where A - A_j would round to 0
     rest = np.cumsum(a[::-1])[::-1][1:]
-    cdf = np.append(betaincc(head, rest, p), 1.0)
+    lo, hi = _law_window(head, rest, p)
+    cdf = np.append(betaincc(head[lo:hi], rest[lo:hi], p), 1.0)
     np.maximum.accumulate(cdf, out=cdf)
-    return np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
+    return lo + np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
+
+
+# the smallest level 1 - U for U from ``Generator.random``, whose values are
+# multiples of 2**-53 below 1
+_MIN_LEVEL = 2.0**-53
+
+
+def _law_window(head, rest, p: float) -> tuple[int, int]:
+    """Cells ``lo..hi`` that hold every index a uniform level can select.
+
+    The law P(index <= j) is betaincc(head[j], rest[j], p) for j below
+    ``head.size`` and 1 at the last cell.  No level in [2**-53, 1] selects a
+    cell before one whose law reads below 2**-53, nor one after a cell whose
+    law reads exactly 1.  The window starts about eight standard deviations
+    of the Beta law around A_j = p * A and doubles its reach on each side
+    until the law at ``lo`` reads below 2**-53 (or ``lo`` is the first
+    cell) and the law at ``hi`` reads 1 (or ``hi`` is the last cell).
+    """
+    k = head.size
+    if k == 0:
+        return 0, 0
+    total = head[-1] + rest[-1]
+    centre = p * total
+    reach = 8.0 * total * math.sqrt(p * (1.0 - p) / (total + 1.0))
+    # the last cell's law is 1, so the left end starts no later than k - 1
+    lo = min(int(np.searchsorted(head, centre - reach)), k - 1)
+    step = reach
+    while lo > 0 and betaincc(head[lo], rest[lo], p) >= _MIN_LEVEL:
+        step *= 2.0
+        lo = min(int(np.searchsorted(head, centre - step)), lo - 1)
+    hi = int(np.searchsorted(head, centre + reach))
+    step = reach
+    while hi < k and betaincc(head[hi], rest[hi], p) < 1.0:
+        step *= 2.0
+        hi = max(int(np.searchsorted(head, centre + step)), hi + 1)
+    return lo, hi
 
 
 def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:

@@ -68,67 +68,113 @@ class Functional:
         return q_cvar(dist, self.p)
 
 
-def _first_index_at_least(cum: np.ndarray, p: float) -> np.ndarray:
-    """Per row, the first column where the cumulative weight reaches p."""
-    ge = cum >= p
-    idx = ge.argmax(axis=1)
-    missing = ~ge.any(axis=1)
-    if missing.any():
-        # cumulative mass may fall a few ulp short of 1; clamp to the last atom
-        idx = np.where(missing, cum.shape[1] - 1, idx)
-    return idx
+@dataclass(frozen=True, eq=False)
+class Supports:
+    """Sorted support columns with the arrays every weight row reuses.
+
+    Made once by ``prepare_supports`` and passed to ``evaluate_rows`` for
+    each block of weight rows.  ``terms`` holds the m columns of supports
+    with infinities zeroed, then a ones column that sums the weight in the
+    same product, then m indicator columns of the +inf atoms (at ``pos``)
+    and m of the -inf atoms (at ``neg``) when any column has such atoms.
+    """
+
+    values: np.ndarray  # (n, m) sorted columns
+    terms: np.ndarray
+    n_pos: np.ndarray  # (m,) +inf atoms per column
+    n_neg: np.ndarray  # (m,) -inf atoms per column
+    pos: slice | None
+    neg: slice | None
+    vector: bool  # made from one vector: results are (k,), not (k, 1)
 
 
-def _mean_rows(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(s)
-    if finite.all():
-        return w @ s
-    out = w @ np.where(finite, s, 0.0)
-    pos = w @ (s == np.inf) > 0
-    neg = w @ (s == -np.inf) > 0
-    if (pos & neg).any():
+def prepare_supports(supports) -> Supports:
+    """Prepare one sorted support vector, or an ``(n, m)`` matrix of columns."""
+    s = np.asarray(supports, dtype=float)
+    vector = s.ndim < 2
+    if vector:
+        s = s.reshape(-1, 1)
+    m = s.shape[1]
+    cols = [np.where(np.isfinite(s), s, 0.0), np.ones((s.shape[0], 1))]
+    width = m + 1
+    counts, slices = [], []
+    for extreme in (np.inf, -np.inf):
+        at = s == extreme
+        counts.append(at.sum(axis=0))
+        if at.any():
+            cols.append(at)
+            slices.append(slice(width, width + m))
+            width += m
+        else:
+            slices.append(None)
+    terms = np.concatenate(cols, axis=1)
+    return Supports(s, terms, *counts, *slices, vector)
+
+
+def _reached(w: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where each row's cumulative weight has reached p of the row's total,
+    and that total.  The last column always has: the split atom of a row is
+    its first True."""
+    cum = np.cumsum(w, axis=1)
+    total = cum[:, -1]
+    return cum >= p * total[:, None], total
+
+
+def _has_weight(sums: np.ndarray, cols: slice | None):
+    """Where a row puts weight on the atoms indicated at ``cols`` of terms."""
+    return False if cols is None else sums[:, cols] > 0
+
+
+def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
+    m = sup.values.shape[1]
+    sums = w @ sup.terms
+    out = sums[:, :m] / sums[:, m : m + 1]
+    pos, neg = _has_weight(sums, sup.pos), _has_weight(sums, sup.neg)
+    if np.any(pos & neg):
         raise IndeterminateSumError("positive weight at both -inf and +inf")
     out = np.where(pos, np.inf, out)
-    out = np.where(neg, -np.inf, out)
-    return out
+    return np.where(neg, -np.inf, out)
 
 
-def _split_mean_rows(s, w, idx, p: float, tail: bool) -> np.ndarray:
+def _split_mean_rows(sup: Supports, w, reached, total, p: float, tail: bool) -> np.ndarray:
     """Atom-split mean of the mass below p, or of the mass above it (tail).
 
-    ``idx`` is the split atom per row; every column of ``s`` shares it.
-    The atoms strictly on the chosen side contribute their whole weight and
-    the split atom the rest of that side's mass (p below, 1 - p above).
-    The sum is divided by the mass actually summed, so each result is a
-    convex combination of its atoms.  That mass is summed from the side's
-    own atoms because a difference of cumulative sums near 1 loses the
+    ``reached`` and ``total`` come from ``_reached``; every column of
+    supports shares the split atom they give.  The atoms strictly on the
+    chosen side contribute their whole weight and the split atom the rest
+    of that side's mass (p of the total below, 1 - p of it above).  The sum
+    is divided by the mass actually summed, so each result is a convex
+    combination of its atoms.  That mass is summed from the side's own
+    atoms because a difference of cumulative sums near the total loses the
     small tail masses of p near 1.
     """
-    n_atoms = s.shape[0]
-    cols = np.arange(n_atoms)
-    side = cols > idx[:, None] if tail else cols < idx[:, None]
-    # the ones column sums the strict side's mass in the same product
-    terms = np.column_stack((np.where(np.isfinite(s), s, 0.0), np.ones(n_atoms)))
-    sums = np.where(side, w, 0.0) @ terms
-    strict, mass = sums[:, :-1], sums[:, -1:]
-    mass_at = np.maximum((1.0 - p if tail else p) - mass, 0.0)
+    s = sup.values
+    n_atoms, m = s.shape
+    idx = reached.argmax(axis=1)
+    if tail:
+        # the atoms after the split atom follow an atom that has reached p
+        sums = np.where(reached[:, :-1], w[:, 1:], 0.0) @ sup.terms[1:]
+    else:
+        # the atoms before the split atom have not reached p
+        sums = np.where(reached, 0.0, w) @ sup.terms
+    strict, mass = sums[:, :m], sums[:, m : m + 1]
+    share = (1.0 - p) if tail else p
+    mass_at = np.maximum(share * total[:, None] - mass, 0.0)
+    at = s[idx]
     with np.errstate(invalid="ignore"):
-        at_term = np.where(mass_at > 0, mass_at * s[idx], 0.0)
+        at_term = np.where(mass_at > 0, mass_at * at, 0.0)
     out = (strict + at_term) / (mass + mass_at)
     # rounding can leave the ratio an ulp outside the range of its atoms
-    out = np.clip(out, s[idx], s[-1]) if tail else np.clip(out, s[0], s[idx])
-    extreme = np.inf if tail else -np.inf
-    at_extreme = s == extreme
-    n_extreme = at_extreme.sum(axis=0)
-    if n_extreme.any():
-        # an infinite atom wholly on the chosen side drives the sum to it
-        if tail:
-            inside = idx[:, None] < n_atoms - n_extreme
-        else:
-            inside = idx[:, None] >= n_extreme
-        forced = inside & (w @ at_extreme > 0)
-        out = np.where(forced, extreme, out)
-    return out
+    out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
+    # an infinite atom wholly on the chosen side drives the sum to it; the
+    # side then holds all of that atom's weight
+    if tail:
+        inside = idx[:, None] < n_atoms - sup.n_pos
+        forced = inside & _has_weight(sums, sup.pos)
+    else:
+        inside = idx[:, None] >= sup.n_neg
+        forced = inside & _has_weight(sums, sup.neg)
+    return np.where(forced, np.inf if tail else -np.inf, out)
 
 
 def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
@@ -136,27 +182,25 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
 
     ``supports`` is one sorted vector, or an ``(n, m)`` matrix of m sorted
     columns sharing the weights (ties allowed; tied atoms behave as one
-    merged atom).  Returns ``(k,)`` for a vector and ``(k, m)`` for a
-    matrix, k being the number of weight rows.  This is the vectorized
-    backend shared by the scalar functionals and the resampling engine.
+    merged atom), or either of them made once by ``prepare_supports``.
+    Returns ``(k,)`` for a vector and ``(k, m)`` for a matrix, k being the
+    number of weight rows.  A row need not sum to 1: every functional is
+    taken of the row divided by its total.  This is the vectorized backend
+    shared by the scalar functionals and the resampling engine.
     """
-    s = np.asarray(supports, dtype=float)
-    matrix = s.ndim == 2
-    if not matrix:
-        s = s.reshape(-1, 1)
+    sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    if w.shape[1] != s.shape[0]:
+    if w.shape[1] != sup.values.shape[0]:
         raise ValueError("weight rows must match the number of supports")
     if f.kind == "mean":
-        out = _mean_rows(s, w)
+        out = _mean_rows(sup, w)
     else:
-        cum = np.cumsum(w, axis=1)
-        idx = _first_index_at_least(cum, f.p)
+        reached, total = _reached(w, f.p)
         if f.kind == "quantile":
-            out = s[idx]
+            out = sup.values[reached.argmax(axis=1)]
         else:
-            out = _split_mean_rows(s, w, idx, f.p, tail=f.kind == "cvar")
-    return out if matrix else out[:, 0]
+            out = _split_mean_rows(sup, w, reached, total, f.p, tail=f.kind == "cvar")
+    return out[:, 0] if sup.vector else out
 
 
 def q_mean(dist: WeightedStepCdf) -> float:
@@ -200,6 +244,13 @@ def _cell_endpoints(reduced_points) -> tuple[np.ndarray, np.ndarray]:
     return pts[:-1], pts[1:]
 
 
+def cell_supports(reduced_points) -> Supports:
+    """The cells' left endpoints (column 0) and right endpoints (column 1),
+    prepared for ``evaluate_rows``: column 0 gives ``q_min``, column 1
+    ``q_max`` (see ``_cell_endpoints``)."""
+    return prepare_supports(np.column_stack(_cell_endpoints(reduced_points)))
+
+
 def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
     """Extremes of a monotonic functional over imprecise realisations.
 
@@ -210,10 +261,10 @@ def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
     """
     w = np.asarray(weights, dtype=float)
     rows = np.atleast_2d(w)
-    left, right = _cell_endpoints(reduced_points)
-    if rows.shape[1] != left.size:
+    supports = cell_supports(reduced_points)
+    if rows.shape[1] != supports.values.shape[0]:
         raise ValueError("need one more point than weights")
-    q = evaluate_rows(f, np.column_stack((left, right)), rows)
+    q = evaluate_rows(f, supports, rows)
     if w.ndim < 2:
         return float(q[0, 0]), float(q[0, 1])
     return q[:, 0], q[:, 1]

@@ -1,9 +1,9 @@
 """Seedable deterministic random streams with stable substreams.
 
 Substreams are derived from an integer key tuple via ``SeedSequence``, so
-each block or trial draws from its own stream that depends only on
+each trial or realisation draws from its own stream that depends only on
 (seed, index), and seeded outputs do not depend on the order in which the
-blocks or trials run.
+trials run.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from bisampling import bis
 from bisampling.bis import (
     BisConfig,
     bis_run,
@@ -142,7 +144,7 @@ class TestBisRun:
         assert np.array_equal(a.q_min, b.q_min)
         assert np.array_equal(a.q_max, b.q_max)
 
-    @pytest.mark.parametrize("p", [0.9, 0.99999, 0.9999999999999])
+    @pytest.mark.parametrize("p", [1e-12, 0.9, 0.99999, 0.9999999999999, 1 - 1e-12])
     @pytest.mark.parametrize("kind", ["cvar", "trunc-mean"])
     def test_split_means_stay_in_bounds_at_extreme_p(self, kind, p):
         # atom-split means are convex combinations of their atoms
@@ -172,6 +174,111 @@ class TestBisRun:
             w = sample_dirichlet(np.ones(len(data) + 1), rng)
             full[i] = evaluate_rows(f, stats.points[1:], w[None])[0]
         assert sps.ks_2samp(merged.q_max, full).pvalue > 0.01
+
+
+# data with ties, on the bounds, and bounds with infinite ends
+CHUNK_CASES = [
+    ([0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 3.5, 6.0, 6.0], BoundingInterval(0.0, 6.0)),
+    ([0.0, 0.5, 0.5, 1.0, 2.5, 4.0, 4.0], POSITIVE),
+    ([1.0, 1.0, 2.0, 3.5, 3.5, 7.0], BoundingInterval(-INF, INF)),
+]
+CHUNK_FUNCTIONALS = ["mean", "trunc-mean:0.7", "cvar:0.7", "median"]
+
+
+@pytest.mark.filterwarnings("ignore:n_resample is below")
+class TestChunkedPath:
+    @pytest.mark.parametrize("n_resample", [1, 50])
+    @pytest.mark.parametrize("case", range(len(CHUNK_CASES)))
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, case, n_resample):
+        data, interval = CHUNK_CASES[case]
+        n_cells = reduced_for(data, interval)[1].size
+        runs = []
+        # one-row chunks, 7-row chunks (7 does not divide 50), the default
+        for chunk_bytes in (1, 7 * 8 * n_cells, bis._CHUNK_BYTES):
+            monkeypatch.setattr(bis, "_CHUNK_BYTES", chunk_bytes)
+            runs.append([bis_run(data, interval, BisConfig(Functional.parse(f), 0.5,
+                                                           n_resample, 5))
+                         for f in CHUNK_FUNCTIONALS])
+        seen_inf = seen_finite = False
+        for run in runs[:-1]:
+            for f, got, want in zip(CHUNK_FUNCTIONALS, run, runs[-1]):
+                for a, b in ((got.q_min, want.q_min), (got.q_max, want.q_max)):
+                    assert not np.isnan(a).any()
+                    assert np.array_equal(np.isinf(a), np.isinf(b))
+                    if f == "median":
+                        assert np.array_equal(a, b)
+                    else:
+                        # a matrix product may round differently for other row counts
+                        np.testing.assert_allclose(a, b, rtol=1e-13)
+                    seen_inf |= np.isinf(a).any()
+                    seen_finite |= np.isfinite(a).any()
+        assert seen_finite
+        assert seen_inf == (interval.hi == INF)
+
+    @pytest.mark.parametrize("f", ["trunc-mean:0.9", "cvar:0.9", "mean"])
+    def test_memory_bounded_at_large_n(self, f):
+        # the weights of all 64 resamples would take 51 MB; chunks take one row
+        data = np.exp(stream(3).normal(0.0, 1.0, 10**5))
+        cfg = BisConfig(Functional.parse(f), 0.9, 64, 1)
+        tracemalloc.start()
+        try:
+            qs = bis_run(data, POSITIVE, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert (qs.q_min <= qs.q_max).all()
+
+    def test_million_observations(self):
+        data = np.exp(stream(4).normal(0.0, 1.0, 10**6))
+        qs = bis_run(data, POSITIVE, BisConfig(Functional.parse("trunc-mean:0.9"), 0.9, 8, 2))
+        assert np.isfinite(qs.q_min).all() and (qs.q_min <= qs.q_max).all()
+
+
+@pytest.mark.filterwarnings("ignore:n_resample is below")
+class TestEdgeInputs:
+    """Inputs at the edges through the weight-chunk path."""
+
+    BLOCK_PATH = ["mean", "trunc-mean:0.3", "cvar:0.3"]
+
+    @pytest.mark.parametrize("f", BLOCK_PATH + ["median"])
+    def test_all_tied_data(self, f):
+        qs = bis_run([2.0] * 50, BoundingInterval(0.0, 5.0),
+                     BisConfig(Functional.parse(f), 0.9, 200, 3))
+        # the upper bound CDF sits at or below 2, the lower one at or above
+        assert ((qs.q_min >= 0.0) & (qs.q_min <= 2.0)).all()
+        assert ((qs.q_max >= 2.0) & (qs.q_max <= 5.0)).all()
+
+    @pytest.mark.parametrize("f", BLOCK_PATH + ["median"])
+    def test_data_on_the_bounds(self, f):
+        qs = bis_run([0.0, 0.0, 3.0, 5.0, 5.0], BoundingInterval(0.0, 5.0),
+                     BisConfig(Functional.parse(f), 0.9, 200, 3))
+        for q in (qs.q_min, qs.q_max):
+            assert ((q >= 0.0) & (q <= 5.0)).all()
+
+    def test_unbounded_both_sides(self):
+        # each bound CDF has mass at one infinity only, so no sum is indeterminate
+        interval = BoundingInterval(-INF, INF)
+        mean = bis_run([1.0, 2.0, 3.0], interval, BisConfig(Functional("mean"), 0.9, 200, 3))
+        assert (mean.q_min == -INF).all() and (mean.q_max == INF).all()
+        cvar = bis_run([1.0, 2.0, 3.0], interval,
+                       BisConfig(Functional.parse("cvar:0.5"), 0.9, 200, 3))
+        assert (cvar.q_max == INF).all()
+        # -inf only where the cell at -inf holds the split atom
+        assert (np.isfinite(cvar.q_min) | (cvar.q_min == -INF)).all()
+        assert np.isfinite(cvar.q_min).mean() > 0.5
+
+    @pytest.mark.parametrize("c", [1e-12, 1 - 1e-12])
+    def test_extreme_credibility(self, c):
+        qs = bis_run([1.0, 2.0, 3.0], BoundingInterval(0.0, 5.0),
+                     BisConfig(Functional.parse("trunc-mean:0.5"), c, 200, 3))
+        est = interval_estimate(qs, c)
+        assert 0.0 <= est.lo <= est.hi <= 5.0
+
+    @pytest.mark.parametrize("f", BLOCK_PATH)
+    def test_empty_data_gives_the_bounds(self, f):
+        qs = bis_run([], BoundingInterval(0.0, 1.0), BisConfig(Functional.parse(f), 0.9, 50, 3))
+        assert (qs.q_min == 0.0).all() and (qs.q_max == 1.0).all()
 
 
 def exact_split_cdf(points, p):

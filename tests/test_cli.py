@@ -66,6 +66,22 @@ class TestInfer:
         assert result["unbounded_above"] is True
         assert abs(result["interval"]["lo"] - 1.21) <= 0.10
 
+    @pytest.mark.parametrize("param", ["mean", "cvar:0.9"])
+    def test_unbounded_both_sides(self, capsys, sample_file, param):
+        # each bound CDF has mass at one infinity only: no indeterminate sum
+        code, out, _ = run(
+            capsys,
+            ["infer", sample_file, "--param", param, "--bounds", "-inf", "inf",
+             "--seed", "7"],
+        )
+        assert code == 0
+        interval = json.loads(out)["interval"]
+        assert interval["hi"] == "inf"
+        if param == "mean":
+            assert interval["lo"] == "-inf"
+        else:
+            assert math.isfinite(interval["lo"])
+
     def test_empty_data_vacuous_interval(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import betaincc
 
 from bisampling.dirichlet import (
     merge_duplicates,
@@ -8,6 +9,7 @@ from bisampling.dirichlet import (
     sample_split_index,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
+    weight_chunks,
 )
 from bisampling.errors import InvalidProbabilityError
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
@@ -81,7 +83,71 @@ class TestSampleDirichlet:
         assert np.array_equal(a, b)
 
 
+class TestWeightChunks:
+    @pytest.mark.parametrize(
+        "params", [np.ones(30), np.linspace(0.2, 3.0, 30)], ids=["ones", "mixed"]
+    )
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 10, 64])
+    def test_rows_do_not_depend_on_chunk_size(self, params, chunk_rows):
+        chunks = [c.copy() for c in weight_chunks(params, stream(4), 10, chunk_rows)]
+        assert [c.shape[0] for c in chunks] == [
+            min(chunk_rows, 10 - start) for start in range(0, 10, chunk_rows)
+        ]
+        rows = np.concatenate(chunks)
+        # the same rows, normalised, are sample_dirichlet's block
+        assert np.array_equal(rows / rows.sum(axis=1, keepdims=True),
+                              sample_dirichlet(params, stream(4), size=10))
+
+    def test_underflowing_shapes_give_vertices(self):
+        (rows,) = weight_chunks(np.full(7, 1e-300), stream(13), 50, 50)
+        assert ((rows == 1.0).sum(axis=1) == 1).all()
+        assert ((rows == 0.0).sum(axis=1) == 6).all()
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+def full_split_law(params, p):
+    """P(split index <= j) evaluated on every cell, made monotone."""
+    head = np.cumsum(params)[:-1]
+    rest = np.cumsum(params[::-1])[::-1][1:]
+    cdf = np.append(betaincc(head, rest, p), 1.0)
+    return np.maximum.accumulate(cdf)
+
+
 class TestSampleSplitIndex:
+    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.999, 1 - 1e-9])
+    @pytest.mark.parametrize("n", [1, 10, 10**5])
+    @pytest.mark.parametrize("ties", [False, True], ids=["ones", "merged-ties"])
+    def test_window_matches_full_law(self, ties, n, p):
+        params = np.ones(n + 1)
+        if ties:
+            # merged runs of tied points carry parameters above 1
+            params[::3] = 4.0
+        cdf = full_split_law(params, p)
+        # U from Generator.random is a multiple of 2**-53 in [0, 1): take the
+        # grid values next to every value the law takes, and both extremes
+        grid = 2.0**53
+        m = np.floor((1.0 - cdf) * grid)
+        u = np.unique(np.clip(np.concatenate((m - 1, m, m + 1, [0, grid - 1])), 0, grid - 1))
+        uniforms = u / grid
+        want = np.searchsorted(cdf, 1.0 - uniforms, side="left")
+        got = sample_split_index(params, p, _FixedUniforms(uniforms), uniforms.size)
+        assert np.array_equal(got, want)
+        # and on random uniforms from a seeded stream
+        assert np.array_equal(
+            sample_split_index(params, p, stream(8), 1000),
+            np.searchsorted(cdf, 1.0 - stream(8).random(1000), side="left"),
+        )
+
     def test_matches_weight_blocks(self):
         # general (non-integer) parameters, against cumulative Dirichlet weights
         params, p, n = np.array([0.5, 2.0, 1.5, 0.2, 3.0]), 0.4, 20_000

@@ -293,6 +293,22 @@ class TestEvaluateRows:
         # with an infinite atom, forced and finite results both occur
         assert seen_inf == seen_finite == (not np.isfinite(s).all())
 
+    def test_rows_need_not_sum_to_one(self):
+        # every functional is taken of the row divided by its total
+        rng = np.random.default_rng(47)
+        s = np.column_stack(([-INF, 1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 2.0, 4.0, INF]))
+        w = rng.dirichlet(np.ones(5), size=60)
+        w[:20, 0] = w[20:40, -1] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        scaled = w * np.geomspace(1e-6, 1e6, 60)[:, None]
+        for f in (Functional("mean"), Functional("quantile", 0.3),
+                  Functional("trunc_mean", 0.3), Functional("cvar", 0.3),
+                  Functional("trunc_mean", 1 - 1e-12), Functional("cvar", 1 - 1e-12)):
+            want = evaluate_rows(f, s, w)
+            got = evaluate_rows(f, s, scaled)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
     def test_support_matrix_indeterminate_column(self):
         s = np.column_stack(([-INF, 1.0, 2.0, INF], [1.0, 2.0, 3.0, 4.0]))
         w = np.full((3, 4), 0.25)
