@@ -9,11 +9,11 @@ import numpy as np
 from scipy import stats as sps
 
 from . import rng as rngmod
-from .bis import BisConfig, bis_run, interval_estimate
+from .bis import BisConfig, QSamples, bis_run, interval_estimate
 from .dirichlet import sample_dirichlet
-from .errors import EmptySamplesError, TooFewSamplesError
+from .errors import TooFewSamplesError
 from .functionals import Functional, evaluate_rows
-from .pbox import BoundingInterval, IntervalEstimate, WeightedStepCdf
+from .pbox import BoundingInterval, IntervalEstimate
 
 # mean of the unit lognormal truncated to [0, 50]; equals
 # exp(1/2) * Phi(ln 50 - 1) / Phi(ln 50), confirmed by a 1e7-draw simulation
@@ -72,16 +72,6 @@ def generate(gen: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"unknown generator {gen!r}")
 
 
-def _percentile_interval(values: np.ndarray, credibility: float) -> IntervalEstimate:
-    n = values.size
-    if n == 0:
-        raise EmptySamplesError("no resampled values to invert")
-    ecdf = WeightedStepCdf(values, np.full(n, 1.0 / n))
-    lo = ecdf.quantile((1.0 - credibility) / 2.0)
-    hi = ecdf.quantile((1.0 + credibility) / 2.0)
-    return IntervalEstimate(lo=lo, hi=hi, credibility=credibility)
-
-
 def student_t_interval(data, credibility: float) -> IntervalEstimate:
     """Classic mean interval from Student's t with n-1 degrees of freedom."""
     arr = np.asarray(data, dtype=float).reshape(-1)
@@ -130,7 +120,7 @@ def bootstrap_interval(
         raise TooFewSamplesError("need at least one observation")
     idx = rng.integers(0, arr.size, size=(n_resample, arr.size))
     values = _equal_weight_rows(f, arr[idx])
-    return _percentile_interval(values, credibility)
+    return interval_estimate(QSamples(values, values), credibility)
 
 
 def bayesian_bootstrap_interval(
@@ -143,7 +133,7 @@ def bayesian_bootstrap_interval(
     w = sample_dirichlet(np.ones(arr.size), rng, size=n_resample)
     order = np.argsort(arr, kind="stable")
     values = evaluate_rows(f, arr[order], w[:, order])
-    return _percentile_interval(values, credibility)
+    return interval_estimate(QSamples(values, values), credibility)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .dirichlet import (
     merge_duplicates,
     sample_dirichlet,
     sample_split_index,
+    split_window,
     weight_chunks,
 )
 from .errors import (
@@ -38,12 +39,13 @@ from .pbox import (
 # pseudo-observation weight carried by the bounding interval itself
 PRIOR_WEIGHT = 1.0
 
-# bytes of weights per chunk of realisations: a chunk and the few
-# temporaries of its size stay in a 2 MiB L2 cache.  Each chunk holds at
+# bytes of weights per chunk of realisations.  A split is searched for
+# only in its window of cells, so a chunk's temporaries are window-sized
+# and the chunk with them stays in a 2 MiB L2 cache.  Each chunk holds at
 # least one row, so the working set is O(n), whatever the number of
 # resamples.  The rows come in order from one stream, so this size does
 # not change the weights drawn.
-_CHUNK_BYTES = 256 * 1024
+_CHUNK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,12 @@ def default_n_resample(credibility: float) -> int:
         raise InvalidProbabilityError(
             f"credibility must be in (0, 1), got {credibility!r}"
         )
-    x = 100.0 / (1.0 - credibility)
-    # absorb float fuzz so 100/(1-0.9) lands on 1000, not 1001
+    return _ceil(100.0 / (1.0 - credibility))
+
+
+def _ceil(x: float) -> int:
+    """ceil(x) with float fuzz absorbed: 100/(1-0.9) gives 1000, not 1001,
+    and 2000 * (1-0.95)/2 gives 50, not 51."""
     return int(math.ceil(x * (1.0 - 1e-12)))
 
 
@@ -141,8 +147,10 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
     p, so for quantiles that cell is drawn from its exact law and no
     weights are drawn.  Other functionals take the weights unnormalised
     (every functional is scale invariant), in chunks of about
-    ``_CHUNK_BYTES`` from one reused buffer, and the cell supports are
-    prepared once per run; memory is O(n) beyond the q-samples.
+    ``_CHUNK_BYTES`` from one reused buffer; memory is O(n) beyond the
+    q-samples.  The cell supports and, for the truncated mean and CVaR, the
+    window of cells the split can reach (``split_window``) are found once
+    per run, and each chunk's split is searched for only in that window.
     """
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
@@ -161,12 +169,13 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
         q_min, q_max = quantile_bounds(idx, reduced)
         return QSamples(q_min=q_min, q_max=q_max)
     supports = cell_supports(reduced)
+    window = None if f.kind == "mean" else split_window(params, f.p)
     chunk_rows = max(1, _CHUNK_BYTES // (8 * params.size))
     q_min, q_max = np.empty(n), np.empty(n)
     start = 0
     for w in weight_chunks(params, rng, n, chunk_rows):
         stop = start + w.shape[0]
-        q_min[start:stop], q_max[start:stop] = evaluate_rows(f, supports, w).T
+        q_min[start:stop], q_max[start:stop] = evaluate_rows(f, supports, w, window).T
         start = stop
     return QSamples(q_min=q_min, q_max=q_max)
 
@@ -176,20 +185,29 @@ def interval_estimate(qs: QSamples, credibility: float) -> IntervalEstimate:
 
     The lower endpoint is the (1-c)/2 generalized inverse of the empirical
     CDF of the per-realisation minima; the upper endpoint the (1+c)/2
-    generalized inverse for the maxima.  Infinite samples are legitimate
-    and an infinite endpoint marks an unbounded interval.
+    generalized inverse for the maxima.  Of N samples, the generalized
+    inverse at level a is the order statistic of rank k = ceil(a N),
+    clamped to 1..N, with a N rounded as in ``default_n_resample``.  A
+    precise method passes its one sample array as both extremes.  Infinite
+    samples are legitimate and an infinite endpoint marks an unbounded
+    interval.
     """
     if not 0.0 < credibility < 1.0:
         raise InvalidProbabilityError(
             f"credibility must be in (0, 1), got {credibility!r}"
         )
-    n = qs.q_min.size
-    if n == 0:
+    if qs.q_min.size == 0:
         raise EmptySamplesError("no resampled values to invert")
-    w = np.full(n, 1.0 / n)
-    lo = WeightedStepCdf(qs.q_min, w).quantile((1.0 - credibility) / 2.0)
-    hi = WeightedStepCdf(qs.q_max, w).quantile((1.0 + credibility) / 2.0)
+    lo = _order_statistic(qs.q_min, (1.0 - credibility) / 2.0)
+    hi = _order_statistic(qs.q_max, (1.0 + credibility) / 2.0)
     return IntervalEstimate(lo=lo, hi=hi, credibility=credibility)
+
+
+def _order_statistic(values: np.ndarray, level: float) -> float:
+    """The sample value of rank ceil(level * N), clamped to 1..N."""
+    n = values.size
+    k = min(max(_ceil(level * n), 1), n)
+    return float(np.partition(values, k - 1)[k - 1])
 
 
 def point_condition_betas(

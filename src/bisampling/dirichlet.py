@@ -5,7 +5,8 @@ normalises its rows into single vectors or blocks, and ``weight_chunks``
 streams them unnormalised in chunks of one reused buffer for the
 resampling engine.  ``sample_split_index``
 draws the cell where the cumulative weight first reaches a level from its
-exact law, without drawing weights.  The unit Dirichlet process (sometimes
+exact law, without drawing weights, and ``split_window`` gives the few
+cells that law can select.  The unit Dirichlet process (sometimes
 called the identity Dirichlet process) is a random distortion of the
 uniform CDF on [0, 1] with concentration ``alpha``; two samplers are
 provided, one on a fixed grid of cells and one by truncated stick breaking.
@@ -92,19 +93,40 @@ def sample_split_index(
     of all, so P(index <= j) = P(Beta(A_j, A - A_j) >= p), which is 1 at
     the last cell.  The law is inverted at ``size`` uniforms drawn from
     (0, 1], so no weight vector is ever formed.  It is evaluated only on
-    the window of cells that a uniform can select (see ``_law_window``);
-    the indices drawn equal those of the law evaluated on every cell.
+    the cells of ``split_window``, the ones a uniform can select; the
+    indices drawn equal those of the law evaluated on every cell.
+    """
+    a = _positive_params(params)
+    lo, hi = split_window(a, p)
+    head, rest = _law_sums(a)
+    cdf = np.append(betaincc(head[lo:hi], rest[lo:hi], p), 1.0)
+    np.maximum.accumulate(cdf, out=cdf)
+    return lo + np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
+
+
+def split_window(params, p: float) -> tuple[int, int]:
+    """Cells ``lo..hi`` that hold the split index of all but a fraction of
+    about 2**-53 of Dirichlet(params) draws.
+
+    The split index is the first cell where the cumulative weight reaches
+    ``p``.  ``sample_split_index`` evaluates its law only on these cells,
+    and the resampling engine looks for the split of its weight rows only
+    there (``functionals.evaluate_rows`` recomputes a row that splits
+    elsewhere over every cell).  See ``_law_window``.
     """
     a = _positive_params(params)
     if not 0.0 < p < 1.0:
         raise InvalidProbabilityError(f"p must be in (0, 1), got {p!r}")
-    head = np.cumsum(a)[:-1]
-    # the rest summed from the right stays positive where A - A_j would round to 0
-    rest = np.cumsum(a[::-1])[::-1][1:]
-    lo, hi = _law_window(head, rest, p)
-    cdf = np.append(betaincc(head[lo:hi], rest[lo:hi], p), 1.0)
-    np.maximum.accumulate(cdf, out=cdf)
-    return lo + np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
+    return _law_window(*_law_sums(a), p)
+
+
+def _law_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_j and A - A_j for every cell j but the last.
+
+    The rest is summed from the right, so it stays positive where
+    A - A_j would round to 0.
+    """
+    return np.cumsum(a)[:-1], np.cumsum(a[::-1])[::-1][1:]
 
 
 # the smallest level 1 - U for U from ``Generator.random``, whose values are
@@ -118,10 +140,12 @@ def _law_window(head, rest, p: float) -> tuple[int, int]:
     The law P(index <= j) is betaincc(head[j], rest[j], p) for j below
     ``head.size`` and 1 at the last cell.  No level in [2**-53, 1] selects a
     cell before one whose law reads below 2**-53, nor one after a cell whose
-    law reads exactly 1.  The window starts about eight standard deviations
-    of the Beta law around A_j = p * A and doubles its reach on each side
-    until the law at ``lo`` reads below 2**-53 (or ``lo`` is the first
-    cell) and the law at ``hi`` reads 1 (or ``hi`` is the last cell).
+    law reads exactly 1; so a Dirichlet draw splits before ``lo`` with
+    probability below 2**-53, and after ``hi`` with a probability that
+    rounds to 0 next to 1.  The window starts about eight standard
+    deviations of the Beta law around A_j = p * A and doubles its reach on
+    each side until the law at ``lo`` reads below 2**-53 (or ``lo`` is the
+    first cell) and the law at ``hi`` reads 1 (or ``hi`` is the last cell).
     """
     k = head.size
     if k == 0:

@@ -77,10 +77,12 @@ class Supports:
     with infinities zeroed, then a ones column that sums the weight in the
     same product, then m indicator columns of the +inf atoms (at ``pos``)
     and m of the -inf atoms (at ``neg``) when any column has such atoms.
+    ``terms`` is column-major, so the rows of the atoms outside a split
+    window are a contiguous piece of every column.
     """
 
     values: np.ndarray  # (n, m) sorted columns
-    terms: np.ndarray
+    terms: np.ndarray  # (n, width), column-major
     n_pos: np.ndarray  # (m,) +inf atoms per column
     n_neg: np.ndarray  # (m,) -inf atoms per column
     pos: slice | None
@@ -94,30 +96,22 @@ def prepare_supports(supports) -> Supports:
     vector = s.ndim < 2
     if vector:
         s = s.reshape(-1, 1)
-    m = s.shape[1]
-    cols = [np.where(np.isfinite(s), s, 0.0), np.ones((s.shape[0], 1))]
+    n, m = s.shape
+    extremes = [s == np.inf, s == -np.inf]
+    present = [at.any() for at in extremes]
+    terms = np.empty((n, m * (1 + sum(present)) + 1), order="F")
+    terms[:, :m] = np.where(np.isfinite(s), s, 0.0)
+    terms[:, m] = 1.0
     width = m + 1
-    counts, slices = [], []
-    for extreme in (np.inf, -np.inf):
-        at = s == extreme
-        counts.append(at.sum(axis=0))
-        if at.any():
-            cols.append(at)
+    slices = []
+    for at, any_at in zip(extremes, present):
+        if any_at:
+            terms[:, width : width + m] = at
             slices.append(slice(width, width + m))
             width += m
         else:
             slices.append(None)
-    terms = np.concatenate(cols, axis=1)
-    return Supports(s, terms, *counts, *slices, vector)
-
-
-def _reached(w: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Where each row's cumulative weight has reached p of the row's total,
-    and that total.  The last column always has: the split atom of a row is
-    its first True."""
-    cum = np.cumsum(w, axis=1)
-    total = cum[:, -1]
-    return cum >= p * total[:, None], total
+    return Supports(s, terms, *(at.sum(axis=0) for at in extremes), *slices, vector)
 
 
 def _has_weight(sums: np.ndarray, cols: slice | None):
@@ -136,48 +130,78 @@ def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
     return np.where(neg, -np.inf, out)
 
 
-def _split_mean_rows(sup: Supports, w, reached, total, p: float, tail: bool) -> np.ndarray:
-    """Atom-split mean of the mass below p, or of the mass above it (tail).
+def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -> np.ndarray:
+    """A quantile, or the atom-split mean of the mass below p (truncated
+    mean) or above it (CVaR), of each row.
 
-    ``reached`` and ``total`` come from ``_reached``; every column of
-    supports shares the split atom they give.  The atoms strictly on the
-    chosen side contribute their whole weight and the split atom the rest
-    of that side's mass (p of the total below, 1 - p of it above).  The sum
-    is divided by the mass actually summed, so each result is a convex
-    combination of its atoms.  That mass is summed from the side's own
-    atoms because a difference of cumulative sums near the total loses the
-    small tail masses of p near 1.
+    A row splits at its first atom where the cumulative weight reaches p of
+    the row's total; every column of supports shares that split atom.  It
+    is searched for only among the atoms ``lo..hi``: the weight before and
+    after them comes from row sums, and the strict-side sums over the atoms
+    outside them from one product on a row slice of ``terms``.  A row whose
+    split atom lies outside ``lo..hi`` is recomputed with every atom in the
+    window, where the slices outside are empty, so the results do not
+    depend on the window.
+
+    For a split mean the atoms strictly on the chosen side contribute their
+    whole weight and the split atom the rest of that side's mass (p of the
+    total below, 1 - p of it above).  The sum is divided by the mass
+    actually summed, so each result is a convex combination of its atoms.
+    That mass is summed from the side's own atoms because a difference of
+    cumulative sums near the total loses the small tail masses of p near 1.
     """
-    s = sup.values
+    s, p = sup.values, f.p
     n_atoms, m = s.shape
-    idx = reached.argmax(axis=1)
-    if tail:
-        # the atoms after the split atom follow an atom that has reached p
-        sums = np.where(reached[:, :-1], w[:, 1:], 0.0) @ sup.terms[1:]
+    tail = f.kind == "cvar"
+    win, terms = w[:, lo : hi + 1], sup.terms
+    if f.kind == "trunc_mean":
+        sums = w[:, :lo] @ terms[:lo]
+        before, after = sums[:, m], w[:, hi + 1 :].sum(axis=1)
+    elif tail:
+        sums = w[:, hi + 1 :] @ terms[hi + 1 :]
+        before, after = w[:, :lo].sum(axis=1), sums[:, m]
     else:
-        # the atoms before the split atom have not reached p
-        sums = np.where(reached, 0.0, w) @ sup.terms
-    strict, mass = sums[:, :m], sums[:, m : m + 1]
-    share = (1.0 - p) if tail else p
-    mass_at = np.maximum(share * total[:, None] - mass, 0.0)
-    at = s[idx]
-    with np.errstate(invalid="ignore"):
-        at_term = np.where(mass_at > 0, mass_at * at, 0.0)
-    out = (strict + at_term) / (mass + mass_at)
-    # rounding can leave the ratio an ulp outside the range of its atoms
-    out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
-    # an infinite atom wholly on the chosen side drives the sum to it; the
-    # side then holds all of that atom's weight
-    if tail:
-        inside = idx[:, None] < n_atoms - sup.n_pos
-        forced = inside & _has_weight(sums, sup.pos)
+        before, after = w[:, :lo].sum(axis=1), w[:, hi + 1 :].sum(axis=1)
+    cum = np.cumsum(win, axis=1)
+    cum += before[:, None]
+    total = cum[:, -1] + after
+    reached = cum >= p * total[:, None]
+    idx = lo + reached.argmax(axis=1)
+    if f.kind == "quantile":
+        out = s[idx]
     else:
-        inside = idx[:, None] >= sup.n_neg
-        forced = inside & _has_weight(sums, sup.neg)
-    return np.where(forced, np.inf if tail else -np.inf, out)
+        if tail:
+            # the atoms after the split atom follow an atom that has reached p
+            sums += np.where(reached[:, :-1], win[:, 1:], 0.0) @ terms[lo + 1 : hi + 1]
+        else:
+            # the atoms before the split atom have not reached p
+            sums += np.where(reached, 0.0, win) @ terms[lo : hi + 1]
+        strict, mass = sums[:, :m], sums[:, m : m + 1]
+        share = (1.0 - p) if tail else p
+        mass_at = np.maximum(share * total[:, None] - mass, 0.0)
+        at = s[idx]
+        with np.errstate(invalid="ignore"):
+            at_term = np.where(mass_at > 0, mass_at * at, 0.0)
+        out = (strict + at_term) / (mass + mass_at)
+        # rounding can leave the ratio an ulp outside the range of its atoms
+        out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
+        # an infinite atom wholly on the chosen side drives the sum to it;
+        # the side then holds all of that atom's weight
+        if tail:
+            inside = idx[:, None] < n_atoms - sup.n_pos
+            forced = inside & _has_weight(sums, sup.pos)
+        else:
+            inside = idx[:, None] >= sup.n_neg
+            forced = inside & _has_weight(sums, sup.neg)
+        out = np.where(forced, np.inf if tail else -np.inf, out)
+    if lo > 0 or hi < n_atoms - 1:
+        missed = (before >= p * total) | ~reached[:, -1]
+        if missed.any():
+            out[missed] = _split_rows(sup, w[missed], f, 0, n_atoms - 1)
+    return out
 
 
-def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
+def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarray:
     """Apply ``f`` to each row of ``weight_rows`` as weights on ``supports``.
 
     ``supports`` is one sorted vector, or an ``(n, m)`` matrix of m sorted
@@ -187,19 +211,25 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     number of weight rows.  A row need not sum to 1: every functional is
     taken of the row divided by its total.  This is the vectorized backend
     shared by the scalar functionals and the resampling engine.
+
+    ``window``, a pair ``(lo, hi)`` of atom indices, is where the split
+    atom of a quantile, truncated mean or CVaR is looked for first
+    (``dirichlet.split_window`` gives it for Dirichlet rows); rows that
+    split elsewhere are recomputed over every atom, so the window changes
+    the cost, not the results.  None means every atom; the mean ignores it.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    if w.shape[1] != sup.values.shape[0]:
+    n_atoms = sup.values.shape[0]
+    if w.shape[1] != n_atoms:
         raise ValueError("weight rows must match the number of supports")
     if f.kind == "mean":
         out = _mean_rows(sup, w)
     else:
-        reached, total = _reached(w, f.p)
-        if f.kind == "quantile":
-            out = sup.values[reached.argmax(axis=1)]
-        else:
-            out = _split_mean_rows(sup, w, reached, total, f.p, tail=f.kind == "cvar")
+        lo, hi = (0, n_atoms - 1) if window is None else window
+        if not 0 <= lo <= hi < n_atoms:
+            raise ValueError(f"window {window!r} is not within the {n_atoms} atoms")
+        out = _split_rows(sup, w, f, lo, hi)
     return out[:, 0] if sup.vector else out
 
 

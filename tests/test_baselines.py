@@ -144,8 +144,11 @@ class TestCoverageExperiment:
             n_sample=20, credibility=0.9, n_trials=20, n_resample=500,
             interval=BoundingInterval(0.0, 50.0), seed=17,
         )
-        a = coverage_experiment(**kwargs)
-        b = coverage_experiment(**kwargs)
+        # 500 resamples are below the rule of thumb at c = 0.9
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            a = coverage_experiment(**kwargs)
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            b = coverage_experiment(**kwargs)
         assert a == b
 
     def test_calibration_sanity_small_credibility(self):

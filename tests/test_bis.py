@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from bisampling import bis
+from bisampling import bis, functionals
 from bisampling.bis import (
     BisConfig,
     bis_run,
@@ -17,7 +17,7 @@ from bisampling.bis import (
     sample_realization,
     QSamples,
 )
-from bisampling.dirichlet import merge_duplicates, sample_dirichlet
+from bisampling.dirichlet import merge_duplicates, sample_dirichlet, split_window
 from bisampling.errors import (
     AtObservationError,
     EmptySamplesError,
@@ -235,6 +235,35 @@ class TestChunkedPath:
         assert np.isfinite(qs.q_min).all() and (qs.q_min <= qs.q_max).all()
 
 
+class TestWindowedSplit:
+    """The truncated mean and CVaR search each split in the law's window."""
+
+    @pytest.mark.parametrize(
+        "f,n,n_resample",
+        [("trunc-mean:0.99", 1000, 10_000), ("trunc-mean:0.9", 1000, 10_000),
+         ("cvar:0.99", 1000, 10_000), ("cvar:0.9", 1000, 10_000),
+         ("trunc-mean:0.9", 10**5, 1000)],
+    )
+    def test_no_row_leaves_the_law_window(self, monkeypatch, f, n, n_resample):
+        data = np.exp(stream(3).normal(0.0, 1.0, n))
+        functional = Functional.parse(f)
+        calls = []
+        split_rows = functionals._split_rows
+
+        def counting(sup, w, f, lo, hi):
+            calls.append((lo, hi, w.shape[0]))
+            return split_rows(sup, w, f, lo, hi)
+
+        # a row that splits outside the window is recomputed by a second call
+        monkeypatch.setattr(functionals, "_split_rows", counting)
+        bis_run(data, POSITIVE, BisConfig(functional, 0.9, n_resample, 11))
+        params = reduced_for(data, POSITIVE)[1]
+        window = split_window(params, functional.p)
+        assert {call[:2] for call in calls} == {window}
+        assert sum(call[2] for call in calls) == n_resample
+        assert window[1] - window[0] < params.size / 4
+
+
 @pytest.mark.filterwarnings("ignore:n_resample is below")
 class TestEdgeInputs:
     """Inputs at the edges through the weight-chunk path."""
@@ -366,6 +395,30 @@ class TestIntervalEstimate:
             cur = interval_estimate(qs, c)
             assert cur.lo <= prev.lo and cur.hi >= prev.hi
             prev = cur
+
+    @pytest.mark.parametrize(
+        "c,n,lo,hi",
+        [(0.95, 2000, 49, 1949), (0.99, 10_000, 49, 9949),
+         (0.999, 10**5, 49, 99949), (0.8, 500, 49, 449), (0.5, 1, 0, 0)],
+    )
+    def test_integer_rank_rule(self, c, n, lo, hi):
+        # the sample of 0-based rank r is r: rank ceil(a N) is index ceil(a N) - 1
+        values = stream(1).permutation(n).astype(float)
+        est = interval_estimate(QSamples(values, values), c)
+        assert (est.lo, est.hi) == (lo, hi)
+
+    def test_rank_rule_with_ties_and_infinities(self):
+        ranked = np.floor(np.arange(2000) / 7.0)
+        ranked[:3] = -INF
+        ranked[-60:] = INF
+        q_min = stream(2).permutation(ranked)
+        qs = QSamples(q_min, q_min + 0.5)
+        est = interval_estimate(qs, 0.95)
+        assert (est.lo, est.hi) == (7.0, INF)
+        est = interval_estimate(qs, 0.9)
+        assert (est.lo, est.hi) == (14.0, 271.5)
+        est = interval_estimate(qs, 0.999)
+        assert (est.lo, est.hi) == (-INF, INF)
 
     def test_empty_rejected(self):
         qs = QSamples(q_min=np.array([]), q_max=np.array([]))

@@ -167,11 +167,12 @@ class TestPbox:
 
 class TestCompare:
     def test_small_preset_run(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["compare", "--preset", "table3", "--trials", "10", "--seed", "1",
-             "--resamples", "200", "--methods", "student_t", "bis"],
-        )
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            code, out, _ = run(
+                capsys,
+                ["compare", "--preset", "table3", "--trials", "10", "--seed", "1",
+                 "--resamples", "200", "--methods", "student_t", "bis"],
+            )
         assert code == 0
         lines = out.splitlines()
         assert lines[1] == "method,credibility,n_trials,hit_rate,median_lo,median_hi"
@@ -181,11 +182,12 @@ class TestCompare:
             assert 0.0 <= float(r[3]) <= 1.0
 
     def test_single_trial_hit_rate(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["compare", "--preset", "table4", "--trials", "1", "--seed", "2",
-             "--resamples", "100", "--methods", "bis"],
-        )
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            code, out, _ = run(
+                capsys,
+                ["compare", "--preset", "table4", "--trials", "1", "--seed", "2",
+                 "--resamples", "100", "--methods", "bis"],
+            )
         assert code == 0
         hit = float(out.splitlines()[2].split(",")[3])
         assert hit in (0.0, 1.0)

@@ -9,6 +9,7 @@ from bisampling.dirichlet import (
     sample_split_index,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
+    split_window,
     weight_chunks,
 )
 from bisampling.errors import InvalidProbabilityError
@@ -147,6 +148,22 @@ class TestSampleSplitIndex:
             sample_split_index(params, p, stream(8), 1000),
             np.searchsorted(cdf, 1.0 - stream(8).random(1000), side="left"),
         )
+
+    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.999, 1 - 1e-9])
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_draws_from_the_split_window(self, n, p):
+        params = np.ones(n + 1)
+        params[::3] = 4.0
+        lo, hi = split_window(params, p)
+        cdf = full_split_law(params, p)
+        # no uniform level selects a cell at or before lo, or one after hi
+        assert lo == 0 or cdf[lo] < 2.0**-53
+        assert cdf[hi] == 1.0
+        levels = 1.0 - stream(8).random(2000)
+        want = lo + np.searchsorted(np.append(cdf[lo:hi], 1.0), levels, side="left")
+        got = sample_split_index(params, p, stream(8), 2000)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.searchsorted(cdf, levels, side="left"))
 
     def test_matches_weight_blocks(self):
         # general (non-integer) parameters, against cumulative Dirichlet weights

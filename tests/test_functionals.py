@@ -3,17 +3,20 @@ import pytest
 
 from conftest import oracle_split_mean, random_fraction_instance
 
+from bisampling.dirichlet import merge_duplicates, split_window, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
     bounds_for_monotonic,
+    cell_supports,
     evaluate_rows,
     q_cvar,
     q_mean,
     q_quantile,
     q_truncated_mean,
 )
-from bisampling.pbox import WeightedStepCdf
+from bisampling.pbox import BoundingInterval, WeightedStepCdf, make_extended_order_stats
+from bisampling.rng import stream
 
 INF = float("inf")
 
@@ -318,3 +321,51 @@ class TestEvaluateRows:
             evaluate_rows(mean, s, w)
         with pytest.raises(IndeterminateSumError):
             evaluate_rows(mean, s[:, 0], w)
+
+
+WINDOW_CASES = {
+    "ties": ([2.0, 2.0, 2.0, 3.0, 3.0, 5.0], BoundingInterval(0.0, 6.0)),
+    "on-bounds": ([0.0, 0.0, 3.0, 6.0, 6.0], BoundingInterval(0.0, 6.0)),
+    "both-infinite": ([-1.0, 0.5, 2.0, 3.0], BoundingInterval(-INF, INF)),
+    "empty": ([], BoundingInterval(0.0, 1.0)),
+    "lognormal": (np.exp(stream(5).normal(0.0, 1.0, 40)).tolist(), BoundingInterval(0.0, INF)),
+}
+
+
+class TestSplitWindow:
+    """A split window changes what is computed, never the result."""
+
+    @pytest.mark.parametrize("p", [1e-12, 0.001, 0.5, 0.99, 1 - 1e-12])
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_any_window_matches_full_path(self, case, p):
+        data, interval = WINDOW_CASES[case]
+        reduced, params = merge_duplicates(make_extended_order_stats(data, interval))
+        sup = cell_supports(reduced)
+        k = params.size
+        (w,) = weight_chunks(params, stream(9), 300, 300)
+        if k > 1:
+            # rows with no weight on the first or the last cell
+            w[:30, 0] = 0.0
+            w[30:60, -1] = 0.0
+        scale = np.abs(reduced[np.isfinite(reduced)]).max(initial=1.0)
+        # one-cell windows at the first, a middle and the last cell send most
+        # rows to the full path; the law's window and an inner one keep them
+        inner = (min(1, k - 1), max(k - 2, min(1, k - 1)))
+        windows = {(0, 0), (k // 2, k // 2), (k - 1, k - 1), inner, split_window(params, p)}
+        for kind in ("quantile", "trunc_mean", "cvar"):
+            f = Functional(kind, p)
+            want = evaluate_rows(f, sup, w)
+            for window in windows:
+                got = evaluate_rows(f, sup, w, window)
+                assert not np.isnan(got).any()
+                assert np.array_equal(np.isinf(got), np.isinf(want))
+                if kind == "quantile":
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+    def test_window_outside_the_atoms_rejected(self):
+        w = np.full((2, 3), 1.0)
+        for window in ((-1, 1), (2, 1), (0, 3)):
+            with pytest.raises(ValueError):
+                evaluate_rows(Functional("cvar", 0.5), [1.0, 2.0, 3.0], w, window)
