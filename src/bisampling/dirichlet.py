@@ -176,8 +176,21 @@ def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]
     ``run_length - 1`` for the degenerate cell kept at a tied value.  With
     all points distinct this is the identity: the original points and a
     vector of ones.  Ties are exact float equality.
+
+    Relies on ``stats.points`` being sorted, as ``make_extended_order_stats``
+    leaves them: runs are found in one linear pass, without a second sort.
     """
-    values, counts = np.unique(stats.points, return_counts=True)
+    points = stats.points
+    starts = np.flatnonzero(np.concatenate(([True], points[1:] != points[:-1])))
+    counts = np.diff(starts, append=points.size)
+    values = points[starts]
+    z = int(np.searchsorted(values, 0.0))
+    if z < values.size and values[z] == 0:
+        signs = np.signbit(points[starts[z] : starts[z] + counts[z]])
+        if signs.any() and not signs.all():
+            # a tie of -0.0 and 0.0 keeps the zero np.unique keeps, the one
+            # a fresh sort puts first, so seeded outputs keep their bytes
+            values[z] = np.sort(points)[starts[z]]
     kept = np.minimum(counts, 2)
     reduced = np.repeat(values, kept)
     left_counts = np.repeat(counts, kept)[:-1]

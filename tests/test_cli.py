@@ -1,6 +1,9 @@
+import gzip
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import SMALL_SAMPLE
@@ -32,11 +35,144 @@ class TestReadObservations:
         path.write_text("a,b\n1,10\n2,20\n")
         assert read_observations(str(path), column="b").tolist() == [10.0, 20.0]
 
+    def test_missing_file_reads_no_compressed_sibling(self, tmp_path):
+        with gzip.open(tmp_path / "d.txt.gz", "wt") as fh:
+            fh.write("1.5\n")
+        with pytest.raises(FileNotFoundError):
+            read_observations(str(tmp_path / "d.txt"))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_text_under_a_compressed_name(self, tmp_path, suffix):
+        path = tmp_path / f"d{suffix}"
+        path.write_text("# head\n1.5\r\n2.5 # note\n")
+        assert read_observations(str(path)).tolist() == [1.5, 2.5]
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a\n1\n")
         with pytest.raises(ValueError):
             read_observations(str(path), column="zzz")
+
+
+INF = float("inf")
+
+# (id, file bytes, what read_observations returns, or the ValueError it raises)
+READER_CASES = [
+    ("crlf", b"1.5\r\n2.5\r\n", [1.5, 2.5]),
+    ("cr", b"1.5\r2.5\r", [1.5, 2.5]),
+    ("inline-comments", b"# head\n1.5 # note\n2.5#x\n", [1.5, 2.5]),
+    ("blank-lines", b"\n1.5\n   \n\t\n2.5\n\n", [1.5, 2.5]),
+    ("tab-nbsp-padding", "\t1.5\t\n\u00a02.5\u00a0\n".encode(), [1.5, 2.5]),
+    ("no-final-newline", b"1.5\n2.5", [1.5, 2.5]),
+    ("float-forms", b"+1.5\n.5\n5.\n1E2\n", [1.5, 0.5, 5.0, 100.0]),
+    ("infinities", b"inf\n-inf\n1e400\n-Infinity\n", [INF, -INF, INF, -INF]),
+    ("one-value", b"1.5\n", [1.5]),
+    ("empty", b"", []),
+    ("comment-only", b"# nothing\n#\n", []),
+    ("nan", b"1.5\nnan\n", None),
+    ("two-on-one-line", b"1.5\n2.5 3.5\n", ValueError),
+    ("two-on-every-line", b"1 2\n3 4\n", ValueError),
+    ("semicolon", b"1;2\n", ValueError),
+    ("quoted", b'"1.5"\n', ValueError),
+    ("text", b"1.5\nabc\n", ValueError),
+    ("invalid-utf8", b"1.5\n\xff\n", ValueError),
+]
+
+
+class TestInputSyntax:
+    @pytest.mark.parametrize("raw,expected", [c[1:] for c in READER_CASES],
+                             ids=[c[0] for c in READER_CASES])
+    def test_read_observations(self, tmp_path, raw, expected):
+        path = tmp_path / "d.txt"
+        path.write_bytes(raw)
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                read_observations(str(path))
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            data = read_observations(str(path))
+        assert caught == []
+        assert data.dtype == np.float64 and data.ndim == 1
+        if expected is None:
+            assert np.isnan(data).tolist() == [False, True]
+        else:
+            assert data.tolist() == expected
+
+    @pytest.mark.parametrize("raw,expected", [c[1:] for c in READER_CASES],
+                             ids=[c[0] for c in READER_CASES])
+    def test_infer(self, capsys, tmp_path, raw, expected):
+        path = tmp_path / "d.txt"
+        path.write_bytes(raw)
+        argv = ["--param", "median", "--bounds", "0", "inf", "--seed", "1"]
+        code, out, err = run(capsys, ["infer", str(path)] + argv)
+        finite = isinstance(expected, list) and all(map(math.isfinite, expected))
+        if not finite:
+            # infinite and NaN observations fail the validator, the rest the reader
+            assert code == 2 and err.startswith("error:")
+            return
+        assert code == 0 and err == ""
+        canonical = tmp_path / "canonical.txt"
+        canonical.write_text("".join(f"{v!r}\n" for v in expected))
+        ref_code, ref_out, _ = run(capsys, ["infer", str(canonical)] + argv)
+        assert ref_code == 0
+        assert json.loads(out)["interval"] == json.loads(ref_out)["interval"]
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "1\f2"],
+                             ids=["underscore", "arabic-indic-digit", "form-feed"])
+    @pytest.mark.parametrize("csv_mode", [False, True], ids=["plain", "column"])
+    def test_rejected_forms(self, capsys, tmp_path, cell, csv_mode):
+        # float() accepts the first two and str.splitlines splits the third
+        path = tmp_path / "d.txt"
+        if csv_mode:
+            path.write_text(f"x\n1.5\n{cell}\n", encoding="utf-8")
+            extra = ["--column", "x"]
+        else:
+            path.write_text(f"1.5\n{cell}\n", encoding="utf-8")
+            extra = []
+        code, _, err = run(
+            capsys, ["infer", str(path), "--param", "median", "--bounds", "0", "inf"] + extra
+        )
+        assert code == 2 and err.startswith("error:")
+
+    def test_whitespace_only_cell_is_no_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x\n1.5\n \n")
+        with pytest.raises(ValueError):
+            read_observations(str(path), column="x")
+
+    def test_column_skips_empty_cells(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1.5,a\n,b\n 2.5 ,c\ninf,d\n")
+        assert read_observations(str(path), column="x").tolist() == [1.5, 2.5, INF]
+
+    def test_empty_column_is_silent(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_observations(str(path), column="x").tolist() == []
+        assert caught == []
+
+    @pytest.mark.parametrize("csv_mode", [False, True], ids=["plain", "column"])
+    def test_values_bit_identical_to_float(self, tmp_path, csv_mode):
+        rng = np.random.default_rng(20260)
+        # random bit patterns cover every exponent and both signs
+        values = rng.integers(-(2**63), 2**63, 4000, dtype=np.int64).view(np.float64)
+        subnormal = rng.integers(1, 2**52, 500, dtype=np.int64).view(np.float64)
+        values = np.concatenate(
+            [values[np.isfinite(values)], subnormal, -subnormal, rng.lognormal(0, 3, 2000)]
+        )
+        texts = [f(v) for v in values.tolist() for f in (repr, "%.25e".__mod__, "%.3g".__mod__)]
+        path = tmp_path / "d.txt"
+        if csv_mode:
+            path.write_text("x\n" + "\n".join(texts) + "\n")
+            got = read_observations(str(path), column="x")
+        else:
+            path.write_text("\n".join(texts) + "\n")
+            got = read_observations(str(path))
+        expected = np.array([float(t) for t in texts])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestInfer:

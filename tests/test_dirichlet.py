@@ -226,6 +226,35 @@ class TestMergeDuplicates:
         _, params = merge_duplicates(stats)
         assert params.sum() == pytest.approx(len(data) + 1, abs=1e-12)
 
+    @staticmethod
+    def _merge_by_unique(points):
+        # the reference: a fresh sort of the points by np.unique
+        values, counts = np.unique(points, return_counts=True)
+        kept = np.minimum(counts, 2)
+        reduced = np.repeat(values, kept)
+        left_counts = np.repeat(counts, kept)[:-1]
+        params = np.where(reduced[:-1] == reduced[1:], left_counts - 1.0, 1.0)
+        return reduced, params
+
+    @pytest.mark.parametrize(
+        "interval", [(-INF, INF), (-2.5, 7.0), (-0.0, INF), (0.0, 7.0), (-INF, 0.0)]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unique_on_tied_data(self, seed, interval):
+        rng = np.random.default_rng(seed)
+        lo, hi = interval
+        # both signed zeros tie, and so does every point on a bound
+        pool = np.array([-0.0, 0.0, 0.0, -0.0, 1e-300, 1.0, 3.0, 7.0, -2.5])
+        pool = pool[(pool >= lo) & (pool <= hi)]
+        for n in (0, 1, 2, 5, 40, 600):
+            data = rng.choice(pool, size=n)
+            stats = make_extended_order_stats(data, BoundingInterval(lo, hi))
+            reduced, params = merge_duplicates(stats)
+            ref_reduced, ref_params = self._merge_by_unique(stats.points)
+            assert reduced.tobytes() == ref_reduced.tobytes()
+            assert params.dtype == ref_params.dtype
+            assert params.tobytes() == ref_params.tobytes()
+
 
 class TestUnitDpGrid:
     def test_single_cell(self):
