@@ -1,4 +1,8 @@
-"""Reference interval methods, synthetic generators and the coverage harness."""
+"""Reference interval methods, synthetic generators and the coverage harness.
+
+Each bootstrap resample is a row of weights over the sorted data, evaluated
+by ``evaluate_rows`` and inverted by ``interval_estimate`` as in the engine.
+"""
 
 from __future__ import annotations
 
@@ -84,43 +88,32 @@ def student_t_interval(data, credibility: float) -> IntervalEstimate:
     return IntervalEstimate(lo=m - half, hi=m + half, credibility=credibility)
 
 
-def _equal_weight_rows(f: Functional, rows: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on each row of ``rows`` as an unweighted sample.
-
-    Rows are sorted in place of a per-row step CDF with equal atom weights;
-    the cumulative weights are the same for every row, which keeps the
-    whole computation index-based and vectorized.
-    """
-    srt = np.sort(rows, axis=1)
-    n = rows.shape[1]
-    if f.kind == "mean":
-        return srt.mean(axis=1)
-    cum = np.arange(1, n + 1) / n
-    k = int(np.searchsorted(cum, f.p, side="left"))
-    k = min(k, n - 1)
-    if f.kind == "quantile":
-        return srt[:, k]
-    below = srt[:, :k].sum(axis=1) / n
-    cum_prev = k / n
-    if f.kind == "trunc_mean":
-        return (below + (f.p - cum_prev) * srt[:, k]) / f.p
-    # cvar: complement of the truncated sum
-    total = srt.sum(axis=1) / n
-    above = total - below - srt[:, k] / n
-    mass_at = cum[k] - f.p
-    return (mass_at * srt[:, k] + above) / (1.0 - f.p)
+def _resampled_interval(f: Functional, srt, rows, credibility: float) -> IntervalEstimate:
+    """Interval from ``f`` evaluated on weight rows over the sorted data."""
+    values = evaluate_rows(f, srt, rows)
+    return interval_estimate(QSamples(values, values), credibility)
 
 
 def bootstrap_interval(
     data, f: Functional, credibility: float, n_resample: int, rng: np.random.Generator
 ) -> IntervalEstimate:
-    """Percentile bootstrap: resample with replacement, take empirical quantiles."""
+    """Percentile bootstrap: resamples with replacement as integer count rows."""
     arr = np.asarray(data, dtype=float).reshape(-1)
-    if arr.size < 1:
+    n = arr.size
+    if n < 1:
         raise TooFewSamplesError("need at least one observation")
-    idx = rng.integers(0, arr.size, size=(n_resample, arr.size))
-    values = _equal_weight_rows(f, arr[idx])
-    return interval_estimate(QSamples(values, values), credibility)
+    idx = rng.integers(0, n, size=(n_resample, n))
+    order = np.argsort(arr, kind="stable")
+    # one bincount over the sorted ranks offset by row * n counts every row;
+    # the counts reuse the draws' freed pages and are cast into the ranks'
+    # buffer, as a fresh (n_resample, n) array costs more in page faults
+    ranks = np.argsort(order)[idx]
+    del idx
+    ranks += n * np.arange(n_resample)[:, None]
+    counts = np.bincount(ranks.ravel(), minlength=n_resample * n)
+    rows = ranks.view(np.float64)
+    rows[...] = counts.reshape(n_resample, n)
+    return _resampled_interval(f, arr[order], rows, credibility)
 
 
 def bayesian_bootstrap_interval(
@@ -132,8 +125,7 @@ def bayesian_bootstrap_interval(
         raise TooFewSamplesError("need at least one observation")
     w = sample_dirichlet(np.ones(arr.size), rng, size=n_resample)
     order = np.argsort(arr, kind="stable")
-    values = evaluate_rows(f, arr[order], w[:, order])
-    return interval_estimate(QSamples(values, values), credibility)
+    return _resampled_interval(f, arr[order], w[:, order], credibility)
 
 
 @dataclass(frozen=True)

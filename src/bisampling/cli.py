@@ -98,10 +98,13 @@ def read_observations(path: str, column: str | None = None) -> np.ndarray:
             return _parse_numbers(fh if compressed else path, comments="#")
         # csv reads rows from one string faster than from the file's lines
         text = fh.read()
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or column not in reader.fieldnames:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or column not in header:
         raise BisamplingError(f"column {column!r} not found in {path}")
-    values = [row[column] for row in reader if row[column] not in (None, "")]
+    # as in csv.DictReader, a repeated header name means its last column
+    at = len(header) - 1 - header[::-1].index(column)
+    values = [row[at] for row in reader if len(row) > at and row[at] != ""]
     data = _parse_numbers(values, comments=None)
     if data.size != len(values):
         # loadtxt skips a whitespace-only cell, which holds no number

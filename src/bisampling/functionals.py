@@ -209,8 +209,9 @@ def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarr
     merged atom), or either of them made once by ``prepare_supports``.
     Returns ``(k,)`` for a vector and ``(k, m)`` for a matrix, k being the
     number of weight rows.  A row need not sum to 1: every functional is
-    taken of the row divided by its total.  This is the vectorized backend
-    shared by the scalar functionals and the resampling engine.
+    taken of the row divided by its total.  This is the one vectorized
+    backend, shared by the scalar functionals, the resampling engine and
+    both bootstraps.
 
     ``window``, a pair ``(lo, hi)`` of atom indices, is where the split
     atom of a quantile, truncated mean or CVaR is looked for first

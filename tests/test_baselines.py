@@ -1,5 +1,11 @@
+import math
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from conftest import oracle_split_mean
 
 from bisampling.baselines import (
     ExtremeMixture,
@@ -12,12 +18,29 @@ from bisampling.baselines import (
     preset,
     student_t_interval,
 )
-from bisampling.errors import TooFewSamplesError
+from bisampling.errors import IndeterminateSumError, TooFewSamplesError
 from bisampling.functionals import Functional
 from bisampling.pbox import BoundingInterval
 from bisampling.rng import stream
 
 MEAN = Functional("mean")
+
+
+def _exact_resample_value(f, resample):
+    """``f`` of one resample, in exact Fraction arithmetic."""
+    counts = Counter(resample)
+    supports = [Fraction(x) for x in sorted(counts)]
+    weights = [Fraction(counts[x], len(resample)) for x in sorted(counts)]
+    if f.kind == "mean":
+        return sum(s * w for s, w in zip(supports, weights))
+    p = Fraction(f.p)
+    if f.kind == "quantile":
+        cum = Fraction(0)
+        for s, w in zip(supports, weights):
+            cum += w
+            if cum >= p:
+                return s
+    return oracle_split_mean(supports, weights, p, tail=f.kind == "cvar")
 
 
 class TestGenerate:
@@ -92,12 +115,50 @@ class TestBootstrap:
         assert r.median_hi == pytest.approx(2.14, abs=0.08)
 
     def test_nonmean_functionals_match_scalar_evaluation(self):
-        rng = stream(9)
-        data = rng.normal(size=30)
-        for f in (Functional("quantile", 0.3), Functional("trunc_mean", 0.7),
-                  Functional("cvar", 0.7)):
-            est = bootstrap_interval(data, f, 0.8, 64, stream(10))
-            assert est.lo <= est.hi
+        # exact oracle: redraw the resamples, merge each into Fraction weights
+        # over its distinct values, evaluate f exactly and take the order
+        # statistic of rank ceil(a N).  p = 0.3 and 0.7 are doubles just below
+        # the decimal and 0.5 is exact, so p n never rounds onto an integer
+        # it exceeds and the library's float test cum >= p n picks the exact
+        # split atom.
+        functionals = [MEAN] + [
+            Functional(kind, p)
+            for kind in ("quantile", "trunc_mean", "cvar") for p in (0.3, 0.5, 0.7)
+        ]
+        datasets = [
+            [2.5],
+            [1.0, -3.0],
+            [4.0, 4.0],
+            [2.0, -1.0, 2.0, 0.0, 2.0, -1.0, 7.0],
+            stream(9).normal(size=30).tolist(),
+        ]
+        for data in datasets:
+            n = len(data)
+            scale = max(abs(x) for x in data)
+            for credibility, n_resample in ((0.8, 64), (0.9, 101)):
+                draws = stream(10).integers(0, n, size=(n_resample, n))
+                for f in functionals:
+                    exact = sorted(
+                        _exact_resample_value(f, [data[i] for i in row]) for row in draws
+                    )
+                    est = bootstrap_interval(data, f, credibility, n_resample, stream(10))
+                    levels = ((1 - credibility) / 2, (1 + credibility) / 2)
+                    for got, level in zip((est.lo, est.hi), levels):
+                        want = float(exact[math.ceil(Fraction(level) * n_resample) - 1])
+                        if f.kind == "quantile":
+                            assert got == want, (data, f, level)
+                        else:
+                            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+    def test_infinite_observations_follow_the_engine(self):
+        # count rows meet the same infinity rules as the engine's weights
+        inf = float("inf")
+        est = bootstrap_interval([1.0, inf], Functional("cvar", 0.5), 0.9, 200, stream(1))
+        assert (est.lo, est.hi) == (1.0, inf)
+        est = bootstrap_interval([-inf, 1.0, 2.0], Functional("cvar", 0.5), 0.9, 200, stream(1))
+        assert (est.lo, est.hi) == (-inf, 2.0)
+        with pytest.raises(IndeterminateSumError):
+            bootstrap_interval([-inf, 1.0, inf], MEAN, 0.9, 200, stream(1))
 
 
 class TestBayesianBootstrap:

@@ -53,6 +53,21 @@ class TestReadObservations:
         with pytest.raises(ValueError):
             read_observations(str(path), column="zzz")
 
+    def test_csv_duplicate_name_short_row_blank_line_quoted_cell(self, tmp_path):
+        # a repeated header name means its last column; the short row and
+        # the blank line give no value; the quoted cell keeps its comma
+        path = tmp_path / "d.csv"
+        path.write_text('x,y,x,z\n1,2,3,"a,b"\n4,5\n\n7,8,"9.5",c\n')
+        assert read_observations(str(path), column="x").tolist() == [3.0, 9.5]
+        assert read_observations(str(path), column="y").tolist() == [2.0, 5.0, 8.0]
+
+    @pytest.mark.parametrize("text", ["", "\n1\n"], ids=["empty-file", "blank-header"])
+    def test_csv_without_header_has_no_column(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not found"):
+            read_observations(str(path), column="x")
+
 
 INF = float("inf")
 
