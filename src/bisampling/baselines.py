@@ -1,7 +1,8 @@
 """Reference interval methods, synthetic generators and the coverage harness.
 
-Each bootstrap resample is a row of weights over the sorted data, evaluated
-by ``evaluate_rows`` and inverted by ``interval_estimate`` as in the engine.
+Each bootstrap resample is a row of weights over the sorted data (integer
+counts, or the engine's ``weight_chunks`` rows for the Bayesian bootstrap),
+streamed in chunks through the engine's loop ``bis._resample``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import numpy as np
 from scipy import stats as sps
 
 from . import rng as rngmod
-from .bis import BisConfig, QSamples, bis_run, interval_estimate
-from .dirichlet import sample_dirichlet
+from .bis import BisConfig, _chunk_rows, _resample, bis_run, interval_estimate
+from .dirichlet import weight_chunks
 from .errors import TooFewSamplesError
-from .functionals import Functional, evaluate_rows
+from .functionals import Functional, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
 
 # mean of the unit lognormal truncated to [0, 50]; equals
@@ -88,10 +89,21 @@ def student_t_interval(data, credibility: float) -> IntervalEstimate:
     return IntervalEstimate(lo=m - half, hi=m + half, credibility=credibility)
 
 
-def _resampled_interval(f: Functional, srt, rows, credibility: float) -> IntervalEstimate:
-    """Interval from ``f`` evaluated on weight rows over the sorted data."""
-    values = evaluate_rows(f, srt, rows)
-    return interval_estimate(QSamples(values, values), credibility)
+def _count_chunks(ranks, rng: np.random.Generator, size: int, chunk_rows: int):
+    """Resamples with replacement as rows counting each sorted value (``ranks``
+    maps observations to sorted positions), ``chunk_rows`` at a time in one
+    reused buffer.  The stream fills in order, so the draws equal one ``(size,
+    n)`` draw; one bincount over the ranks offset by row * n counts a chunk."""
+    n = ranks.size
+    buf = np.empty((min(chunk_rows, size), n))
+    offsets = n * np.arange(buf.shape[0])[:, None]
+    for start in range(0, size, chunk_rows):
+        rows = min(chunk_rows, size - start)
+        drawn = ranks[rng.integers(0, n, size=(rows, n))]
+        drawn += offsets[:rows]
+        out = buf[:rows]
+        out[...] = np.bincount(drawn.ravel(), minlength=rows * n).reshape(rows, n)
+        yield out
 
 
 def bootstrap_interval(
@@ -102,30 +114,23 @@ def bootstrap_interval(
     n = arr.size
     if n < 1:
         raise TooFewSamplesError("need at least one observation")
-    idx = rng.integers(0, n, size=(n_resample, n))
     order = np.argsort(arr, kind="stable")
-    # one bincount over the sorted ranks offset by row * n counts every row;
-    # the counts reuse the draws' freed pages and are cast into the ranks'
-    # buffer, as a fresh (n_resample, n) array costs more in page faults
-    ranks = np.argsort(order)[idx]
-    del idx
-    ranks += n * np.arange(n_resample)[:, None]
-    counts = np.bincount(ranks.ravel(), minlength=n_resample * n)
-    rows = ranks.view(np.float64)
-    rows[...] = counts.reshape(n_resample, n)
-    return _resampled_interval(f, arr[order], rows, credibility)
+    # a chunk's draws, ranks, counts and rows are four (rows, n) arrays of 8 bytes
+    chunks = _count_chunks(np.argsort(order), rng, n_resample, _chunk_rows(32 * n))
+    qs = _resample(f, prepare_supports(arr[order]), chunks, n_resample)
+    return interval_estimate(qs, credibility)
 
 
 def bayesian_bootstrap_interval(
     data, f: Functional, credibility: float, n_resample: int, rng: np.random.Generator
 ) -> IntervalEstimate:
-    """Bayesian bootstrap: uniform Dirichlet weights on the observed values."""
+    """Bayesian bootstrap: uniform Dirichlet weights on the sorted observations."""
     arr = np.asarray(data, dtype=float).reshape(-1)
     if arr.size < 1:
         raise TooFewSamplesError("need at least one observation")
-    w = sample_dirichlet(np.ones(arr.size), rng, size=n_resample)
-    order = np.argsort(arr, kind="stable")
-    return _resampled_interval(f, arr[order], w[:, order], credibility)
+    chunks = weight_chunks(np.ones(arr.size), rng, n_resample, _chunk_rows(8 * arr.size))
+    qs = _resample(f, prepare_supports(np.sort(arr)), chunks, n_resample)
+    return interval_estimate(qs, credibility)
 
 
 @dataclass(frozen=True)

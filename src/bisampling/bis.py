@@ -2,7 +2,8 @@
 
 ``bis_run`` draws imprecise realisations of the posterior over step
 distributions and records the extremes of a monotonic functional on each;
-``interval_estimate`` turns those extremes into a credible interval.
+``interval_estimate`` turns those extremes into a credible interval.  Its
+chunk loop ``_resample`` also runs both bootstraps of ``baselines``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ PRIOR_WEIGHT = 1.0
 _CHUNK_BYTES = 1024 * 1024
 
 
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk when each row takes ``row_bytes`` of the chunk's arrays."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
+def _check_n_resample(n, least: int = 1) -> None:
+    """Reject a resample count that is not an integer of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"n_resample must be an integer of at least {least}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class BisConfig:
     """Configuration of one resampling run."""
@@ -62,9 +74,7 @@ class BisConfig:
             raise InvalidProbabilityError(
                 f"credibility must be in (0, 1), got {self.credibility!r}"
             )
-        n = self.n_resample
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_resample must be an integer of at least 1, got {n!r}")
+        _check_n_resample(self.n_resample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +178,24 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
         idx = sample_split_index(params, f.p, rng, n)
         q_min, q_max = quantile_bounds(idx, reduced)
         return QSamples(q_min=q_min, q_max=q_max)
-    supports = cell_supports(reduced)
     window = None if f.kind == "mean" else split_window(params, f.p)
-    chunk_rows = max(1, _CHUNK_BYTES // (8 * params.size))
-    q_min, q_max = np.empty(n), np.empty(n)
+    chunks = weight_chunks(params, rng, n, _chunk_rows(8 * params.size))
+    return _resample(f, cell_supports(reduced), chunks, n, window)
+
+
+def _resample(f: Functional, supports, chunks, n_resample: int, window=None) -> QSamples:
+    """Q-samples of ``f`` on the ``n_resample`` weight rows that ``chunks`` yields
+    in blocks over the prepared ``supports``, each block evaluated as it comes.
+    The first supports column gives ``q_min`` and the last ``q_max``.  The
+    count is checked before ``chunks``, a generator, draws anything."""
+    _check_n_resample(n_resample, least=0)
+    q = np.empty((supports.values.shape[1], n_resample))
     start = 0
-    for w in weight_chunks(params, rng, n, chunk_rows):
+    for w in chunks:
         stop = start + w.shape[0]
-        q_min[start:stop], q_max[start:stop] = evaluate_rows(f, supports, w, window).T
+        q[:, start:stop] = evaluate_rows(f, supports, w, window).T
         start = stop
-    return QSamples(q_min=q_min, q_max=q_max)
+    return QSamples(q_min=q[0], q_max=q[-1])
 
 
 def interval_estimate(qs: QSamples, credibility: float) -> IntervalEstimate:

@@ -1,9 +1,10 @@
 """Dirichlet weight sampling, tie merging and unit Dirichlet process realisations.
 
 One draw, ``_fill_rows``, makes every Dirichlet weight: ``sample_dirichlet``
-normalises its rows into single vectors or blocks, and ``weight_chunks``
-streams them unnormalised in chunks of one reused buffer for the
-resampling engine.  ``sample_split_index``
+normalises its rows into single vectors or blocks (for one realisation and
+the unit-DP grid), and ``weight_chunks`` streams them unnormalised in
+chunks of one reused buffer for the resampling engine and the Bayesian
+bootstrap.  ``sample_split_index``
 draws the cell where the cumulative weight first reaches a level from its
 exact law, without drawing weights, and ``split_window`` gives the few
 cells that law can select.  The unit Dirichlet process (sometimes

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import oracle_split_mean
 
+from bisampling import bis
 from bisampling.baselines import (
     ExtremeMixture,
     TruncatedLognormal,
@@ -18,12 +20,15 @@ from bisampling.baselines import (
     preset,
     student_t_interval,
 )
-from bisampling.errors import IndeterminateSumError, TooFewSamplesError
-from bisampling.functionals import Functional
+from bisampling.bis import interval_estimate
+from bisampling.dirichlet import weight_chunks
+from bisampling.errors import EmptySamplesError, IndeterminateSumError, TooFewSamplesError
+from bisampling.functionals import Functional, prepare_supports
 from bisampling.pbox import BoundingInterval
 from bisampling.rng import stream
 
 MEAN = Functional("mean")
+BOOTSTRAPS = [bootstrap_interval, bayesian_bootstrap_interval]
 
 
 def _exact_resample_value(f, resample):
@@ -161,6 +166,42 @@ class TestBootstrap:
             bootstrap_interval([-inf, 1.0, inf], MEAN, 0.9, 200, stream(1))
 
 
+    @pytest.mark.parametrize("n", [7, 50, 1000])
+    def test_chunked_draws_equal_one_shot_draw(self, n):
+        # the bootstrap draws its indices chunk by chunk from one stream
+        want = stream(19).integers(0, n, size=(2000, n))
+        for rows in (1, 700, 2000):
+            rng = stream(19)
+            got = [rng.integers(0, n, size=(min(rows, 2000 - s), n))
+                   for s in range(0, 2000, rows)]
+            assert np.array_equal(np.concatenate(got), want), rows
+
+    def test_endpoints_do_not_depend_on_chunk_size(self, monkeypatch):
+        functionals = [MEAN] + [
+            Functional(kind, p)
+            for kind in ("quantile", "trunc_mean", "cvar") for p in (0.3, 0.7)
+        ]
+        datasets = [
+            [2.0, -1.0, 2.0, 0.0, 2.0, -1.0, 7.0],
+            stream(9).lognormal(size=50).tolist(),
+        ]
+        for data in datasets:
+            row_bytes = 32 * len(data)  # four (rows, n) arrays of 8 bytes
+            for f in functionals:
+                runs = []
+                # one-row chunks, 3-row chunks (3 does not divide 101), the default
+                for chunk_bytes in (row_bytes, 3 * row_bytes, bis._CHUNK_BYTES):
+                    monkeypatch.setattr(bis, "_CHUNK_BYTES", chunk_bytes)
+                    est = bootstrap_interval(data, f, 0.9, 101, stream(10))
+                    runs.append((est.lo, est.hi))
+                monkeypatch.undo()
+                if f.kind == "quantile":
+                    assert runs[0] == runs[1] == runs[2], (data, f)
+                else:
+                    # a matrix product may round differently for other row counts
+                    np.testing.assert_allclose(runs[:2], [runs[2]] * 2, rtol=1e-13)
+
+
 class TestBayesianBootstrap:
     def test_single_datum(self):
         est = bayesian_bootstrap_interval([4.0], MEAN, 0.9, 100, stream(11))
@@ -172,6 +213,17 @@ class TestBayesianBootstrap:
         est = bayesian_bootstrap_interval(data, MEAN, 0.95, 500, rng)
         assert data.min() <= est.lo <= est.hi <= data.max()
 
+    def test_is_the_engine_loop_over_sorted_data(self):
+        # Dirichlet(1, ..., 1) rows from the engine's draw, column j on the
+        # j-th sorted value, through the engine's chunk loop
+        data = stream(20).lognormal(size=40)
+        rows = bis._chunk_rows(8 * data.size)
+        for f in (MEAN, Functional("quantile", 0.5), Functional("cvar", 0.8)):
+            chunks = weight_chunks(np.ones(data.size), stream(21), 999, rows)
+            qs = bis._resample(f, prepare_supports(np.sort(data)), chunks, 999)
+            want = interval_estimate(qs, 0.9)
+            assert bayesian_bootstrap_interval(data, f, 0.9, 999, stream(21)) == want
+
     def test_agrees_with_bootstrap_for_large_n(self):
         rng = stream(13)
         data = rng.normal(loc=5.0, size=500)
@@ -179,6 +231,36 @@ class TestBayesianBootstrap:
         b = bayesian_bootstrap_interval(data, MEAN, 0.9, 4_000, stream(15))
         assert a.lo == pytest.approx(b.lo, abs=0.02)
         assert a.hi == pytest.approx(b.hi, abs=0.02)
+
+
+class TestBootstrapsShared:
+    @pytest.mark.parametrize("method", BOOTSTRAPS)
+    @pytest.mark.parametrize("n_resample", [2.5, True, -3])
+    def test_bad_resample_count_fails_before_drawing(self, method, n_resample):
+        rng = stream(22)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_resample must be an integer"):
+            method([1.0, 2.0, 3.0], MEAN, 0.9, n_resample, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("method", BOOTSTRAPS)
+    def test_zero_resamples_leave_nothing_to_invert(self, method):
+        with pytest.raises(EmptySamplesError):
+            method([1.0, 2.0, 3.0], MEAN, 0.9, 0, stream(22))
+
+    @pytest.mark.parametrize("method", BOOTSTRAPS)
+    @pytest.mark.parametrize("f", ["trunc-mean:0.9", "cvar:0.9", "mean"])
+    def test_memory_bounded_at_large_n(self, method, f):
+        # the rows of all 64 resamples would take 51 MB; chunks take one row
+        data = np.exp(stream(3).normal(0.0, 1.0, 10**5))
+        tracemalloc.start()
+        try:
+            est = method(data, Functional.parse(f), 0.9, 64, stream(23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert data.min() <= est.lo <= est.hi <= data.max()
 
 
 class TestCoverageExperiment:

@@ -344,6 +344,17 @@ class TestCompare:
         assert hit in (0.0, 1.0)
 
 
+    def test_bootstrap_methods(self, capsys):
+        argv = ["compare", "--preset", "table4", "--trials", "5", "--seed", "3",
+                "--resamples", "200", "--methods", "bootstrap", "bayesian_bootstrap"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [r[0] for r in rows] == ["bootstrap", "bayesian_bootstrap"]
+        for r in rows:
+            assert 0.0 <= float(r[3]) <= 1.0
+        assert run(capsys, argv) == (0, out, "")
+
 class TestZeroOrNegativeOption:
     @pytest.mark.parametrize(
         "extra",
