@@ -26,8 +26,8 @@ from .dirichlet import (
 from .errors import (
     AtObservationError,
     EmptySamplesError,
-    InvalidProbabilityError,
     OutOfBoundsError,
+    _check_open_unit,
 )
 from .functionals import Functional, cell_supports, evaluate_rows, quantile_bounds
 from .pbox import (
@@ -70,10 +70,7 @@ class BisConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.credibility < 1.0:
-            raise InvalidProbabilityError(
-                f"credibility must be in (0, 1), got {self.credibility!r}"
-            )
+        _check_open_unit(self.credibility, "credibility")
         _check_n_resample(self.n_resample)
 
 
@@ -114,10 +111,7 @@ class BetaParams:
 
 def default_n_resample(credibility: float) -> int:
     """Resample count ensuring about 100 draws in each interval tail."""
-    if not 0.0 < credibility < 1.0:
-        raise InvalidProbabilityError(
-            f"credibility must be in (0, 1), got {credibility!r}"
-        )
+    _check_open_unit(credibility, "credibility")
     return _ceil(100.0 / (1.0 - credibility))
 
 
@@ -210,10 +204,7 @@ def interval_estimate(qs: QSamples, credibility: float) -> IntervalEstimate:
     samples are legitimate and an infinite endpoint marks an unbounded
     interval.
     """
-    if not 0.0 < credibility < 1.0:
-        raise InvalidProbabilityError(
-            f"credibility must be in (0, 1), got {credibility!r}"
-        )
+    _check_open_unit(credibility, "credibility")
     if qs.q_min.size == 0:
         raise EmptySamplesError("no resampled values to invert")
     lo = _order_statistic(qs.q_min, (1.0 - credibility) / 2.0)

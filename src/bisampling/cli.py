@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .baselines import coverage_experiment, preset
+from .baselines import METHODS, coverage_experiment, preset
 from .bis import (
     BisConfig,
     bis_run,
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="coverage comparison of interval methods")
     compare.add_argument("--preset", choices=("table3", "table4"), required=True)
     compare.add_argument("--trials", type=int, required=True)
-    compare.add_argument("--methods", nargs="+", default=None)
+    compare.add_argument("--methods", nargs="+", choices=METHODS, default=None)
     compare.add_argument("--resamples", type=int, default=None)
     compare.add_argument("--credibility", type=float, default=None)
     compare.add_argument("--n-sample", type=int, default=None)
@@ -353,7 +353,9 @@ def main(argv=None) -> int:
     except IndeterminateSumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BisamplingError, OSError, ValueError) as exc:
+    except (BisamplingError, OSError, ValueError, MemoryError) as exc:
+        # a MemoryError is a request too large to allocate, such as
+        # --resamples 10**15, so an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -1,16 +1,16 @@
 """Dirichlet weight sampling, tie merging and unit Dirichlet process realisations.
 
-One draw, ``_fill_rows``, makes every Dirichlet weight: ``sample_dirichlet``
-normalises its rows into single vectors or blocks (for one realisation and
-the unit-DP grid), and ``weight_chunks`` streams them unnormalised in
-chunks of one reused buffer for the resampling engine and the Bayesian
-bootstrap.  ``sample_split_index``
-draws the cell where the cumulative weight first reaches a level from its
-exact law, without drawing weights, and ``split_window`` gives the few
-cells that law can select.  The unit Dirichlet process (sometimes
-called the identity Dirichlet process) is a random distortion of the
-uniform CDF on [0, 1] with concentration ``alpha``; two samplers are
-provided, one on a fixed grid of cells and one by truncated stick breaking.
+One draw, ``_fill_rows``, makes every Dirichlet weight: ``weight_chunks``
+streams its rows unnormalised in chunks of one reused buffer for the
+resampling engine and the Bayesian bootstrap, and ``sample_dirichlet``
+normalises one such row (for one realisation and the unit-DP grid).
+``sample_split_index`` draws the cell where the cumulative weight first
+reaches a level from its exact law, without drawing weights, and
+``split_window`` gives the few cells that law can select.  The unit
+Dirichlet process (sometimes called the identity Dirichlet process) is a
+random distortion of the uniform CDF on [0, 1] with concentration
+``alpha``; two samplers are provided, one on a fixed grid of cells and one
+by truncated stick breaking.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import math
 import numpy as np
 from scipy.special import betaincc
 
-from .errors import InvalidProbabilityError
+from .errors import _check_open_unit
 from .pbox import ExtendedOrderStats, WeightedStepCdf
 
 
 def _positive_params(params) -> np.ndarray:
     a = np.asarray(params, dtype=float).reshape(-1)
-    if a.size == 0 or not (a > 0).all():
-        raise ValueError("Dirichlet parameters must be positive")
+    if a.size == 0 or not ((a > 0) & (a < math.inf)).all():
+        raise ValueError("Dirichlet parameters must be positive and finite")
     return a
 
 
@@ -48,22 +48,14 @@ def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out):
         out[dead, rng.integers(a.size, size=dead.size)] = 1.0
 
 
-def sample_dirichlet(
-    params, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Draw weight vectors from a Dirichlet distribution.
+def sample_dirichlet(params, rng: np.random.Generator) -> np.ndarray:
+    """Draw one weight vector from Dirichlet(params).
 
-    ``params`` is a sequence of positive concentration parameters.  With
-    ``size`` None one vector is returned, otherwise a ``(size, len(params))``
-    block of rows drawn in order from ``rng``.  These are the rows of
-    ``weight_chunks`` divided by their totals: unit exponentials for
-    all-ones parameters (the uniform simplex), gamma variates otherwise.
+    ``params`` is a sequence of positive, finite concentration parameters.
+    The vector is the one row of ``weight_chunks`` divided by its total.
     """
-    a = _positive_params(params)
-    rows = np.empty((1 if size is None else size, a.size))
-    _fill_rows(a, bool(np.all(a == 1.0)), rng, rows)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows[0] if size is None else rows
+    ((w,),) = weight_chunks(params, rng, 1, 1)
+    return w / w.sum()
 
 
 def weight_chunks(params, rng: np.random.Generator, size: int, chunk_rows: int):
@@ -97,9 +89,7 @@ def sample_split_index(
     the cells of ``split_window``, the ones a uniform can select; the
     indices drawn equal those of the law evaluated on every cell.
     """
-    a = _positive_params(params)
-    lo, hi = split_window(a, p)
-    head, rest = _law_sums(a)
+    head, rest, lo, hi = _split_law(params, p)
     cdf = np.append(betaincc(head[lo:hi], rest[lo:hi], p), 1.0)
     np.maximum.accumulate(cdf, out=cdf)
     return lo + np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
@@ -115,19 +105,20 @@ def split_window(params, p: float) -> tuple[int, int]:
     there (``functionals.evaluate_rows`` recomputes a row that splits
     elsewhere over every cell).  See ``_law_window``.
     """
-    a = _positive_params(params)
-    if not 0.0 < p < 1.0:
-        raise InvalidProbabilityError(f"p must be in (0, 1), got {p!r}")
-    return _law_window(*_law_sums(a), p)
+    return _split_law(params, p)[2:]
 
 
-def _law_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_j and A - A_j for every cell j but the last.
+def _split_law(params, p: float) -> tuple:
+    """Check ``params`` and ``p`` once; return A_j and A - A_j for every
+    cell j but the last, then the window ``lo, hi`` of ``_law_window``.
 
     The rest is summed from the right, so it stays positive where
     A - A_j would round to 0.
     """
-    return np.cumsum(a)[:-1], np.cumsum(a[::-1])[::-1][1:]
+    a = _positive_params(params)
+    _check_open_unit(p, "p")
+    head, rest = np.cumsum(a)[:-1], np.cumsum(a[::-1])[::-1][1:]
+    return head, rest, *_law_window(head, rest, p)
 
 
 # the smallest level 1 - U for U from ``Generator.random``, whose values are
@@ -210,8 +201,8 @@ def sample_unit_dp_grid(
     Cell weights follow Dir[alpha/n_cells, ..., alpha/n_cells] and sit at
     the cell right endpoints i/n_cells.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
     w = sample_dirichlet(np.full(n_cells, alpha / n_cells), rng)
@@ -229,8 +220,8 @@ def sample_unit_dp_stick(
     one extra atom at a fresh uniform location (no renormalization), so the
     result carries exactly unit mass.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
     locations = rng.random(n_terms + 1)

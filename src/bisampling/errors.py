@@ -35,3 +35,12 @@ class TooFewSamplesError(BisamplingError):
 
 class EmptySamplesError(BisamplingError):
     """An operation received an empty sample collection."""
+
+
+def _check_open_unit(value, name: str) -> None:
+    """Raise InvalidProbabilityError unless ``value`` lies in (0, 1).
+
+    NaN and None fail too: the check is ``not 0 < value < 1``.
+    """
+    if value is None or not 0.0 < value < 1.0:
+        raise InvalidProbabilityError(f"{name} must be in (0, 1), got {value!r}")

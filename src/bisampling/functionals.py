@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndeterminateSumError, InvalidProbabilityError
+from .errors import IndeterminateSumError, _check_open_unit
 from .pbox import WeightedStepCdf
 
 _KINDS = ("mean", "quantile", "trunc_mean", "cvar")
@@ -39,10 +39,7 @@ class Functional:
             if self.p is not None:
                 raise ValueError("mean takes no probability parameter")
         else:
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise InvalidProbabilityError(
-                    f"{self.kind} needs p in (0, 1), got {self.p!r}"
-                )
+            _check_open_unit(self.p, f"{self.kind} p")
 
     @classmethod
     def parse(cls, text: str) -> "Functional":
@@ -59,13 +56,15 @@ class Functional:
         return cls(table[name], float(arg))
 
     def evaluate(self, dist: WeightedStepCdf) -> float:
-        if self.kind == "mean":
-            return q_mean(dist)
+        """The functional of one step distribution.
+
+        A quantile is the CDF's own generalized inverse, so it agrees with
+        ``dist.cdf`` where p sits on a cumulative weight; the other kinds
+        are ``evaluate_rows`` of the one weight row.
+        """
         if self.kind == "quantile":
-            return q_quantile(dist, self.p)
-        if self.kind == "trunc_mean":
-            return q_truncated_mean(dist, self.p)
-        return q_cvar(dist, self.p)
+            return dist.quantile(self.p)
+        return float(evaluate_rows(self, dist.supports, dist.weights)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +235,12 @@ def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarr
 
 def q_mean(dist: WeightedStepCdf) -> float:
     """Mean of a step distribution; +/-inf when an extreme atom has mass."""
-    return float(evaluate_rows(Functional("mean"), dist.supports, dist.weights)[0])
+    return Functional("mean").evaluate(dist)
 
 
 def q_quantile(dist: WeightedStepCdf, p: float) -> float:
     """p-quantile (value at risk) under the generalized-inverse convention."""
-    if not 0.0 < p < 1.0:
-        raise InvalidProbabilityError(f"p must be in (0, 1), got {p!r}")
-    return dist.quantile(p)
+    return Functional("quantile", p).evaluate(dist)
 
 
 def q_truncated_mean(dist: WeightedStepCdf, p: float) -> float:
@@ -251,16 +248,14 @@ def q_truncated_mean(dist: WeightedStepCdf, p: float) -> float:
 
     The atom at the p-quantile is split: only the mass needed to reach
     exactly p contributes.  This makes the decomposition
-    ``mean = p * trunc_mean + (1 - p) * cvar`` exact.  ``Functional``
-    rejects a p outside (0, 1).
+    ``mean = p * trunc_mean + (1 - p) * cvar`` exact.
     """
-    f = Functional("trunc_mean", p)
-    return float(evaluate_rows(f, dist.supports, dist.weights)[0])
+    return Functional("trunc_mean", p).evaluate(dist)
 
 
 def q_cvar(dist: WeightedStepCdf, p: float) -> float:
     """Mean of the upper (1-p) tail with the same atom-splitting rule."""
-    return float(evaluate_rows(Functional("cvar", p), dist.supports, dist.weights)[0])
+    return Functional("cvar", p).evaluate(dist)
 
 
 def _cell_endpoints(reduced_points) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from .errors import (
     InvalidProbabilityError,
     NonFiniteError,
     OutOfBoundsError,
+    _check_open_unit,
 )
 
 # tolerance on total probability mass of a step CDF
@@ -59,10 +60,6 @@ class ExtendedOrderStats:
 
     points: np.ndarray
     n_obs: int
-
-    @property
-    def interval(self) -> BoundingInterval:
-        return BoundingInterval(float(self.points[0]), float(self.points[-1]))
 
 
 def make_extended_order_stats(data, interval: BoundingInterval) -> ExtendedOrderStats:
@@ -129,27 +126,26 @@ class WeightedStepCdf:
 
     def cdf(self, x):
         """P(X <= x); right-continuous. Accepts scalars or arrays."""
-        xs = np.asarray(x, dtype=float)
-        if np.isnan(xs).any():
-            raise NonFiniteError("cannot evaluate the CDF at NaN")
-        idx = np.searchsorted(self.supports, xs, side="right")
-        padded = np.concatenate(([0.0], self._cum))
-        out = padded[idx]
-        return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+        return self._mass_below(x, "right")
 
     def cdf_left(self, x):
         """Left limit P(X < x). Accepts scalars or arrays."""
+        return self._mass_below(x, "left")
+
+    def _mass_below(self, x, side: str):
+        """Mass of the atoms at or below ``x`` (``side="right"``) or strictly
+        below it (``side="left"``), the ``searchsorted`` sides."""
         xs = np.asarray(x, dtype=float)
         if np.isnan(xs).any():
             raise NonFiniteError("cannot evaluate the CDF at NaN")
-        idx = np.searchsorted(self.supports, xs, side="left")
+        idx = np.searchsorted(self.supports, xs, side=side)
         padded = np.concatenate(([0.0], self._cum))
         out = padded[idx]
         return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
         """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1]."""
-        if not 0.0 < p <= 1.0 or math.isnan(p):
+        if not 0.0 < p <= 1.0:
             raise InvalidProbabilityError(f"p must be in (0, 1], got {p!r}")
         idx = int(np.searchsorted(self._cum, p, side="left"))
         # cumulative mass can fall a few ulp short of 1 at the top
@@ -184,10 +180,7 @@ class IntervalEstimate:
     credibility: float
 
     def __post_init__(self):
-        if not 0.0 < self.credibility < 1.0:
-            raise InvalidProbabilityError(
-                f"credibility must be in (0, 1), got {self.credibility!r}"
-            )
+        _check_open_unit(self.credibility, "credibility")
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise BadIntervalError(f"malformed interval [{self.lo}, {self.hi}]")
 

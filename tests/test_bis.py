@@ -17,7 +17,12 @@ from bisampling.bis import (
     sample_realization,
     QSamples,
 )
-from bisampling.dirichlet import merge_duplicates, sample_dirichlet, split_window
+from bisampling.dirichlet import (
+    merge_duplicates,
+    sample_dirichlet,
+    split_window,
+    weight_chunks,
+)
 from bisampling.errors import (
     AtObservationError,
     EmptySamplesError,
@@ -341,7 +346,8 @@ class TestExactSplitLaw:
         f = Functional("quantile", p)
         qs = bis_run(data, interval, BisConfig(f, c, n_draws, seed))
         reduced, params = reduced_for(data, interval)
-        w = sample_dirichlet(params, substream(seed, 1), size=n_draws)
+        # unnormalised rows: every functional is scale invariant
+        (w,) = weight_chunks(params, substream(seed, 1), n_draws, n_draws)
         mc_min, mc_max = bounds_for_monotonic(w, reduced, f)
         points = make_extended_order_stats(data, interval).points
         cdf = exact_split_cdf(points, p)

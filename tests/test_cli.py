@@ -8,6 +8,7 @@ import pytest
 
 from conftest import SMALL_SAMPLE
 
+from bisampling import bis, cli
 from bisampling.cli import main, read_observations
 
 
@@ -259,6 +260,30 @@ class TestInfer:
         last = lines[-1].split(",")
         assert float(last[1]) == 1.0 and float(last[2]) == 1.0
 
+    @pytest.mark.parametrize("credibility, resamples", [(0.9, None), (0.95, 2000)])
+    def test_qbox_agrees_with_interval_by_rank(self, capsys, tmp_path, credibility,
+                                               resamples):
+        # the endpoint at level a is the first q-box row whose count F * N
+        # reaches ceil(a * N); at c=0.95, N=2000 reading F >= (1 - c) / 2
+        # directly lands one rank high, since (1 - 0.95) / 2 > 0.025
+        path, qbox = tmp_path / "obs.txt", tmp_path / "qbox.csv"
+        path.write_text("1\n2\n3\n")
+        argv = ["infer", str(path), "--param", "mean", "--bounds", "0", "10",
+                "--credibility", str(credibility), "--seed", "5", "--qbox", str(qbox)]
+        if resamples is not None:
+            argv += ["--resamples", str(resamples)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        result = json.loads(out)
+        n = result["n_resample"]
+        rows = [[float(v) for v in line.split(",")]
+                for line in qbox.read_text().splitlines()[2:]]
+        for end, level, column in (("lo", (1.0 - credibility) / 2.0, 2),
+                                   ("hi", (1.0 + credibility) / 2.0, 1)):
+            rank = bis._ceil(level * n)
+            first = next(r[0] for r in rows if round(r[column] * n) >= rank)
+            assert first == result["interval"][end]
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(
             capsys, ["infer", "no-such-file", "--param", "mean", "--bounds", "0", "1"]
@@ -355,6 +380,17 @@ class TestCompare:
             assert 0.0 <= float(r[3]) <= 1.0
         assert run(capsys, argv) == (0, out, "")
 
+    def test_unknown_method_rejected_before_any_trial(self, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(cli, "coverage_experiment", lambda **kw: trials.append(kw))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--preset", "table3", "--trials", "300",
+                  "--methods", "bis", "bogus"])
+        assert exc.value.code == 2
+        assert trials == []
+        assert "bogus" in capsys.readouterr().err
+
+
 class TestZeroOrNegativeOption:
     @pytest.mark.parametrize(
         "extra",
@@ -365,6 +401,10 @@ class TestZeroOrNegativeOption:
             ["compare", "--credibility", "0"],
             ["compare", "--n-sample", "0"],
             ["compare", "--true-q", "nan"],
+            # NumPy refuses the 7 PiB of q-samples at once, allocating nothing
+            ["infer", "--resamples", "1000000000000000"],
+            ["udp-sample", "--alpha", "inf"],
+            ["udp-sample", "--alpha", "inf", "--method", "stick"],
         ],
         ids=" ".join,
     )
@@ -374,6 +414,8 @@ class TestZeroOrNegativeOption:
             argv = ["infer", sample_file, "--param", "median", "--bounds", "0", "inf"]
         elif command == "pbox":
             argv = ["pbox", sample_file, "--bounds", "0", "inf"]
+        elif command == "udp-sample":
+            argv = ["udp-sample"]
         else:
             argv = ["compare", "--preset", "table3", "--trials", "2"]
         code, out, err = run(capsys, argv + options)

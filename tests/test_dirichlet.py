@@ -51,15 +51,17 @@ class TestSampleDirichlet:
         "params", [np.ones(300), np.linspace(0.2, 3.0, 300)], ids=["ones", "mixed"]
     )
     def test_block_equals_single_draws(self, params):
-        block = sample_dirichlet(params, stream(4), size=5)
+        (rows,) = weight_chunks(params, stream(4), 5, 5)
+        block = rows / rows.sum(axis=1, keepdims=True)
         rng = stream(4)
         singles = np.array([sample_dirichlet(params, rng) for _ in range(5)])
         assert block.shape == (5, params.size)
         assert np.array_equal(block, singles)
 
     def test_underflowing_shapes_give_vertices(self):
-        # every gamma of shape 1e-300 underflows to zero; each row is a vertex
-        block = sample_dirichlet(np.full(7, 1e-300), stream(13), size=50)
+        # every gamma of shape 1e-300 underflows to zero; each draw is a vertex
+        rng = stream(13)
+        block = np.array([sample_dirichlet(np.full(7, 1e-300), rng) for _ in range(50)])
         assert not np.isnan(block).any()
         assert ((block == 1.0).sum(axis=1) == 1).all()
         assert ((block == 0.0).sum(axis=1) == 6).all()
@@ -74,7 +76,7 @@ class TestSampleDirichlet:
         assert sample_dirichlet([5.0], stream(6)).tolist() == [1.0]
 
     def test_rejects_nonpositive_params(self):
-        for params in ([1.0, 0.0], [1.0, -2.0], [1.0, float("nan")]):
+        for params in ([1.0, 0.0], [1.0, -2.0], [1.0, float("nan")], [1.0, INF]):
             with pytest.raises(ValueError):
                 sample_dirichlet(params, stream(0))
 
@@ -95,9 +97,10 @@ class TestWeightChunks:
             min(chunk_rows, 10 - start) for start in range(0, 10, chunk_rows)
         ]
         rows = np.concatenate(chunks)
-        # the same rows, normalised, are sample_dirichlet's block
+        # the same rows, normalised, are consecutive sample_dirichlet draws
+        rng = stream(4)
         assert np.array_equal(rows / rows.sum(axis=1, keepdims=True),
-                              sample_dirichlet(params, stream(4), size=10))
+                              [sample_dirichlet(params, rng) for _ in range(10)])
 
     def test_underflowing_shapes_give_vertices(self):
         (rows,) = weight_chunks(np.full(7, 1e-300), stream(13), 50, 50)
@@ -169,8 +172,9 @@ class TestSampleSplitIndex:
         # general (non-integer) parameters, against cumulative Dirichlet weights
         params, p, n = np.array([0.5, 2.0, 1.5, 0.2, 3.0]), 0.4, 20_000
         idx = sample_split_index(params, p, stream(5), n)
-        w = sample_dirichlet(params, stream(6), size=n)
-        mc = (np.cumsum(w, axis=1) >= p).argmax(axis=1)
+        (w,) = weight_chunks(params, stream(6), n, n)
+        cum = np.cumsum(w, axis=1)
+        mc = (cum >= p * cum[:, -1:]).argmax(axis=1)
         for j in range(params.size):
             a, b = np.mean(idx <= j), np.mean(mc <= j)
             f = (a + b) / 2.0
@@ -282,6 +286,8 @@ class TestUnitDpGrid:
         with pytest.raises(ValueError):
             sample_unit_dp_grid(0.0, 10, stream(0))
         with pytest.raises(ValueError):
+            sample_unit_dp_grid(INF, 10, stream(0))
+        with pytest.raises(ValueError):
             sample_unit_dp_grid(1.0, 0, stream(0))
 
 
@@ -304,6 +310,13 @@ class TestUnitDpStick:
             [sample_unit_dp_stick(5.0, 30, rng).supports for _ in range(2_000)]
         )
         assert sps.kstest(locations, "uniform").pvalue > 0.01
+
+    def test_rejects_bad_args(self):
+        for alpha in (0.0, INF, float("nan")):
+            with pytest.raises(ValueError):
+                sample_unit_dp_stick(alpha, 10, stream(0))
+        with pytest.raises(ValueError):
+            sample_unit_dp_stick(1.0, 0, stream(0))
 
 
 class TestDeterminism:

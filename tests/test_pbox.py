@@ -9,6 +9,7 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
+from bisampling.functionals import q_quantile
 from bisampling.pbox import (
     BoundingInterval,
     ProbabilityBox,
@@ -85,6 +86,13 @@ class TestWeightedStepCdf:
         assert d.quantile(0.6) == 2.0
         assert d.quantile(0.5) == 1.0
         assert d.quantile(1.0) == 3.0
+
+    def test_quantile_clamps_mass_a_few_ulp_short_of_one(self):
+        # the cumulative mass tops out at 1 - 1e-13, under a level of 1 - 1e-16;
+        # the generalized inverse still ends at the last atom
+        d = WeightedStepCdf([1.0, 2.0], [0.5, 0.5 - 1e-13])
+        assert d.quantile(1.0 - 1e-16) == 2.0
+        assert q_quantile(d, 1.0 - 1e-16) == 2.0
 
     def test_quantile_domain(self):
         d = WeightedStepCdf([1.0], [1.0])
