@@ -38,7 +38,6 @@ from .dirichlet import (
 )
 from .functionals import (
     Functional,
-    bounds_for_monotonic,
     q_cvar,
     q_mean,
     q_quantile,
@@ -72,7 +71,6 @@ __all__ = [
     "bayesian_bootstrap_interval",
     "bis_run",
     "bootstrap_interval",
-    "bounds_for_monotonic",
     "coverage_experiment",
     "default_n_resample",
     "expected_pbox",

@@ -1,7 +1,7 @@
 """Reference interval methods, synthetic generators and the coverage harness.
 
 Each bootstrap resample is a row of weights over the sorted data (integer
-counts, or the engine's ``weight_chunks`` rows for the Bayesian bootstrap),
+counts, or the engine's Dirichlet rows for the Bayesian bootstrap),
 streamed in chunks through the engine's loop ``bis._resample``.
 """
 
@@ -14,8 +14,14 @@ import numpy as np
 from scipy import stats as sps
 
 from . import rng as rngmod
-from .bis import BisConfig, _chunk_rows, _resample, bis_run, interval_estimate
-from .dirichlet import weight_chunks
+from .bis import (
+    BisConfig,
+    _chunk_rows,
+    _dirichlet_resample,
+    _resample,
+    bis_run,
+    interval_estimate,
+)
 from .errors import TooFewSamplesError
 from .functionals import Functional, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
@@ -124,12 +130,18 @@ def bootstrap_interval(
 def bayesian_bootstrap_interval(
     data, f: Functional, credibility: float, n_resample: int, rng: np.random.Generator
 ) -> IntervalEstimate:
-    """Bayesian bootstrap: uniform Dirichlet weights on the sorted observations."""
+    """Bayesian bootstrap: uniform Dirichlet weights on the sorted observations.
+
+    The rows come from the draw of ``bis_run``, ``bis._dirichlet_resample``,
+    with all-ones parameters, so a truncated mean or CVaR searches its
+    split window and draws the observations it reads only through their
+    total as that one total.
+    """
     arr = np.asarray(data, dtype=float).reshape(-1)
     if arr.size < 1:
         raise TooFewSamplesError("need at least one observation")
-    chunks = weight_chunks(np.ones(arr.size), rng, n_resample, _chunk_rows(8 * arr.size))
-    qs = _resample(f, prepare_supports(np.sort(arr)), chunks, n_resample)
+    qs = _dirichlet_resample(f, np.ones(arr.size), prepare_supports(np.sort(arr)), rng,
+                             n_resample)
     return interval_estimate(qs, credibility)
 
 

@@ -29,7 +29,13 @@ from .errors import (
     OutOfBoundsError,
     _check_open_unit,
 )
-from .functionals import Functional, cell_supports, evaluate_rows, quantile_bounds
+from .functionals import (
+    Functional,
+    _lumped,
+    cell_supports,
+    evaluate_rows,
+    quantile_bounds,
+)
 from .pbox import (
     BoundingInterval,
     IntervalEstimate,
@@ -152,9 +158,11 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
     weights are drawn.  Other functionals take the weights unnormalised
     (every functional is scale invariant), in chunks of about
     ``_CHUNK_BYTES`` from one reused buffer; memory is O(n) beyond the
-    q-samples.  The cell supports and, for the truncated mean and CVaR, the
-    window of cells the split can reach (``split_window``) are found once
-    per run, and each chunk's split is searched for only in that window.
+    q-samples.  The cell supports are prepared once per run.  For the
+    truncated mean and CVaR, each split is searched for only in the window
+    of cells it can reach (``split_window``), and the cells the functional
+    reads only through their total are drawn as that total (see
+    ``_dirichlet_resample``).
     """
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
@@ -172,22 +180,73 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
         idx = sample_split_index(params, f.p, rng, n)
         q_min, q_max = quantile_bounds(idx, reduced)
         return QSamples(q_min=q_min, q_max=q_max)
-    window = None if f.kind == "mean" else split_window(params, f.p)
-    chunks = weight_chunks(params, rng, n, _chunk_rows(8 * params.size))
-    return _resample(f, cell_supports(reduced), chunks, n, window)
+    return _dirichlet_resample(f, params, cell_supports(reduced), rng, n)
 
 
-def _resample(f: Functional, supports, chunks, n_resample: int, window=None) -> QSamples:
+def _dirichlet_resample(f: Functional, params, supports, rng, n_resample: int) -> QSamples:
+    """Q-samples of ``f`` on ``n_resample`` Dirichlet(params) weight rows over
+    the prepared ``supports``, one atom per parameter: the draw of
+    ``bis_run`` (the cells) and of the Bayesian bootstrap (the sorted data).
+
+    The mean and a quantile take whole rows.  A truncated mean or CVaR
+    looks for each row's split only in the cells lo..hi of ``split_window``
+    and reads the cells on one side of them only through their total: CVaR
+    the cells before lo, the truncated mean those after hi.  Those cells
+    are drawn as one Gamma total per row (``weight_chunks``' ``lump``, by
+    Dirichlet aggregation), which takes the slot of cell lo-1 or hi+1 in a
+    row slice of ``supports`` (``functionals._lumped``), so every q-sample
+    keeps its law.  A row whose split lands inside the total, which has
+    probability about 2**-53, comes back NaN; its lumped cells are redrawn
+    from their exact law given the total (the total times a Dirichlet
+    vector of their parameters), in row order from a substream spawned
+    from ``rng``, and the row is evaluated over every cell.
+    """
+    k = params.size
+    chunk_rows = _chunk_rows(8 * k)
+    window = None if f.kind in ("mean", "quantile") else split_window(params, f.p)
+    if window is not None:
+        lo, hi = window
+        start, stop = (0, lo) if f.kind == "cvar" else (hi + 1, k)
+    if window is None or start == stop:
+        chunks = weight_chunks(params, rng, n_resample, chunk_rows)
+        return _resample(f, supports, chunks, n_resample, window)
+    sub = None
+
+    def unlump(rows):
+        nonlocal sub
+        sub = sub or rng.spawn(1)[0]
+        full = np.empty((rows.shape[0], k))
+        full[:, :start] = rows[:, :start]
+        full[:, stop:] = rows[:, start + 1 :]
+        for row, drawn in zip(full, rows):
+            row[start:stop] = drawn[start] * sample_dirichlet(params[start:stop], sub)
+        return evaluate_rows(f, supports, full, window)
+
+    atoms = slice(lo - 1, k) if f.kind == "cvar" else slice(0, hi + 2)
+    chunks = weight_chunks(params, rng, n_resample, chunk_rows, (start, stop))
+    return _resample(f, _lumped(supports, atoms, start), chunks, n_resample,
+                     (lo - atoms.start, hi - atoms.start), unlump)
+
+
+def _resample(f: Functional, supports, chunks, n_resample: int, window=None,
+              unlump=None) -> QSamples:
     """Q-samples of ``f`` on the ``n_resample`` weight rows that ``chunks`` yields
     in blocks over the prepared ``supports``, each block evaluated as it comes.
-    The first supports column gives ``q_min`` and the last ``q_max``.  The
+    The first supports column gives ``q_min`` and the last ``q_max``.  Rows
+    that come back NaN (a split inside a lumped atom) take the results of
+    ``unlump`` on their weights, while the block still holds them.  The
     count is checked before ``chunks``, a generator, draws anything."""
     _check_n_resample(n_resample, least=0)
     q = np.empty((supports.values.shape[1], n_resample))
     start = 0
     for w in chunks:
         stop = start + w.shape[0]
-        q[:, start:stop] = evaluate_rows(f, supports, w, window).T
+        block = q[:, start:stop]
+        block[...] = evaluate_rows(f, supports, w, window).T
+        if unlump is not None:
+            (missed,) = np.isnan(block[0]).nonzero()
+            if missed.size:
+                block[:, missed] = unlump(w[missed]).T
         start = stop
     return QSamples(q_min=q[0], q_max=q[-1])
 

@@ -252,6 +252,11 @@ def cmd_udp_sample(args) -> int:
         raise BisamplingError("--cells must be at least 1")
     if args.count < 1:
         raise BisamplingError("--count must be at least 1")
+    if args.method == "grid" and args.alpha > 0 and args.alpha / args.cells == 0:
+        raise BisamplingError(
+            f"--alpha {args.alpha!r} / --cells {args.cells} underflows to 0: "
+            "each grid cell's Dirichlet parameter is alpha / cells"
+        )
     grid = np.arange(1, args.cells + 1) / args.cells
     header = ["x"] + [f"cdf_{i + 1}" for i in range(args.count)]
     columns = [grid]

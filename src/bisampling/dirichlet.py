@@ -2,8 +2,9 @@
 
 One draw, ``_fill_rows``, makes every Dirichlet weight: ``weight_chunks``
 streams its rows unnormalised in chunks of one reused buffer for the
-resampling engine and the Bayesian bootstrap, and ``sample_dirichlet``
-normalises one such row (for one realisation and the unit-DP grid).
+resampling engine and the Bayesian bootstrap, optionally with a run of
+cells drawn as their one Gamma total, and ``sample_dirichlet`` normalises
+one such row (for one realisation and the unit-DP grid).
 ``sample_split_index`` draws the cell where the cumulative weight first
 reaches a level from its exact law, without drawing weights, and
 ``split_window`` gives the few cells that law can select.  The unit
@@ -31,17 +32,22 @@ def _positive_params(params) -> np.ndarray:
     return a
 
 
-def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out):
+def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out,
+               lump=None):
     """Fill the rows of ``out`` with unnormalised Dirichlet(a) weights.
 
-    A row whose draws are all zero (every gamma underflowed, or one cell
-    drew an exact zero) becomes a random vertex, the limit law of such a
-    row.  Such a row starts with a zero, so only those rows are scanned.
+    ``lump``, a pair ``(column, totals)``, then overwrites that column with
+    totals drawn beforehand.  A row whose draws are all zero (every gamma
+    underflowed, or one cell drew an exact zero) becomes a random vertex,
+    the limit law of such a row.  Such a row starts with a zero, so only
+    those rows are scanned.
     """
     if exponential:
         rng.standard_exponential(out=out)
     else:
         rng.standard_gamma(a, out=out)
+    if lump is not None:
+        out[:, lump[0]] = lump[1]
     maybe = np.flatnonzero(out[:, 0] <= 0.0)
     dead = maybe[~out[maybe].any(axis=1)]
     if dead.size:
@@ -58,21 +64,36 @@ def sample_dirichlet(params, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum()
 
 
-def weight_chunks(params, rng: np.random.Generator, size: int, chunk_rows: int):
+def weight_chunks(params, rng: np.random.Generator, size: int, chunk_rows: int,
+                  lump=None):
     """Draw ``size`` unnormalised Dirichlet weight rows, ``chunk_rows`` at a time.
 
-    Yields views of one reused ``(chunk_rows, len(params))`` buffer, each
+    Yields views of one reused ``(chunk_rows, width)`` buffer, each
     overwritten by the next chunk; the last may hold fewer rows.  Rows are
     filled in order from ``rng`` and a generator fills sequentially, so the
     rows drawn do not depend on ``chunk_rows``.  A row is proportional to a
     Dirichlet draw; its total is left as drawn.
+
+    ``lump``, a pair ``(start, stop)``, draws the cells ``start..stop-1`` as
+    one column at ``start``: their summed weight, which by Dirichlet
+    aggregation is one Gamma(sum of their parameters) variate independent
+    of the other cells.  All ``size`` totals are drawn first, in one call;
+    the rows, ``len(params) - (stop - start) + 1`` wide, are then filled
+    chunk by chunk with a placeholder draw at ``start`` that the total
+    overwrites, so every fill stays one contiguous call.  Without ``lump``
+    a row has one column per cell.
     """
     a = _positive_params(params)
+    if lump is not None:
+        start, stop = lump
+        totals = rng.standard_gamma(a[start:stop].sum(), size=size)
+        a = np.concatenate((a[:start], [1.0], a[stop:]))
     exponential = bool(np.all(a == 1.0))
     buf = np.empty((min(chunk_rows, size), a.size))
-    for start in range(0, size, chunk_rows):
-        out = buf[: min(chunk_rows, size - start)]
-        _fill_rows(a, exponential, rng, out)
+    for first in range(0, size, chunk_rows):
+        out = buf[: min(chunk_rows, size - first)]
+        chunk_lump = None if lump is None else (start, totals[first : first + out.shape[0]])
+        _fill_rows(a, exponential, rng, out, chunk_lump)
         yield out
 
 
@@ -103,7 +124,8 @@ def split_window(params, p: float) -> tuple[int, int]:
     ``p``.  ``sample_split_index`` evaluates its law only on these cells,
     and the resampling engine looks for the split of its weight rows only
     there (``functionals.evaluate_rows`` recomputes a row that splits
-    elsewhere over every cell).  See ``_law_window``.
+    elsewhere over every cell) and draws the cells on one side of them as
+    one total (``weight_chunks``' ``lump``).  See ``_law_window``.
     """
     return _split_law(params, p)[2:]
 
@@ -205,6 +227,8 @@ def sample_unit_dp_grid(
         raise ValueError("alpha must be positive and finite")
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
+    if alpha / n_cells == 0:
+        raise ValueError(f"alpha / n_cells = {alpha!r} / {n_cells} underflows to 0")
     w = sample_dirichlet(np.full(n_cells, alpha / n_cells), rng)
     x = np.arange(1, n_cells + 1) / n_cells
     return WeightedStepCdf(x, w)

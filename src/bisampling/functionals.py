@@ -3,7 +3,7 @@
 All functionals implemented here are monotonic with respect to first-order
 stochastic dominance, so their extremes over a probability box are attained
 at the box's own bounds; ``_cell_endpoints`` is the one place that pairs
-each extreme with its bound, for ``bounds_for_monotonic`` and
+each extreme with its bound, for ``cell_supports`` and
 ``quantile_bounds``.  Functionals are total on finite-support
 distributions and return signed infinities where a result is unbounded
 rather than raising.
@@ -11,7 +11,7 @@ rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,7 +77,8 @@ class Supports:
     same product, then m indicator columns of the +inf atoms (at ``pos``)
     and m of the -inf atoms (at ``neg``) when any column has such atoms.
     ``terms`` is column-major, so the rows of the atoms outside a split
-    window are a contiguous piece of every column.
+    window are a contiguous piece of every column.  ``lump``, set only by
+    ``_lumped``, is an atom whose weight stands for several atoms' total.
     """
 
     values: np.ndarray  # (n, m) sorted columns
@@ -87,6 +88,7 @@ class Supports:
     pos: slice | None
     neg: slice | None
     vector: bool  # made from one vector: results are (k,), not (k, 1)
+    lump: int | None = None
 
 
 def prepare_supports(supports) -> Supports:
@@ -111,6 +113,23 @@ def prepare_supports(supports) -> Supports:
         else:
             slices.append(None)
     return Supports(s, terms, *(at.sum(axis=0) for at in extremes), *slices, vector)
+
+
+def _lumped(sup: Supports, atoms: slice, lump: int) -> Supports:
+    """The atoms ``atoms`` of ``sup`` (a row slice, no copy) for weight rows
+    whose atom ``lump`` of the slice, its first or last, carries the summed
+    weight of that atom and of every atom of ``sup`` beyond it.
+
+    A truncated mean, CVaR or quantile reads such a total only as weight on
+    the side of the split it lies on, so the lump's own values enter no
+    result unless a row splits inside it.  Such a row has no result from
+    these atoms: ``evaluate_rows`` gives it NaN, for the caller to redraw
+    the lumped atoms.
+    """
+    values = sup.values[atoms]
+    return replace(sup, values=values, terms=sup.terms[atoms],
+                   n_pos=np.isposinf(values).sum(axis=0),
+                   n_neg=np.isneginf(values).sum(axis=0), lump=lump)
 
 
 def _has_weight(sums: np.ndarray, cols: slice | None):
@@ -140,7 +159,11 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
     outside them from one product on a row slice of ``terms``.  A row whose
     split atom lies outside ``lo..hi`` is recomputed with every atom in the
     window, where the slices outside are empty, so the results do not
-    depend on the window.
+    depend on the window.  On rows laid out by the engine's lumped draw
+    (``_lumped``) the atom just outside the window on one side is the
+    total of every cell beyond it, so the weight on that side, ``before``
+    for CVaR and ``after`` for the truncated mean, is that one column; a
+    row whose split falls on it is NaN.
 
     For a split mean the atoms strictly on the chosen side contribute their
     whole weight and the split atom the rest of that side's mass (p of the
@@ -193,6 +216,8 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
             inside = idx[:, None] >= sup.n_neg
             forced = inside & _has_weight(sums, sup.neg)
         out = np.where(forced, np.inf if tail else -np.inf, out)
+    if sup.lump is not None:
+        out[idx == sup.lump] = np.nan
     if lo > 0 or hi < n_atoms - 1:
         missed = (before >= p * total) | ~reached[:, -1]
         if missed.any():
@@ -217,6 +242,8 @@ def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarr
     (``dirichlet.split_window`` gives it for Dirichlet rows); rows that
     split elsewhere are recomputed over every atom, so the window changes
     the cost, not the results.  None means every atom; the mean ignores it.
+    On supports made by ``_lumped`` a row that splits on the lumped atom
+    has no result here and is NaN; the resampling engine redraws it.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
@@ -275,25 +302,6 @@ def cell_supports(reduced_points) -> Supports:
     prepared for ``evaluate_rows``: column 0 gives ``q_min``, column 1
     ``q_max`` (see ``_cell_endpoints``)."""
     return prepare_supports(np.column_stack(_cell_endpoints(reduced_points)))
-
-
-def bounds_for_monotonic(weights, reduced_points, f: Functional) -> tuple:
-    """Extremes of a monotonic functional over imprecise realisations.
-
-    ``weights`` are cell weights for the cells between consecutive
-    ``reduced_points``: one vector, or a block with one realisation per
-    row.  Returns ``(q_min, q_max)`` as floats for one vector and as arrays
-    for a block.
-    """
-    w = np.asarray(weights, dtype=float)
-    rows = np.atleast_2d(w)
-    supports = cell_supports(reduced_points)
-    if rows.shape[1] != supports.values.shape[0]:
-        raise ValueError("need one more point than weights")
-    q = evaluate_rows(f, supports, rows)
-    if w.ndim < 2:
-        return float(q[0, 0]), float(q[0, 1])
-    return q[:, 0], q[:, 1]
 
 
 def quantile_bounds(split_index, reduced_points) -> tuple[np.ndarray, np.ndarray]:

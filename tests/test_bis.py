@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from bisampling import bis, functionals
+from bisampling import bis, dirichlet, functionals
+from bisampling.baselines import bayesian_bootstrap_interval
 from bisampling.bis import (
     BisConfig,
     bis_run,
@@ -30,7 +31,12 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
-from bisampling.functionals import Functional, bounds_for_monotonic
+from bisampling.functionals import (
+    Functional,
+    cell_supports,
+    evaluate_rows,
+    prepare_supports,
+)
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
 from bisampling.rng import stream, substream
 
@@ -173,8 +179,6 @@ class TestBisRun:
         merged = bis_run(data, interval, cfg)
         rng = stream(22)
         full = np.empty(10_000)
-        from bisampling.functionals import evaluate_rows
-
         for i in range(full.size):
             w = sample_dirichlet(np.ones(len(data) + 1), rng)
             full[i] = evaluate_rows(f, stats.points[1:], w[None])[0]
@@ -256,17 +260,131 @@ class TestWindowedSplit:
         split_rows = functionals._split_rows
 
         def counting(sup, w, f, lo, hi):
-            calls.append((lo, hi, w.shape[0]))
+            calls.append((lo, hi, w.shape[0], sup.values.shape[0]))
             return split_rows(sup, w, f, lo, hi)
 
         # a row that splits outside the window is recomputed by a second call
         monkeypatch.setattr(functionals, "_split_rows", counting)
         bis_run(data, POSITIVE, BisConfig(functional, 0.9, n_resample, 11))
         params = reduced_for(data, POSITIVE)[1]
-        window = split_window(params, functional.p)
-        assert {call[:2] for call in calls} == {window}
+        k = params.size
+        lo, hi = split_window(params, functional.p)
+        # the rows hold the window's cells and one total for the cells the
+        # functional reads only through it: for CVaR those before the window,
+        # in the slot of cell lo - 1; for the truncated mean those after it,
+        # in the slot of cell hi + 1
+        if functional.kind == "cvar":
+            shift, atoms = lo - 1, k - lo + 1
+        else:
+            shift, atoms = 0, min(hi + 2, k)
+        assert {call[:2] for call in calls} == {(lo - shift, hi - shift)}
+        assert {call[3] for call in calls} == {atoms}
         assert sum(call[2] for call in calls) == n_resample
-        assert window[1] - window[0] < params.size / 4
+        assert hi - lo < k / 4
+
+
+def full_rows(f, params, supports, rng, n_resample):
+    """The q-samples of ``f`` on whole Dirichlet rows, every split searched
+    for in every cell: the draw before the lumped total."""
+    (w,) = weight_chunks(params, rng, n_resample, n_resample)
+    return evaluate_rows(f, supports, w).reshape(n_resample, -1)
+
+
+def narrowed_window(params, f):
+    """The law's window cut, on the side whose cells ``f`` reads only through
+    their total, at the cell where the cumulative parameters reach p of their
+    sum, so about half of the rows split inside that total."""
+    lo, hi = split_window(params, f.p)
+    mid = int(np.searchsorted(np.cumsum(params), f.p * params.sum()))
+    return (mid, hi) if f.kind == "cvar" else (lo, mid)
+
+
+@pytest.mark.filterwarnings("ignore:n_resample is below")
+class TestLumpedDraw:
+    """CVaR draws the cells before its split window, and the truncated mean
+    those after it, as one Gamma total per row."""
+
+    @staticmethod
+    def draw_inputs(case, n):
+        data = np.exp(stream(5).normal(0.0, 1.0, n))
+        if case == "cells":
+            reduced, params = reduced_for(data, POSITIVE)
+            return params, cell_supports(reduced)
+        # the Bayesian bootstrap's rows: all-ones weights on the sorted data
+        return np.ones(n), prepare_supports(np.sort(data))
+
+    @pytest.mark.parametrize("f", ["cvar:0.9", "trunc-mean:0.5", "mean"])
+    def test_rows_hold_one_column_for_the_total(self, monkeypatch, f):
+        data = np.exp(stream(3).normal(0.0, 1.0, 1000))
+        widths = []
+        fill_rows = dirichlet._fill_rows
+
+        def recording(a, exponential, rng, out, lump=None):
+            widths.append(out.shape[1])
+            return fill_rows(a, exponential, rng, out, lump)
+
+        monkeypatch.setattr(dirichlet, "_fill_rows", recording)
+        functional = Functional.parse(f)
+        bis_run(data, POSITIVE, BisConfig(functional, 0.9, 1000, 1))
+        params = reduced_for(data, POSITIVE)[1]
+        k = params.size
+        assert k == 1001
+        if functional.kind == "mean":
+            want = k
+        else:
+            lo, hi = split_window(params, functional.p)
+            want = k - lo + 1 if functional.kind == "cvar" else hi + 2
+            # the cells on the side read through the total make one column
+            assert want < k / 2 if functional.kind == "cvar" else want < k
+        assert set(widths) == {want}
+
+    @pytest.mark.parametrize("kind", ["cvar", "trunc_mean"])
+    @pytest.mark.parametrize("case", ["cells", "bayesian-bootstrap"])
+    def test_forced_fallback_keeps_the_law(self, monkeypatch, case, kind):
+        n_resample = 4000
+        params, supports = self.draw_inputs(case, 200)
+        f = Functional(kind, 0.5)
+        monkeypatch.setattr(bis, "split_window", lambda params, p: narrowed_window(params, f))
+        redrawn = []
+        draw = bis.sample_dirichlet
+
+        def counting(params, rng):
+            redrawn.append(params.size)
+            return draw(params, rng)
+
+        monkeypatch.setattr(bis, "sample_dirichlet", counting)
+        qs = bis._dirichlet_resample(f, params, supports, stream(7), n_resample)
+        # the rows that split inside the total redraw every cell of it
+        lo, hi = narrowed_window(params, f)
+        assert 0.3 * n_resample < len(redrawn) < 0.7 * n_resample
+        assert set(redrawn) == {lo if kind == "cvar" else params.size - 1 - hi}
+        want = full_rows(f, params, supports, stream(8), n_resample)
+        for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, -1])):
+            assert not np.isnan(got).any()
+            assert sps.ks_2samp(got, ref).pvalue > 0.01
+
+    @pytest.mark.parametrize("narrowed", [False, True], ids=["law-window", "narrowed"])
+    @pytest.mark.parametrize("f", ["cvar:0.9", "trunc-mean:0.5"])
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, f, narrowed):
+        data = np.exp(stream(3).normal(0.0, 1.0, 1000))
+        functional = Functional.parse(f)
+        if narrowed:
+            # about half of the rows take the exact fallback
+            monkeypatch.setattr(bis, "split_window",
+                                lambda params, p: narrowed_window(params, functional))
+        runs = []
+        # one-row chunks, 7-row chunks (7 does not divide 50), the default
+        for chunk_bytes in (1, 7 * 8 * 1001, bis._CHUNK_BYTES):
+            monkeypatch.setattr(bis, "_CHUNK_BYTES", chunk_bytes)
+            qs = bis_run(data, POSITIVE, BisConfig(functional, 0.5, 50, 5))
+            est = bayesian_bootstrap_interval(data, functional, 0.5, 50, stream(5))
+            runs.append((qs.q_min, qs.q_max, [est.lo, est.hi]))
+        for run in runs[:-1]:
+            for a, b in zip(run, runs[-1]):
+                assert not np.isnan(a).any()
+                assert np.array_equal(np.isinf(a), np.isinf(b))
+                # a matrix product may round differently for other row counts
+                np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
 @pytest.mark.filterwarnings("ignore:n_resample is below")
@@ -326,17 +444,23 @@ def exact_split_cdf(points, p):
     return np.append(sps.beta.sf(p, i + 1, n - i), 1.0)
 
 
+# tied data on bounded, half-bounded and unbounded intervals
+SPLIT_DATA = st.lists(st.integers(0, 6).map(float), max_size=8)
+SPLIT_INTERVALS = st.sampled_from([BoundingInterval(0.0, 6.0), POSITIVE,
+                                   BoundingInterval(-INF, INF)])
+
+
 class TestExactSplitLaw:
-    """The quantile path against Monte Carlo blocks and the Beta oracle."""
+    """The quantile path against Monte Carlo blocks and the Beta oracle, and
+    the lumped draw of the split means against whole rows."""
 
     N = 20_000
     Z = 5.0
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
-        data=st.lists(st.integers(0, 6).map(float), max_size=8),
-        interval=st.sampled_from([BoundingInterval(0.0, 6.0), POSITIVE,
-                                  BoundingInterval(-INF, INF)]),
+        data=SPLIT_DATA,
+        interval=SPLIT_INTERVALS,
         p=st.floats(0.001, 0.999),
         c=st.floats(0.5, 0.95),
         seed=st.integers(0, 2**32),
@@ -348,7 +472,7 @@ class TestExactSplitLaw:
         reduced, params = reduced_for(data, interval)
         # unnormalised rows: every functional is scale invariant
         (w,) = weight_chunks(params, substream(seed, 1), n_draws, n_draws)
-        mc_min, mc_max = bounds_for_monotonic(w, reduced, f)
+        mc_min, mc_max = evaluate_rows(f, cell_supports(reduced), w).T
         points = make_extended_order_stats(data, interval).points
         cdf = exact_split_cdf(points, p)
         # P(q_min <= v) and P(q_max <= v) at every distinct point v
@@ -371,6 +495,28 @@ class TestExactSplitLaw:
             band = [points[np.searchsorted(cdf, level, side="left") + shift]
                     for level in (max(a - d, 0.0), min(a + d, 1.0))]
             assert band[0] <= got <= band[1]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        data=SPLIT_DATA,
+        # repeated ties keep the cells few but their parameters large, so the
+        # window leaves cells out on both sides and the total is drawn
+        copies=st.integers(1, 300),
+        interval=SPLIT_INTERVALS,
+        kind=st.sampled_from(["cvar", "trunc_mean"]),
+        p=st.floats(0.001, 0.999),
+        seed=st.integers(0, 2**32),
+    )
+    def test_lumped_split_means_match_whole_rows(self, data, copies, interval, kind, p,
+                                                 seed):
+        f = Functional(kind, p)
+        qs = bis_run(data * copies, interval, BisConfig(f, 0.5, self.N, seed))
+        reduced, params = reduced_for(data * copies, interval)
+        want = full_rows(f, params, cell_supports(reduced), substream(seed, 1), self.N)
+        # a two-sample KS test at the two-sided level of z = 5
+        for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, 1])):
+            assert not np.isnan(got).any()
+            assert sps.ks_2samp(got, ref).pvalue > 2.0 * sps.norm.sf(self.Z)
 
 
 class TestIntervalEstimate:

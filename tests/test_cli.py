@@ -453,6 +453,14 @@ class TestUdpSample:
         sup = max(abs(float(x) - float(cdf)) for x, cdf in rows)
         assert sup < 0.01
 
+    def test_underflowing_cell_parameter_names_the_options(self, capsys):
+        # alpha / cells rounds to 0, though --alpha alone is positive
+        code, out, err = run(capsys, ["udp-sample", "--alpha", "5e-324", "--cells", "200"])
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err and "--cells" in err and "underflows" in err
+        assert "Dirichlet parameters" not in err
+
     def test_stick_method(self, capsys):
         code, out, _ = run(
             capsys,

@@ -34,8 +34,9 @@ class TestUniformSimplex:
 
     def test_component_means_and_beta_marginal(self):
         # for 16 components each W_i has mean 1/16 and marginal Beta(1, 15)
-        rng = stream(3)
-        draws = np.array([sample_dirichlet(np.ones(16), rng) for _ in range(100_000)])
+        # 100 000 rows of one draw, normalised as sample_dirichlet normalises one
+        (rows,) = weight_chunks(np.ones(16), stream(3), 100_000, 100_000)
+        draws = rows / rows.sum(axis=1, keepdims=True)
         var = (1 / 16) * (15 / 16) / 17
         se = np.sqrt(var / draws.shape[0])
         assert (np.abs(draws.mean(axis=0) - 1 / 16) < 4 * se).all()
@@ -67,9 +68,9 @@ class TestSampleDirichlet:
         assert ((block == 0.0).sum(axis=1) == 6).all()
 
     def test_two_parameter_beta_marginal(self):
-        rng = stream(5)
         a, b = 2.5, 4.0
-        draws = np.array([sample_dirichlet([a, b], rng)[0] for _ in range(100_000)])
+        (rows,) = weight_chunks([a, b], stream(5), 100_000, 100_000)
+        draws = rows[:, 0] / rows.sum(axis=1)
         assert sps.kstest(draws, "beta", args=(a, b)).pvalue > 0.01
 
     def test_single_parameter(self):
@@ -281,6 +282,10 @@ class TestUnitDpGrid:
         for i in range(5):
             d = sample_unit_dp_grid(1e6, 200, substream(9, i))
             assert np.abs(d.cdf(grid) - grid).max() < 0.01
+
+    def test_rejects_underflowing_cell_parameter(self):
+        with pytest.raises(ValueError, match="alpha / n_cells .* underflows to 0"):
+            sample_unit_dp_grid(5e-324, 200, stream(0))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

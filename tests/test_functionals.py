@@ -7,7 +7,6 @@ from bisampling.dirichlet import merge_duplicates, split_window, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
-    bounds_for_monotonic,
     cell_supports,
     evaluate_rows,
     q_cvar,
@@ -139,36 +138,38 @@ class TestTruncatedMeanAndCvar:
 
 
 class TestBoundsForMonotonic:
+    """Extremes of a monotonic functional: ``evaluate_rows`` on cell supports."""
+
     def test_hand_mean(self):
-        q_min, q_max = bounds_for_monotonic(
-            [0.5, 0.3, 0.2], [0, 1, 2, 3], Functional("mean")
+        ((q_min, q_max),) = evaluate_rows(
+            Functional("mean"), cell_supports([0, 1, 2, 3]), [0.5, 0.3, 0.2]
         )
         assert (q_min, q_max) == (pytest.approx(0.7), pytest.approx(1.7))
 
     def test_hand_quantile(self):
-        q_min, q_max = bounds_for_monotonic(
-            [0.5, 0.3, 0.2], [0, 1, 2, 3], Functional("quantile", 0.6)
+        ((q_min, q_max),) = evaluate_rows(
+            Functional("quantile", 0.6), cell_supports([0, 1, 2, 3]), [0.5, 0.3, 0.2]
         )
         assert (q_min, q_max) == (1.0, 2.0)
 
     def test_infinite_endpoint(self):
-        q_min, q_max = bounds_for_monotonic(
-            [0.5, 0.5], [0.0, 1.0, INF], Functional("mean")
+        ((q_min, q_max),) = evaluate_rows(
+            Functional("mean"), cell_supports([0.0, 1.0, INF]), [0.5, 0.5]
         )
         assert q_max == INF and q_min == pytest.approx(0.5)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            bounds_for_monotonic([0.5, 0.5], [0.0, 1.0], Functional("mean"))
+            evaluate_rows(Functional("mean"), cell_supports([0.0, 1.0]), [0.5, 0.5])
 
     def test_block_matches_single_rows(self):
         rng = np.random.default_rng(37)
         pts = np.array([0.0, 0.5, 0.5, 2.0, 3.5, INF])
         block = rng.dirichlet(np.ones(5), size=40)
         for f in (Functional("mean"), Functional("quantile", 0.4), Functional("cvar", 0.6)):
-            q_min, q_max = bounds_for_monotonic(block, pts, f)
+            q_min, q_max = evaluate_rows(f, cell_supports(pts), block).T
             assert q_min.shape == q_max.shape == (40,)
-            singles = np.array([bounds_for_monotonic(w, pts, f) for w in block])
+            singles = np.array([evaluate_rows(f, cell_supports(pts), w)[0] for w in block])
             # a block's mean is one matrix product, so it may differ in the last bits
             np.testing.assert_allclose(q_min, singles[:, 0], rtol=1e-13)
             np.testing.assert_allclose(q_max, singles[:, 1], rtol=1e-13)
@@ -186,7 +187,7 @@ class TestBoundsForMonotonic:
             pts = np.sort(rng.normal(size=n + 1) * 5)
             w = rng.dirichlet(np.ones(n))
             for f in functionals:
-                q_min, q_max = bounds_for_monotonic(w, pts, f)
+                ((q_min, q_max),) = evaluate_rows(f, cell_supports(pts), w)
                 assert q_min <= q_max
 
 
