@@ -16,6 +16,7 @@ from scipy import stats as sps
 from . import rng as rngmod
 from .bis import (
     BisConfig,
+    _check_n_resample,
     _chunk_rows,
     _dirichlet_resample,
     _resample,
@@ -120,6 +121,7 @@ def bootstrap_interval(
     n = arr.size
     if n < 1:
         raise TooFewSamplesError("need at least one observation")
+    _check_n_resample(n_resample, least=0)
     order = np.argsort(arr, kind="stable")
     # a chunk's draws, ranks, counts and rows are four (rows, n) arrays of 8 bytes
     chunks = _count_chunks(np.argsort(order), rng, n_resample, _chunk_rows(32 * n))
@@ -132,16 +134,17 @@ def bayesian_bootstrap_interval(
 ) -> IntervalEstimate:
     """Bayesian bootstrap: uniform Dirichlet weights on the sorted observations.
 
-    The rows come from the draw of ``bis_run``, ``bis._dirichlet_resample``,
-    with all-ones parameters, so a truncated mean or CVaR searches its
-    split window and draws the observations it reads only through their
-    total as that one total.
+    The resamples come from the draw of ``bis_run``,
+    ``bis._dirichlet_resample``, with all-ones parameters over one column
+    of sorted data: a quantile is the observation at a split index drawn
+    from its exact law, with no weights drawn, and a truncated mean or
+    CVaR searches its split window and draws the observations it reads
+    only through their total as that one total.
     """
     arr = np.asarray(data, dtype=float).reshape(-1)
     if arr.size < 1:
         raise TooFewSamplesError("need at least one observation")
-    qs = _dirichlet_resample(f, np.ones(arr.size), prepare_supports(np.sort(arr)), rng,
-                             n_resample)
+    qs = _dirichlet_resample(f, np.ones(arr.size), np.sort(arr)[:, None], rng, n_resample)
     return interval_estimate(qs, credibility)
 
 

@@ -32,9 +32,9 @@ from .errors import (
 from .functionals import (
     Functional,
     _lumped,
-    cell_supports,
+    cell_endpoints,
     evaluate_rows,
-    quantile_bounds,
+    prepare_supports,
 )
 from .pbox import (
     BoundingInterval,
@@ -152,17 +152,11 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
     For each of ``cfg.n_resample`` realisations: draw a weight vector over
     the cells between merged order statistics, form the lower/upper step
     CDFs sharing those weights, and evaluate the functional on both.  All
-    draws come from the one stream of ``cfg.seed``.  A quantile depends on
-    the weights only through the cell where their cumulative sum reaches
-    p, so for quantiles that cell is drawn from its exact law and no
-    weights are drawn.  Other functionals take the weights unnormalised
-    (every functional is scale invariant), in chunks of about
-    ``_CHUNK_BYTES`` from one reused buffer; memory is O(n) beyond the
-    q-samples.  The cell supports are prepared once per run.  For the
-    truncated mean and CVaR, each split is searched for only in the window
-    of cells it can reach (``split_window``), and the cells the functional
-    reads only through their total are drawn as that total (see
-    ``_dirichlet_resample``).
+    draws come from the one stream of ``cfg.seed``, through
+    ``_dirichlet_resample`` on the cells' endpoints (``cell_endpoints``),
+    which draws a quantile's split cell from its exact law and no weights,
+    and otherwise streams unnormalised weight rows in chunks; memory is
+    O(n) beyond the q-samples.
     """
     stats = make_extended_order_stats(data, interval)
     reduced, params = merge_duplicates(stats)
@@ -173,37 +167,41 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
             UserWarning,
             stacklevel=2,
         )
-    n = cfg.n_resample
-    f = cfg.functional
-    rng = rngmod.stream(cfg.seed)
-    if f.kind == "quantile":
-        idx = sample_split_index(params, f.p, rng, n)
-        q_min, q_max = quantile_bounds(idx, reduced)
-        return QSamples(q_min=q_min, q_max=q_max)
-    return _dirichlet_resample(f, params, cell_supports(reduced), rng, n)
+    return _dirichlet_resample(cfg.functional, params, cell_endpoints(reduced),
+                               rngmod.stream(cfg.seed), cfg.n_resample)
 
 
-def _dirichlet_resample(f: Functional, params, supports, rng, n_resample: int) -> QSamples:
-    """Q-samples of ``f`` on ``n_resample`` Dirichlet(params) weight rows over
-    the prepared ``supports``, one atom per parameter: the draw of
-    ``bis_run`` (the cells) and of the Bayesian bootstrap (the sorted data).
+def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> QSamples:
+    """Q-samples of ``f`` under ``n_resample`` Dirichlet(params) weight rows on
+    ``values``, a ``(k, m)`` array of sorted support columns, one row per
+    parameter: the draw of ``bis_run`` (the cells' endpoints) and of the
+    Bayesian bootstrap (the sorted data).  Column 0 gives ``q_min`` and the
+    last column ``q_max``.  The count is checked before anything is drawn.
 
-    The mean and a quantile take whole rows.  A truncated mean or CVaR
+    A quantile depends on a row only through the cell where its cumulative
+    weight reaches p, so that cell is drawn from its exact law
+    (``sample_split_index``) and no weights are drawn.  The mean takes
+    whole rows over the supports, prepared once.  A truncated mean or CVaR
     looks for each row's split only in the cells lo..hi of ``split_window``
     and reads the cells on one side of them only through their total: CVaR
     the cells before lo, the truncated mean those after hi.  Those cells
     are drawn as one Gamma total per row (``weight_chunks``' ``lump``, by
     Dirichlet aggregation), which takes the slot of cell lo-1 or hi+1 in a
-    row slice of ``supports`` (``functionals._lumped``), so every q-sample
+    row slice of the supports (``functionals._lumped``), so every q-sample
     keeps its law.  A row whose split lands inside the total, which has
     probability about 2**-53, comes back NaN; its lumped cells are redrawn
     from their exact law given the total (the total times a Dirichlet
     vector of their parameters), in row order from a substream spawned
     from ``rng``, and the row is evaluated over every cell.
     """
+    _check_n_resample(n_resample, least=0)
+    if f.kind == "quantile":
+        idx = sample_split_index(params, f.p, rng, n_resample)
+        return QSamples(q_min=values[idx, 0], q_max=values[idx, -1])
+    supports = prepare_supports(values)
     k = params.size
     chunk_rows = _chunk_rows(8 * k)
-    window = None if f.kind in ("mean", "quantile") else split_window(params, f.p)
+    window = None if f.kind == "mean" else split_window(params, f.p)
     if window is not None:
         lo, hi = window
         start, stop = (0, lo) if f.kind == "cvar" else (hi + 1, k)
@@ -235,8 +233,7 @@ def _resample(f: Functional, supports, chunks, n_resample: int, window=None,
     The first supports column gives ``q_min`` and the last ``q_max``.  Rows
     that come back NaN (a split inside a lumped atom) take the results of
     ``unlump`` on their weights, while the block still holds them.  The
-    count is checked before ``chunks``, a generator, draws anything."""
-    _check_n_resample(n_resample, least=0)
+    caller checks the count before ``chunks``, a generator, draws anything."""
     q = np.empty((supports.values.shape[1], n_resample))
     start = 0
     for w in chunks:

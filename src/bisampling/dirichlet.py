@@ -17,6 +17,7 @@ by truncated stick breaking.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 from scipy.special import betaincc
@@ -156,29 +157,17 @@ def _law_window(head, rest, p: float) -> tuple[int, int]:
     cell before one whose law reads below 2**-53, nor one after a cell whose
     law reads exactly 1; so a Dirichlet draw splits before ``lo`` with
     probability below 2**-53, and after ``hi`` with a probability that
-    rounds to 0 next to 1.  The window starts about eight standard
-    deviations of the Beta law around A_j = p * A and doubles its reach on
-    each side until the law at ``lo`` reads below 2**-53 (or ``lo`` is the
-    first cell) and the law at ``hi`` reads 1 (or ``hi`` is the last cell).
+    rounds to 0 next to 1.  The law is monotone, so two bisections find
+    ``lo``, the last cell whose law reads below 2**-53 (or the first cell),
+    and ``hi``, the first cell whose law reads 1 (or the last cell).
     """
     k = head.size
-    if k == 0:
-        return 0, 0
-    total = head[-1] + rest[-1]
-    centre = p * total
-    reach = 8.0 * total * math.sqrt(p * (1.0 - p) / (total + 1.0))
-    # the last cell's law is 1, so the left end starts no later than k - 1
-    lo = min(int(np.searchsorted(head, centre - reach)), k - 1)
-    step = reach
-    while lo > 0 and betaincc(head[lo], rest[lo], p) >= _MIN_LEVEL:
-        step *= 2.0
-        lo = min(int(np.searchsorted(head, centre - step)), lo - 1)
-    hi = int(np.searchsorted(head, centre + reach))
-    step = reach
-    while hi < k and betaincc(head[hi], rest[hi], p) < 1.0:
-        step *= 2.0
-        hi = max(int(np.searchsorted(head, centre + step)), hi + 1)
-    return lo, hi
+
+    def law(j):
+        return betaincc(head[j], rest[j], p)
+
+    lo = max(bisect_left(range(k), _MIN_LEVEL, key=law) - 1, 0)
+    return lo, bisect_left(range(k), 1.0, key=law)
 
 
 def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:

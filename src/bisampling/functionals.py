@@ -2,9 +2,8 @@
 
 All functionals implemented here are monotonic with respect to first-order
 stochastic dominance, so their extremes over a probability box are attained
-at the box's own bounds; ``_cell_endpoints`` is the one place that pairs
-each extreme with its bound, for ``cell_supports`` and
-``quantile_bounds``.  Functionals are total on finite-support
+at the box's own bounds; ``cell_endpoints`` is the one place that pairs
+each extreme with its bound.  Functionals are total on finite-support
 distributions and return signed infinities where a result is unbounded
 rather than raising.
 """
@@ -285,31 +284,13 @@ def q_cvar(dist: WeightedStepCdf, p: float) -> float:
     return Functional("cvar", p).evaluate(dist)
 
 
-def _cell_endpoints(reduced_points) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right endpoints of the cells between consecutive points.
+def cell_endpoints(reduced_points) -> np.ndarray:
+    """The cells between consecutive points as a ``(k, 2)`` view, no copy.
 
     A monotonic functional is smallest on the upper bound CDF, whose
     weights sit on cell left endpoints, and largest on the lower bound CDF,
-    whose weights sit on cell right endpoints: the left endpoints give
-    ``q_min`` and the right ones ``q_max``.
+    whose weights sit on cell right endpoints: column 0, the left
+    endpoints, gives ``q_min`` and column 1, the right ones, ``q_max``.
     """
     pts = np.asarray(reduced_points, dtype=float).reshape(-1)
-    return pts[:-1], pts[1:]
-
-
-def cell_supports(reduced_points) -> Supports:
-    """The cells' left endpoints (column 0) and right endpoints (column 1),
-    prepared for ``evaluate_rows``: column 0 gives ``q_min``, column 1
-    ``q_max`` (see ``_cell_endpoints``)."""
-    return prepare_supports(np.column_stack(_cell_endpoints(reduced_points)))
-
-
-def quantile_bounds(split_index, reduced_points) -> tuple[np.ndarray, np.ndarray]:
-    """Extremes of a quantile over realisations, from their split cells.
-
-    Both bound CDFs of a realisation share its cell weights, so a quantile
-    reaches its level in the same cell ``split_index`` on both, and the
-    extremes are that cell's endpoints.  Returns ``(q_min, q_max)`` arrays.
-    """
-    left, right = _cell_endpoints(reduced_points)
-    return left[split_index], right[split_index]
+    return np.lib.stride_tricks.sliding_window_view(pts, 2)

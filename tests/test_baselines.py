@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from conftest import oracle_split_mean
 
-from bisampling import bis
+from bisampling import bis, functionals
 from bisampling.baselines import (
     ExtremeMixture,
     TruncatedLognormal,
@@ -20,8 +21,8 @@ from bisampling.baselines import (
     preset,
     student_t_interval,
 )
-from bisampling.bis import interval_estimate
-from bisampling.dirichlet import weight_chunks
+from bisampling.bis import QSamples, interval_estimate
+from bisampling.dirichlet import sample_split_index, split_window, weight_chunks
 from bisampling.errors import EmptySamplesError, IndeterminateSumError, TooFewSamplesError
 from bisampling.functionals import Functional, prepare_supports
 from bisampling.pbox import BoundingInterval
@@ -217,12 +218,38 @@ class TestBayesianBootstrap:
         # Dirichlet(1, ..., 1) rows from the engine's draw, column j on the
         # j-th sorted value, through the engine's chunk loop
         data = stream(20).lognormal(size=40)
-        rows = bis._chunk_rows(8 * data.size)
-        for f in (MEAN, Functional("quantile", 0.5), Functional("cvar", 0.8)):
-            chunks = weight_chunks(np.ones(data.size), stream(21), 999, rows)
-            qs = bis._resample(f, prepare_supports(np.sort(data)), chunks, 999)
-            want = interval_estimate(qs, 0.9)
-            assert bayesian_bootstrap_interval(data, f, 0.9, 999, stream(21)) == want
+        n, ones, supports = data.size, np.ones(data.size), prepare_supports(np.sort(data))
+        rows = bis._chunk_rows(8 * n)
+        chunks = weight_chunks(ones, stream(21), 999, rows)
+        want = interval_estimate(bis._resample(MEAN, supports, chunks, 999), 0.9)
+        assert bayesian_bootstrap_interval(data, MEAN, 0.9, 999, stream(21)) == want
+        # CVaR draws the observations before its split window as one total,
+        # in the slot of the observation just before the window
+        f = Functional("cvar", 0.8)
+        lo, hi = split_window(ones, f.p)
+        assert lo > 1
+        chunks = weight_chunks(ones, stream(21), 999, rows, (0, lo))
+        lumped = functionals._lumped(supports, slice(lo - 1, n), 0)
+        want = interval_estimate(bis._resample(f, lumped, chunks, 999, (1, hi - lo + 1)), 0.9)
+        assert bayesian_bootstrap_interval(data, f, 0.9, 999, stream(21)) == want
+        # a quantile is the sorted value at the split index, drawn from its law
+        f = Functional("quantile", 0.5)
+        values = np.sort(data)[sample_split_index(ones, f.p, stream(21), 999)]
+        want = interval_estimate(QSamples(values, values), 0.9)
+        assert bayesian_bootstrap_interval(data, f, 0.9, 999, stream(21)) == want
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_quantile_keeps_the_law_of_weight_rows(self, n, p):
+        # the split index drawn from its law against whole weight rows
+        # searched over every sorted value, by a two-sample KS test
+        data = np.sort(stream(24).lognormal(size=n))
+        f, n_resample = Functional("quantile", p), 4000
+        got = bis._dirichlet_resample(f, np.ones(n), data[:, None], stream(25), n_resample)
+        chunks = weight_chunks(np.ones(n), stream(26), n_resample, bis._chunk_rows(8 * n))
+        want = bis._resample(f, prepare_supports(data), chunks, n_resample)
+        assert np.array_equal(got.q_min, got.q_max)
+        assert sps.ks_2samp(got.q_min, want.q_min).pvalue > 0.01
 
     def test_agrees_with_bootstrap_for_large_n(self):
         rng = stream(13)
@@ -237,16 +264,18 @@ class TestBootstrapsShared:
     @pytest.mark.parametrize("method", BOOTSTRAPS)
     @pytest.mark.parametrize("n_resample", [2.5, True, -3])
     def test_bad_resample_count_fails_before_drawing(self, method, n_resample):
-        rng = stream(22)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="n_resample must be an integer"):
-            method([1.0, 2.0, 3.0], MEAN, 0.9, n_resample, rng)
-        assert rng.bit_generator.state == state
+        for f in (MEAN, Functional("quantile", 0.5)):
+            rng = stream(22)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="n_resample must be an integer"):
+                method([1.0, 2.0, 3.0], f, 0.9, n_resample, rng)
+            assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("method", BOOTSTRAPS)
     def test_zero_resamples_leave_nothing_to_invert(self, method):
-        with pytest.raises(EmptySamplesError):
-            method([1.0, 2.0, 3.0], MEAN, 0.9, 0, stream(22))
+        for f in (MEAN, Functional("quantile", 0.5)):
+            with pytest.raises(EmptySamplesError):
+                method([1.0, 2.0, 3.0], f, 0.9, 0, stream(22))
 
     @pytest.mark.parametrize("method", BOOTSTRAPS)
     @pytest.mark.parametrize("f", ["trunc-mean:0.9", "cvar:0.9", "mean"])

@@ -33,9 +33,8 @@ from bisampling.errors import (
 )
 from bisampling.functionals import (
     Functional,
-    cell_supports,
+    cell_endpoints,
     evaluate_rows,
-    prepare_supports,
 )
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
 from bisampling.rng import stream, substream
@@ -309,9 +308,9 @@ class TestLumpedDraw:
         data = np.exp(stream(5).normal(0.0, 1.0, n))
         if case == "cells":
             reduced, params = reduced_for(data, POSITIVE)
-            return params, cell_supports(reduced)
+            return params, cell_endpoints(reduced)
         # the Bayesian bootstrap's rows: all-ones weights on the sorted data
-        return np.ones(n), prepare_supports(np.sort(data))
+        return np.ones(n), np.sort(data)[:, None]
 
     @pytest.mark.parametrize("f", ["cvar:0.9", "trunc-mean:0.5", "mean"])
     def test_rows_hold_one_column_for_the_total(self, monkeypatch, f):
@@ -472,7 +471,7 @@ class TestExactSplitLaw:
         reduced, params = reduced_for(data, interval)
         # unnormalised rows: every functional is scale invariant
         (w,) = weight_chunks(params, substream(seed, 1), n_draws, n_draws)
-        mc_min, mc_max = evaluate_rows(f, cell_supports(reduced), w).T
+        mc_min, mc_max = evaluate_rows(f, cell_endpoints(reduced), w).T
         points = make_extended_order_stats(data, interval).points
         cdf = exact_split_cdf(points, p)
         # P(q_min <= v) and P(q_max <= v) at every distinct point v
@@ -512,7 +511,7 @@ class TestExactSplitLaw:
         f = Functional(kind, p)
         qs = bis_run(data * copies, interval, BisConfig(f, 0.5, self.N, seed))
         reduced, params = reduced_for(data * copies, interval)
-        want = full_rows(f, params, cell_supports(reduced), substream(seed, 1), self.N)
+        want = full_rows(f, params, cell_endpoints(reduced), substream(seed, 1), self.N)
         # a two-sample KS test at the two-sided level of z = 5
         for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, 1])):
             assert not np.isnan(got).any()

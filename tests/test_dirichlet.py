@@ -169,6 +169,31 @@ class TestSampleSplitIndex:
         assert np.array_equal(got, want)
         assert np.array_equal(got, np.searchsorted(cdf, levels, side="left"))
 
+    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.9, 0.999, 1 - 1e-9])
+    @pytest.mark.parametrize("case", ["merged-ties-1", "merged-ties-10", "merged-ties-1000",
+                                      "tied-data", "ones-200", "ones-1001"])
+    def test_window_is_the_linear_scan(self, case, p):
+        name, _, size = case.rpartition("-")
+        if name == "merged-ties":
+            params = np.ones(int(size) + 1)
+            params[::3] = 4.0
+        elif name == "tied":
+            data = np.round(stream(9).lognormal(size=500), 1)
+            stats = make_extended_order_stats(data, BoundingInterval(0.0, 50.0))
+            params = merge_duplicates(stats)[1]
+        else:
+            params = np.ones(int(size))
+        cdf = full_split_law(params, p)
+        # the last cell whose law reads below 2**-53, or the first cell; the
+        # first cell whose law reads 1, which the last cell always does
+        below = np.flatnonzero(cdf < 2.0**-53)
+        want = (int(below[-1]) if below.size else 0, int(np.argmax(cdf == 1.0)))
+        assert split_window(params, p) == want
+
+    def test_window_reaches_no_further_than_the_law(self):
+        assert split_window(np.ones(1001), 0.9) == (813, 968)
+        assert split_window(np.ones(200), 0.5)[0] > 0
+
     def test_matches_weight_blocks(self):
         # general (non-integer) parameters, against cumulative Dirichlet weights
         params, p, n = np.array([0.5, 2.0, 1.5, 0.2, 3.0]), 0.4, 20_000

@@ -7,8 +7,9 @@ from bisampling.dirichlet import merge_duplicates, split_window, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
-    cell_supports,
+    cell_endpoints,
     evaluate_rows,
+    prepare_supports,
     q_cvar,
     q_mean,
     q_quantile,
@@ -138,38 +139,38 @@ class TestTruncatedMeanAndCvar:
 
 
 class TestBoundsForMonotonic:
-    """Extremes of a monotonic functional: ``evaluate_rows`` on cell supports."""
+    """Extremes of a monotonic functional: ``evaluate_rows`` on cell endpoints."""
 
     def test_hand_mean(self):
         ((q_min, q_max),) = evaluate_rows(
-            Functional("mean"), cell_supports([0, 1, 2, 3]), [0.5, 0.3, 0.2]
+            Functional("mean"), cell_endpoints([0, 1, 2, 3]), [0.5, 0.3, 0.2]
         )
         assert (q_min, q_max) == (pytest.approx(0.7), pytest.approx(1.7))
 
     def test_hand_quantile(self):
         ((q_min, q_max),) = evaluate_rows(
-            Functional("quantile", 0.6), cell_supports([0, 1, 2, 3]), [0.5, 0.3, 0.2]
+            Functional("quantile", 0.6), cell_endpoints([0, 1, 2, 3]), [0.5, 0.3, 0.2]
         )
         assert (q_min, q_max) == (1.0, 2.0)
 
     def test_infinite_endpoint(self):
         ((q_min, q_max),) = evaluate_rows(
-            Functional("mean"), cell_supports([0.0, 1.0, INF]), [0.5, 0.5]
+            Functional("mean"), cell_endpoints([0.0, 1.0, INF]), [0.5, 0.5]
         )
         assert q_max == INF and q_min == pytest.approx(0.5)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate_rows(Functional("mean"), cell_supports([0.0, 1.0]), [0.5, 0.5])
+            evaluate_rows(Functional("mean"), cell_endpoints([0.0, 1.0]), [0.5, 0.5])
 
     def test_block_matches_single_rows(self):
         rng = np.random.default_rng(37)
         pts = np.array([0.0, 0.5, 0.5, 2.0, 3.5, INF])
         block = rng.dirichlet(np.ones(5), size=40)
         for f in (Functional("mean"), Functional("quantile", 0.4), Functional("cvar", 0.6)):
-            q_min, q_max = evaluate_rows(f, cell_supports(pts), block).T
+            q_min, q_max = evaluate_rows(f, cell_endpoints(pts), block).T
             assert q_min.shape == q_max.shape == (40,)
-            singles = np.array([evaluate_rows(f, cell_supports(pts), w)[0] for w in block])
+            singles = np.array([evaluate_rows(f, cell_endpoints(pts), w)[0] for w in block])
             # a block's mean is one matrix product, so it may differ in the last bits
             np.testing.assert_allclose(q_min, singles[:, 0], rtol=1e-13)
             np.testing.assert_allclose(q_max, singles[:, 1], rtol=1e-13)
@@ -187,7 +188,7 @@ class TestBoundsForMonotonic:
             pts = np.sort(rng.normal(size=n + 1) * 5)
             w = rng.dirichlet(np.ones(n))
             for f in functionals:
-                ((q_min, q_max),) = evaluate_rows(f, cell_supports(pts), w)
+                ((q_min, q_max),) = evaluate_rows(f, cell_endpoints(pts), w)
                 assert q_min <= q_max
 
 
@@ -341,7 +342,7 @@ class TestSplitWindow:
     def test_any_window_matches_full_path(self, case, p):
         data, interval = WINDOW_CASES[case]
         reduced, params = merge_duplicates(make_extended_order_stats(data, interval))
-        sup = cell_supports(reduced)
+        sup = prepare_supports(cell_endpoints(reduced))
         k = params.size
         (w,) = weight_chunks(params, stream(9), 300, 300)
         if k > 1:
