@@ -23,7 +23,7 @@ from .bis import (
     bis_run,
     interval_estimate,
 )
-from .errors import TooFewSamplesError
+from .errors import NonFiniteError, TooFewSamplesError
 from .functionals import Functional, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
 
@@ -84,11 +84,21 @@ def generate(gen: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"unknown generator {gen!r}")
 
 
+def _observations(data, least: int, finite: bool = False) -> np.ndarray:
+    """``data`` as a flat float array of at least ``least`` observations, none
+    NaN, and none infinite when ``finite`` (the bootstraps take infinities)."""
+    arr = np.asarray(data, dtype=float).reshape(-1)
+    if arr.size < least:
+        raise TooFewSamplesError(f"need at least {least} observation(s), got {arr.size}")
+    bad = ~np.isfinite(arr) if finite else np.isnan(arr)
+    if bad.any():
+        raise NonFiniteError(f"observations must not be {arr[bad][0]}")
+    return arr
+
+
 def student_t_interval(data, credibility: float) -> IntervalEstimate:
     """Classic mean interval from Student's t with n-1 degrees of freedom."""
-    arr = np.asarray(data, dtype=float).reshape(-1)
-    if arr.size < 2:
-        raise TooFewSamplesError("need at least two observations")
+    arr = _observations(data, 2, finite=True)
     m = float(arr.mean())
     s = float(arr.std(ddof=1))
     tcrit = float(sps.t.ppf((1.0 + credibility) / 2.0, arr.size - 1))
@@ -96,17 +106,18 @@ def student_t_interval(data, credibility: float) -> IntervalEstimate:
     return IntervalEstimate(lo=m - half, hi=m + half, credibility=credibility)
 
 
-def _count_chunks(ranks, rng: np.random.Generator, size: int, chunk_rows: int):
-    """Resamples with replacement as rows counting each sorted value (``ranks``
-    maps observations to sorted positions), ``chunk_rows`` at a time in one
-    reused buffer.  The stream fills in order, so the draws equal one ``(size,
-    n)`` draw; one bincount over the ranks offset by row * n counts a chunk."""
-    n = ranks.size
+def _count_chunks(n: int, rng: np.random.Generator, size: int, chunk_rows: int):
+    """Resamples with replacement of n sorted values as rows counting each,
+    ``chunk_rows`` at a time in one reused buffer.  The count row of a
+    uniform resample is exchangeable, so positions are drawn in the sorted
+    data directly.  The stream fills in order, so the draws equal one
+    ``(size, n)`` draw; one bincount over the positions offset by row * n
+    counts a chunk."""
     buf = np.empty((min(chunk_rows, size), n))
     offsets = n * np.arange(buf.shape[0])[:, None]
     for start in range(0, size, chunk_rows):
         rows = min(chunk_rows, size - start)
-        drawn = ranks[rng.integers(0, n, size=(rows, n))]
+        drawn = rng.integers(0, n, size=(rows, n))
         drawn += offsets[:rows]
         out = buf[:rows]
         out[...] = np.bincount(drawn.ravel(), minlength=rows * n).reshape(rows, n)
@@ -117,15 +128,11 @@ def bootstrap_interval(
     data, f: Functional, credibility: float, n_resample: int, rng: np.random.Generator
 ) -> IntervalEstimate:
     """Percentile bootstrap: resamples with replacement as integer count rows."""
-    arr = np.asarray(data, dtype=float).reshape(-1)
-    n = arr.size
-    if n < 1:
-        raise TooFewSamplesError("need at least one observation")
+    arr = _observations(data, 1)
     _check_n_resample(n_resample, least=0)
-    order = np.argsort(arr, kind="stable")
-    # a chunk's draws, ranks, counts and rows are four (rows, n) arrays of 8 bytes
-    chunks = _count_chunks(np.argsort(order), rng, n_resample, _chunk_rows(32 * n))
-    qs = _resample(f, prepare_supports(arr[order]), chunks, n_resample)
+    # a chunk's draws, counts and rows are three (rows, n) arrays of 8 bytes
+    chunks = _count_chunks(arr.size, rng, n_resample, _chunk_rows(24 * arr.size))
+    qs = _resample(f, prepare_supports(np.sort(arr)), chunks, n_resample)
     return interval_estimate(qs, credibility)
 
 
@@ -141,9 +148,7 @@ def bayesian_bootstrap_interval(
     CVaR searches its split window and draws the observations it reads
     only through their total as that one total.
     """
-    arr = np.asarray(data, dtype=float).reshape(-1)
-    if arr.size < 1:
-        raise TooFewSamplesError("need at least one observation")
+    arr = _observations(data, 1)
     qs = _dirichlet_resample(f, np.ones(arr.size), np.sort(arr)[:, None], rng, n_resample)
     return interval_estimate(qs, credibility)
 

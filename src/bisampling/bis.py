@@ -188,11 +188,11 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     are drawn as one Gamma total per row (``weight_chunks``' ``lump``, by
     Dirichlet aggregation), which takes the slot of cell lo-1 or hi+1 in a
     row slice of the supports (``functionals._lumped``), so every q-sample
-    keeps its law.  A row whose split lands inside the total, which has
-    probability about 2**-53, comes back NaN; its lumped cells are redrawn
-    from their exact law given the total (the total times a Dirichlet
-    vector of their parameters), in row order from a substream spawned
-    from ``rng``, and the row is evaluated over every cell.
+    keeps its law.  A row that splits outside the window (probability
+    about 2**-53) is evaluated again by ``_resample``, whole, with any
+    lumped cells redrawn from their exact law given the total (the total
+    times a Dirichlet vector of their parameters), in row order from a
+    substream spawned from ``rng``.
     """
     _check_n_resample(n_resample, least=0)
     if f.kind == "quantile":
@@ -210,40 +210,40 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
         return _resample(f, supports, chunks, n_resample, window)
     sub = None
 
-    def unlump(rows):
+    def redo(rows):
         nonlocal sub
         sub = sub or rng.spawn(1)[0]
-        full = np.empty((rows.shape[0], k))
-        full[:, :start] = rows[:, :start]
-        full[:, stop:] = rows[:, start + 1 :]
-        for row, drawn in zip(full, rows):
-            row[start:stop] = drawn[start] * sample_dirichlet(params[start:stop], sub)
-        return evaluate_rows(f, supports, full, window)
+        (drawn,) = weight_chunks(params[start:stop], sub, len(rows), len(rows))
+        drawn /= drawn.sum(axis=1, keepdims=True)
+        full = np.hstack((rows[:, :start], rows[:, start, None] * drawn, rows[:, start + 1 :]))
+        return evaluate_rows(f, supports, full)
 
     atoms = slice(lo - 1, k) if f.kind == "cvar" else slice(0, hi + 2)
     chunks = weight_chunks(params, rng, n_resample, chunk_rows, (start, stop))
-    return _resample(f, _lumped(supports, atoms, start), chunks, n_resample,
-                     (lo - atoms.start, hi - atoms.start), unlump)
+    return _resample(f, _lumped(supports, atoms), chunks, n_resample,
+                     (lo - atoms.start, hi - atoms.start), redo)
 
 
 def _resample(f: Functional, supports, chunks, n_resample: int, window=None,
-              unlump=None) -> QSamples:
+              redo=None) -> QSamples:
     """Q-samples of ``f`` on the ``n_resample`` weight rows that ``chunks`` yields
     in blocks over the prepared ``supports``, each block evaluated as it comes.
     The first supports column gives ``q_min`` and the last ``q_max``.  Rows
-    that come back NaN (a split inside a lumped atom) take the results of
-    ``unlump`` on their weights, while the block still holds them.  The
-    caller checks the count before ``chunks``, a generator, draws anything."""
+    that split outside ``window`` come back NaN; this is the one place they
+    are evaluated again, while the block holds them, by ``redo`` of their
+    weights if given, else over every atom.  The caller checks the count
+    before ``chunks``, a generator, draws anything."""
     q = np.empty((supports.values.shape[1], n_resample))
     start = 0
     for w in chunks:
         stop = start + w.shape[0]
         block = q[:, start:stop]
         block[...] = evaluate_rows(f, supports, w, window).T
-        if unlump is not None:
+        if window is not None:
             (missed,) = np.isnan(block[0]).nonzero()
             if missed.size:
-                block[:, missed] = unlump(w[missed]).T
+                rows = w[missed]
+                block[:, missed] = (redo(rows) if redo else evaluate_rows(f, supports, rows)).T
         start = stop
     return QSamples(q_min=q[0], q_max=q[-1])
 

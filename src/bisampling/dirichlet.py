@@ -124,9 +124,9 @@ def split_window(params, p: float) -> tuple[int, int]:
     The split index is the first cell where the cumulative weight reaches
     ``p``.  ``sample_split_index`` evaluates its law only on these cells,
     and the resampling engine looks for the split of its weight rows only
-    there (``functionals.evaluate_rows`` recomputes a row that splits
-    elsewhere over every cell) and draws the cells on one side of them as
-    one total (``weight_chunks``' ``lump``).  See ``_law_window``.
+    there (``bis._resample`` evaluates a row that splits elsewhere again)
+    and draws the cells on one side of them as one total (``weight_chunks``'
+    ``lump``).  See ``_law_window``.
     """
     return _split_law(params, p)[2:]
 

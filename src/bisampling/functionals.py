@@ -76,8 +76,7 @@ class Supports:
     same product, then m indicator columns of the +inf atoms (at ``pos``)
     and m of the -inf atoms (at ``neg``) when any column has such atoms.
     ``terms`` is column-major, so the rows of the atoms outside a split
-    window are a contiguous piece of every column.  ``lump``, set only by
-    ``_lumped``, is an atom whose weight stands for several atoms' total.
+    window are a contiguous piece of every column.
     """
 
     values: np.ndarray  # (n, m) sorted columns
@@ -87,7 +86,6 @@ class Supports:
     pos: slice | None
     neg: slice | None
     vector: bool  # made from one vector: results are (k,), not (k, 1)
-    lump: int | None = None
 
 
 def prepare_supports(supports) -> Supports:
@@ -114,21 +112,16 @@ def prepare_supports(supports) -> Supports:
     return Supports(s, terms, *(at.sum(axis=0) for at in extremes), *slices, vector)
 
 
-def _lumped(sup: Supports, atoms: slice, lump: int) -> Supports:
-    """The atoms ``atoms`` of ``sup`` (a row slice, no copy) for weight rows
-    whose atom ``lump`` of the slice, its first or last, carries the summed
-    weight of that atom and of every atom of ``sup`` beyond it.
-
-    A truncated mean, CVaR or quantile reads such a total only as weight on
-    the side of the split it lies on, so the lump's own values enter no
-    result unless a row splits inside it.  Such a row has no result from
-    these atoms: ``evaluate_rows`` gives it NaN, for the caller to redraw
-    the lumped atoms.
+def _lumped(sup: Supports, atoms: slice) -> Supports:
+    """The atoms ``atoms`` of ``sup``, a row slice with no copy, for weight
+    rows whose first or last atom carries the summed weight of that atom
+    and of every atom of ``sup`` beyond it.  A split read in a window that
+    leaves out that lump reads it only as weight on one side.
     """
     values = sup.values[atoms]
     return replace(sup, values=values, terms=sup.terms[atoms],
                    n_pos=np.isposinf(values).sum(axis=0),
-                   n_neg=np.isneginf(values).sum(axis=0), lump=lump)
+                   n_neg=np.isneginf(values).sum(axis=0))
 
 
 def _has_weight(sums: np.ndarray, cols: slice | None):
@@ -156,13 +149,12 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
     is searched for only among the atoms ``lo..hi``: the weight before and
     after them comes from row sums, and the strict-side sums over the atoms
     outside them from one product on a row slice of ``terms``.  A row whose
-    split atom lies outside ``lo..hi`` is recomputed with every atom in the
-    window, where the slices outside are empty, so the results do not
-    depend on the window.  On rows laid out by the engine's lumped draw
-    (``_lumped``) the atom just outside the window on one side is the
-    total of every cell beyond it, so the weight on that side, ``before``
-    for CVaR and ``after`` for the truncated mean, is that one column; a
-    row whose split falls on it is NaN.
+    split atom lies outside ``lo..hi`` is NaN, for the caller to evaluate
+    again; with every atom in the window no row is.  On rows laid out by
+    the engine's lumped draw (``_lumped``) the atom just outside the window
+    on one side is the total of every cell beyond it, so the weight on that
+    side, ``before`` for CVaR and ``after`` for the truncated mean, is that
+    one column.
 
     For a split mean the atoms strictly on the chosen side contribute their
     whole weight and the split atom the rest of that side's mass (p of the
@@ -215,12 +207,8 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
             inside = idx[:, None] >= sup.n_neg
             forced = inside & _has_weight(sums, sup.neg)
         out = np.where(forced, np.inf if tail else -np.inf, out)
-    if sup.lump is not None:
-        out[idx == sup.lump] = np.nan
     if lo > 0 or hi < n_atoms - 1:
-        missed = (before >= p * total) | ~reached[:, -1]
-        if missed.any():
-            out[missed] = _split_rows(sup, w[missed], f, 0, n_atoms - 1)
+        out[(before >= p * total) | ~reached[:, -1]] = np.nan
     return out
 
 
@@ -236,13 +224,12 @@ def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarr
     backend, shared by the scalar functionals, the resampling engine and
     both bootstraps.
 
-    ``window``, a pair ``(lo, hi)`` of atom indices, is where the split
-    atom of a quantile, truncated mean or CVaR is looked for first
-    (``dirichlet.split_window`` gives it for Dirichlet rows); rows that
-    split elsewhere are recomputed over every atom, so the window changes
-    the cost, not the results.  None means every atom; the mean ignores it.
-    On supports made by ``_lumped`` a row that splits on the lumped atom
-    has no result here and is NaN; the resampling engine redraws it.
+    ``window``, a pair ``(lo, hi)`` of atom indices, is the only place the
+    split atom of a quantile, truncated mean or CVaR is looked for
+    (``dirichlet.split_window`` gives it for Dirichlet rows); a row that
+    splits elsewhere is NaN, and the resampling engine (``bis._resample``)
+    evaluates it again.  None means every atom, and then no row is NaN;
+    the mean ignores the window.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))

@@ -23,7 +23,12 @@ from bisampling.baselines import (
 )
 from bisampling.bis import QSamples, interval_estimate
 from bisampling.dirichlet import sample_split_index, split_window, weight_chunks
-from bisampling.errors import EmptySamplesError, IndeterminateSumError, TooFewSamplesError
+from bisampling.errors import (
+    EmptySamplesError,
+    IndeterminateSumError,
+    NonFiniteError,
+    TooFewSamplesError,
+)
 from bisampling.functionals import Functional, prepare_supports
 from bisampling.pbox import BoundingInterval
 from bisampling.rng import stream
@@ -88,6 +93,11 @@ class TestStudentT:
         with pytest.raises(TooFewSamplesError):
             student_t_interval([1.0], 0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            student_t_interval([1.0, bad, 3.0, 4.0], 0.9)
+
     def test_median_endpoints_in_reference_setting(self):
         # 50 draws from the truncated lognormal at 95%: endpoint medians
         # approach (1.08, 2.12); 2000 trials keeps the check fast
@@ -121,9 +131,9 @@ class TestBootstrap:
         assert r.median_hi == pytest.approx(2.14, abs=0.08)
 
     def test_nonmean_functionals_match_scalar_evaluation(self):
-        # exact oracle: redraw the resamples, merge each into Fraction weights
-        # over its distinct values, evaluate f exactly and take the order
-        # statistic of rank ceil(a N).  p = 0.3 and 0.7 are doubles just below
+        # exact oracle: redraw the resamples as positions in the sorted data,
+        # merge each into Fraction weights over its distinct values, evaluate
+        # f exactly and take the order statistic of rank ceil(a N).  p = 0.3 and 0.7 are doubles just below
         # the decimal and 0.5 is exact, so p n never rounds onto an integer
         # it exceeds and the library's float test cum >= p n picks the exact
         # split atom.
@@ -139,13 +149,13 @@ class TestBootstrap:
             stream(9).normal(size=30).tolist(),
         ]
         for data in datasets:
-            n = len(data)
+            n, ordered = len(data), sorted(data)
             scale = max(abs(x) for x in data)
             for credibility, n_resample in ((0.8, 64), (0.9, 101)):
                 draws = stream(10).integers(0, n, size=(n_resample, n))
                 for f in functionals:
                     exact = sorted(
-                        _exact_resample_value(f, [data[i] for i in row]) for row in draws
+                        _exact_resample_value(f, [ordered[i] for i in row]) for row in draws
                     )
                     est = bootstrap_interval(data, f, credibility, n_resample, stream(10))
                     levels = ((1 - credibility) / 2, (1 + credibility) / 2)
@@ -187,7 +197,7 @@ class TestBootstrap:
             stream(9).lognormal(size=50).tolist(),
         ]
         for data in datasets:
-            row_bytes = 32 * len(data)  # four (rows, n) arrays of 8 bytes
+            row_bytes = 24 * len(data)  # three (rows, n) arrays of 8 bytes
             for f in functionals:
                 runs = []
                 # one-row chunks, 3-row chunks (3 does not divide 101), the default
@@ -229,7 +239,7 @@ class TestBayesianBootstrap:
         lo, hi = split_window(ones, f.p)
         assert lo > 1
         chunks = weight_chunks(ones, stream(21), 999, rows, (0, lo))
-        lumped = functionals._lumped(supports, slice(lo - 1, n), 0)
+        lumped = functionals._lumped(supports, slice(lo - 1, n))
         want = interval_estimate(bis._resample(f, lumped, chunks, 999, (1, hi - lo + 1)), 0.9)
         assert bayesian_bootstrap_interval(data, f, 0.9, 999, stream(21)) == want
         # a quantile is the sorted value at the split index, drawn from its law
@@ -269,6 +279,16 @@ class TestBootstrapsShared:
             state = rng.bit_generator.state
             with pytest.raises(ValueError, match="n_resample must be an integer"):
                 method([1.0, 2.0, 3.0], f, 0.9, n_resample, rng)
+            assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("method", BOOTSTRAPS)
+    def test_nan_observation_fails_before_drawing(self, method):
+        # a NaN once counted as 0: the mean of [1, nan, 3, 4] came out (0.75, 3.25)
+        for f in (MEAN, Functional("quantile", 0.5), Functional("cvar", 0.5)):
+            rng = stream(22)
+            state = rng.bit_generator.state
+            with pytest.raises(NonFiniteError):
+                method([1.0, math.nan, 3.0, 4.0], f, 0.9, 1000, rng)
             assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("method", BOOTSTRAPS)

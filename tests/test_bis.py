@@ -262,7 +262,8 @@ class TestWindowedSplit:
             calls.append((lo, hi, w.shape[0], sup.values.shape[0]))
             return split_rows(sup, w, f, lo, hi)
 
-        # a row that splits outside the window is recomputed by a second call
+        # a row that splits outside the window is evaluated again, in a second
+        # call over every atom
         monkeypatch.setattr(functionals, "_split_rows", counting)
         bis_run(data, POSITIVE, BisConfig(functional, 0.9, n_resample, 11))
         params = reduced_for(data, POSITIVE)[1]
@@ -289,13 +290,14 @@ def full_rows(f, params, supports, rng, n_resample):
     return evaluate_rows(f, supports, w).reshape(n_resample, -1)
 
 
-def narrowed_window(params, f):
-    """The law's window cut, on the side whose cells ``f`` reads only through
-    their total, at the cell where the cumulative parameters reach p of their
-    sum, so about half of the rows split inside that total."""
+def narrowed_window(params, f, lumped=True):
+    """The law's window cut at the cell where the cumulative parameters reach
+    p of their sum, so about half of the rows split outside it: on the side
+    whose cells ``f`` reads only through their total, where those rows split
+    inside that total, or with ``lumped`` false on the other side."""
     lo, hi = split_window(params, f.p)
     mid = int(np.searchsorted(np.cumsum(params), f.p * params.sum()))
-    return (mid, hi) if f.kind == "cvar" else (lo, mid)
+    return (mid, hi) if (f.kind == "cvar") == lumped else (lo, mid)
 
 
 @pytest.mark.filterwarnings("ignore:n_resample is below")
@@ -344,23 +346,68 @@ class TestLumpedDraw:
         params, supports = self.draw_inputs(case, 200)
         f = Functional(kind, 0.5)
         monkeypatch.setattr(bis, "split_window", lambda params, p: narrowed_window(params, f))
-        redrawn = []
-        draw = bis.sample_dirichlet
+        redraws = []
+        chunks = bis.weight_chunks
 
-        def counting(params, rng):
-            redrawn.append(params.size)
-            return draw(params, rng)
+        def counting(params, rng, size, chunk_rows, lump=None):
+            if lump is None:
+                # the redraw of the lumped cells: (cells, rows)
+                redraws.append((params.size, size))
+            return chunks(params, rng, size, chunk_rows, lump)
 
-        monkeypatch.setattr(bis, "sample_dirichlet", counting)
+        monkeypatch.setattr(bis, "weight_chunks", counting)
         qs = bis._dirichlet_resample(f, params, supports, stream(7), n_resample)
         # the rows that split inside the total redraw every cell of it
         lo, hi = narrowed_window(params, f)
-        assert 0.3 * n_resample < len(redrawn) < 0.7 * n_resample
-        assert set(redrawn) == {lo if kind == "cvar" else params.size - 1 - hi}
+        assert 0.3 * n_resample < sum(rows for _, rows in redraws) < 0.7 * n_resample
+        assert {cells for cells, _ in redraws} == {lo if kind == "cvar" else params.size - 1 - hi}
         want = full_rows(f, params, supports, stream(8), n_resample)
         for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, -1])):
             assert not np.isnan(got).any()
             assert sps.ks_2samp(got, ref).pvalue > 0.01
+
+    @pytest.mark.parametrize("total", ["kept", "none"])
+    @pytest.mark.parametrize("f", ["cvar:0.9", "cvar:0.5", "trunc-mean:0.5", "trunc-mean:0.9"])
+    def test_misses_outside_the_total_are_evaluated_again(self, monkeypatch, f, total):
+        # rows that split on the side of the window away from the total miss
+        # it; the engine evaluates them again, so nothing else is drawn and
+        # the results are those of a window that holds every split.  With
+        # the window stretched to the far end no cells are lumped, the rows
+        # are whole, and the misses are evaluated over every cell.
+        data = np.exp(stream(3).normal(0.0, 1.0, 1000))
+        functional, n_resample = Functional.parse(f), 2000
+
+        def narrowed(params, p):
+            lo, hi = narrowed_window(params, functional, lumped=False)
+            if total == "kept":
+                return lo, hi
+            return (0, hi) if functional.kind == "cvar" else (lo, params.size - 1)
+
+        def holding(params, p):
+            return split_window(params, p) if total == "kept" else (0, params.size - 1)
+
+        again = []
+        evaluate = bis.evaluate_rows
+
+        def counting(f, supports, rows, window=None):
+            if window is None:
+                again.append(rows.shape[0])
+            return evaluate(f, supports, rows, window)
+
+        monkeypatch.setattr(bis, "evaluate_rows", counting)
+        runs = []
+        for window in (holding, narrowed):
+            monkeypatch.setattr(bis, "split_window", window)
+            qs = bis_run(data, POSITIVE, BisConfig(functional, 0.9, n_resample, 5))
+            est = bayesian_bootstrap_interval(data, functional, 0.9, n_resample, stream(5))
+            runs.append(((qs.q_min, qs.q_max, [est.lo, est.hi]), sum(again)))
+        (want, none), (got, missed) = runs
+        # bis_run and the Bayesian bootstrap each miss about half their rows
+        assert none == 0 and 0.6 * n_resample < missed < 1.4 * n_resample
+        for a, b in zip(got, want):
+            assert not np.isnan(a).any()
+            assert np.array_equal(np.isinf(a), np.isinf(b))
+            np.testing.assert_allclose(a, b, rtol=1e-13)
 
     @pytest.mark.parametrize("narrowed", [False, True], ids=["law-window", "narrowed"])
     @pytest.mark.parametrize("f", ["cvar:0.9", "trunc-mean:0.5"])

@@ -335,7 +335,8 @@ WINDOW_CASES = {
 
 
 class TestSplitWindow:
-    """A split window changes what is computed, never the result."""
+    """A split window leaves the result of every row that splits inside it
+    and marks the others NaN."""
 
     @pytest.mark.parametrize("p", [1e-12, 0.001, 0.5, 0.99, 1 - 1e-12])
     @pytest.mark.parametrize("case", list(WINDOW_CASES))
@@ -350,21 +351,28 @@ class TestSplitWindow:
             w[:30, 0] = 0.0
             w[30:60, -1] = 0.0
         scale = np.abs(reduced[np.isfinite(reduced)]).max(initial=1.0)
-        # one-cell windows at the first, a middle and the last cell send most
-        # rows to the full path; the law's window and an inner one keep them
+        # one-cell windows at the first, a middle and the last cell miss most
+        # rows; the law's window and an inner one keep them
         inner = (min(1, k - 1), max(k - 2, min(1, k - 1)))
         windows = {(0, 0), (k // 2, k // 2), (k - 1, k - 1), inner, split_window(params, p)}
+        # each row's split index, searched for over every cell
+        split = evaluate_rows(Functional("quantile", p), np.arange(k, dtype=float), w)
         for kind in ("quantile", "trunc_mean", "cvar"):
             f = Functional(kind, p)
             want = evaluate_rows(f, sup, w)
-            for window in windows:
-                got = evaluate_rows(f, sup, w, window)
-                assert not np.isnan(got).any()
-                assert np.array_equal(np.isinf(got), np.isinf(want))
+            assert not np.isnan(want).any()
+            for lo, hi in windows:
+                got = evaluate_rows(f, sup, w, (lo, hi))
+                # a row is NaN, in every column, exactly when it splits
+                # outside the window; the others keep the full path's result
+                missed = (split < lo) | (split > hi)
+                assert np.array_equal(np.isnan(got), np.broadcast_to(missed[:, None], got.shape))
+                got, ref = got[~missed], want[~missed]
+                assert np.array_equal(np.isinf(got), np.isinf(ref))
                 if kind == "quantile":
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, ref)
                 else:
-                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+                    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * scale)
 
     def test_window_outside_the_atoms_rejected(self):
         w = np.full((2, 3), 1.0)
