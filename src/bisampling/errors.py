@@ -1,5 +1,7 @@
 """Exception types raised by the library."""
 
+import numbers
+
 
 class BisamplingError(ValueError):
     """Base class for all library errors."""
@@ -38,9 +40,9 @@ class EmptySamplesError(BisamplingError):
 
 
 def _check_open_unit(value, name: str) -> None:
-    """Raise InvalidProbabilityError unless ``value`` lies in (0, 1).
+    """Raise InvalidProbabilityError unless ``value`` is a real number in (0, 1).
 
-    NaN and None fail too: the check is ``not 0 < value < 1``.
+    NaN, None and strings fail too.
     """
-    if value is None or not 0.0 < value < 1.0:
+    if not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
         raise InvalidProbabilityError(f"{name} must be in (0, 1), got {value!r}")

@@ -43,12 +43,10 @@ class Functional:
     @classmethod
     def parse(cls, text: str) -> "Functional":
         """Parse 'mean', 'median', 'quantile:p', 'trunc-mean:p' or 'cvar:p'."""
-        name, _, arg = text.strip().partition(":")
+        name, colon, arg = text.strip().partition(":")
         name = name.lower()
-        if name == "mean":
-            return cls("mean")
-        if name == "median":
-            return cls("quantile", 0.5)
+        if name in ("mean", "median") and not colon:
+            return cls("mean") if name == "mean" else cls("quantile", 0.5)
         table = {"quantile": "quantile", "trunc-mean": "trunc_mean", "cvar": "cvar"}
         if name not in table or not arg:
             raise ValueError(f"cannot parse functional {text!r}")
@@ -73,18 +71,16 @@ class Supports:
     Made once by ``prepare_supports`` and passed to ``evaluate_rows`` for
     each block of weight rows.  ``terms`` holds the m columns of supports
     with infinities zeroed, then a ones column that sums the weight in the
-    same product, then m indicator columns of the +inf atoms (at ``pos``)
-    and m of the -inf atoms (at ``neg``) when any column has such atoms.
-    ``terms`` is column-major, so the rows of the atoms outside a split
-    window are a contiguous piece of every column.
+    same product, whatever the supports hold.  A sorted column holds its
+    -inf atoms first and its +inf atoms last, so their counts say which
+    weights fall on them (``_weighs``).  ``terms`` is column-major: the
+    atoms outside a split window are a contiguous piece of every column.
     """
 
     values: np.ndarray  # (n, m) sorted columns
-    terms: np.ndarray  # (n, width), column-major
+    terms: np.ndarray  # (n, m + 1), column-major
     n_pos: np.ndarray  # (m,) +inf atoms per column
     n_neg: np.ndarray  # (m,) -inf atoms per column
-    pos: slice | None
-    neg: slice | None
     vector: bool  # made from one vector: results are (k,), not (k, 1)
 
 
@@ -95,45 +91,36 @@ def prepare_supports(supports) -> Supports:
     if vector:
         s = s.reshape(-1, 1)
     n, m = s.shape
-    extremes = [s == np.inf, s == -np.inf]
-    present = [at.any() for at in extremes]
-    terms = np.empty((n, m * (1 + sum(present)) + 1), order="F")
+    terms = np.empty((n, m + 1), order="F")
     terms[:, :m] = np.where(np.isfinite(s), s, 0.0)
     terms[:, m] = 1.0
-    width = m + 1
-    slices = []
-    for at, any_at in zip(extremes, present):
-        if any_at:
-            terms[:, width : width + m] = at
-            slices.append(slice(width, width + m))
-            width += m
-        else:
-            slices.append(None)
-    return Supports(s, terms, *(at.sum(axis=0) for at in extremes), *slices, vector)
+    return Supports(s, terms, (s == np.inf).sum(axis=0), (s == -np.inf).sum(axis=0), vector)
 
 
 def _lumped(sup: Supports, atoms: slice) -> Supports:
     """The atoms ``atoms`` of ``sup``, a row slice with no copy, for weight
     rows whose first or last atom carries the summed weight of that atom
     and of every atom of ``sup`` beyond it.  A split read in a window that
-    leaves out that lump reads it only as weight on one side.
+    leaves out that lump reads it only as weight on one side.  The counts
+    stay those of ``sup``, right for the side the slice keeps whole.
     """
-    values = sup.values[atoms]
-    return replace(sup, values=values, terms=sup.terms[atoms],
-                   n_pos=np.isposinf(values).sum(axis=0),
-                   n_neg=np.isneginf(values).sum(axis=0))
+    return replace(sup, values=sup.values[atoms], terms=sup.terms[atoms])
 
 
-def _has_weight(sums: np.ndarray, cols: slice | None):
-    """Where a row puts weight on the atoms indicated at ``cols`` of terms."""
-    return False if cols is None else sums[:, cols] > 0
+def _weighs(w: np.ndarray, counts: np.ndarray, last: bool = False) -> np.ndarray:
+    """Where each row of ``w`` puts weight on the first ``counts[c]`` atoms
+    of column c (the last ones if ``last``), as a ``(k, m)`` mask.  A count
+    wider than the rows covers them all."""
+    n = w.shape[1]
+    return np.column_stack([(w[:, max(n - c, 0):] if last else w[:, :c]).any(axis=1) if c
+                            else np.zeros(len(w), bool) for c in counts])
 
 
 def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
     m = sup.values.shape[1]
     sums = w @ sup.terms
-    out = sums[:, :m] / sums[:, m : m + 1]
-    pos, neg = _has_weight(sums, sup.pos), _has_weight(sums, sup.neg)
+    out = sums[:, :m] / sums[:, m:]
+    pos, neg = _weighs(w, sup.n_pos, last=True), _weighs(w, sup.n_neg)
     if np.any(pos & neg):
         raise IndeterminateSumError("positive weight at both -inf and +inf")
     out = np.where(pos, np.inf, out)
@@ -154,7 +141,9 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
     the engine's lumped draw (``_lumped``) the atom just outside the window
     on one side is the total of every cell beyond it, so the weight on that
     side, ``before`` for CVaR and ``after`` for the truncated mean, is that
-    one column.
+    one column.  Weight on an infinite atom is read from the weights and
+    the supports, never from the product ``w @ terms``, whose bytes thus
+    depend on the finite atoms alone.
 
     For a split mean the atoms strictly on the chosen side contribute their
     whole weight and the split atom the rest of that side's mass (p of the
@@ -189,7 +178,7 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
         else:
             # the atoms before the split atom have not reached p
             sums += np.where(reached, 0.0, win) @ terms[lo : hi + 1]
-        strict, mass = sums[:, :m], sums[:, m : m + 1]
+        strict, mass = sums[:, :m], sums[:, m:]
         share = (1.0 - p) if tail else p
         mass_at = np.maximum(share * total[:, None] - mass, 0.0)
         at = s[idx]
@@ -198,15 +187,19 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
         out = (strict + at_term) / (mass + mass_at)
         # rounding can leave the ratio an ulp outside the range of its atoms
         out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
-        # an infinite atom wholly on the chosen side drives the sum to it;
-        # the side then holds all of that atom's weight
+        # -inf atoms come first, so they lie on a truncated mean's side of
+        # every split, and +inf atoms on CVaR's: weight on them drives the
+        # sum there, and a split on such an atom is that atom by the clip.
+        # A CVaR that reaches p exactly at a -inf atom takes none of it, so
+        # the -inf atoms after that atom decide
         if tail:
-            inside = idx[:, None] < n_atoms - sup.n_pos
-            forced = inside & _has_weight(sums, sup.pos)
+            knot = np.isneginf(at) & (mass_at == 0)
+            for i, c in zip(*knot.nonzero()):
+                if w[i, idx[i] + 1 :][s[idx[i] + 1 :, c] == -np.inf].any():
+                    out[i, c] = -np.inf
+            out = np.where(_weighs(w, sup.n_pos, last=True), np.inf, out)
         else:
-            inside = idx[:, None] >= sup.n_neg
-            forced = inside & _has_weight(sums, sup.neg)
-        out = np.where(forced, np.inf if tail else -np.inf, out)
+            out = np.where(_weighs(w, sup.n_neg), -np.inf, out)
     if lo > 0 or hi < n_atoms - 1:
         out[(before >= p * total) | ~reached[:, -1]] = np.nan
     return out

@@ -8,13 +8,17 @@ trials run.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _normalize(value: int) -> int:
-    # SeedSequence rejects negative entropy; fold to unsigned 64-bit
+    # SeedSequence needs unsigned 64-bit entropy; int(1.5) would change the seed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"a seed must be an integer, got {value!r}")
     return int(value) & _MASK64
 
 

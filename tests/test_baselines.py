@@ -329,6 +329,16 @@ class TestCoverageExperiment:
                 BoundingInterval(0.0, 50.0), seed=16,
             )
 
+    @pytest.mark.parametrize("method", ["bis", "bootstrap"])
+    @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["1.5", "True", "str"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, method, seed):
+        gen = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
+        with pytest.raises(ValueError, match="seed"):
+            coverage_experiment(
+                gen, TRUNC_LOGNORMAL_MEAN, method, MEAN, 20, 0.9, 1, 1000,
+                BoundingInterval(0.0, 50.0), seed=seed,
+            )
+
     def test_deterministic_given_seed(self):
         gen = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
         kwargs = dict(

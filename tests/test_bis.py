@@ -53,8 +53,11 @@ class TestDefaultNResample:
         assert default_n_resample(c) == n
 
     def test_domain(self):
+        for bad in (1.0, "0.9"):
+            with pytest.raises(InvalidProbabilityError):
+                default_n_resample(bad)
         with pytest.raises(InvalidProbabilityError):
-            default_n_resample(1.0)
+            BisConfig(Functional("mean"), "0.9", 1000, 0)
 
 
 class TestSampleRealization:
@@ -139,6 +142,36 @@ class TestBisRun:
             cfg = BisConfig(Functional.parse(f), 0.5, 400, 3)
             qs = bis_run(small_sample, POSITIVE, cfg)
             assert (qs.q_min <= qs.q_max).all()
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, True, "1"], ids=["1.5", "1.9", "True", "str"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, small_sample, seed):
+        # int() would run seed 1 for each of these while the caller records
+        # the value given
+        cfg = BisConfig(Functional("mean"), 0.9, 1000, seed)
+        with pytest.raises(ValueError, match="seed"):
+            bis_run(small_sample, POSITIVE, cfg)
+
+    def test_numpy_integer_seed_is_that_seed(self, small_sample):
+        a = bis_run(small_sample, POSITIVE, BisConfig(Functional("mean"), 0.9, 1000, 1))
+        b = bis_run(small_sample, POSITIVE, BisConfig(Functional("mean"), 0.9, 1000, np.int64(1)))
+        assert np.array_equal(a.q_min, b.q_min)
+
+    @pytest.mark.parametrize("f", ["mean", "trunc-mean:0.5", "trunc-mean:0.9",
+                                   "cvar:0.5", "cvar:0.9"])
+    @pytest.mark.parametrize("n", [15, 200, 1000])
+    def test_each_bound_ignores_the_far_end_of_the_interval(self, f, n):
+        # q_min reads only the cells' left endpoints and q_max only their
+        # right ones, so opening the interval at the other end keeps the
+        # bytes of each, whatever the product that sums them
+        x = np.exp(stream(n).normal(size=n))
+        top = math.ceil(x.max()) + 1.0
+        for seed in (1, 2, 3):
+            cfg = BisConfig(Functional.parse(f), 0.9, 2000, seed)
+            closed = bis_run(x, BoundingInterval(0.0, top), cfg)
+            assert np.isfinite(closed.q_min).all() and np.isfinite(closed.q_max).all()
+            assert bis_run(x, POSITIVE, cfg).q_min.tobytes() == closed.q_min.tobytes()
+            below = bis_run(x, BoundingInterval(-INF, top), cfg)
+            assert below.q_max.tobytes() == closed.q_max.tobytes()
 
     def test_warns_below_rule_of_thumb(self, small_sample):
         cfg = BisConfig(Functional("mean"), 0.99, 100, 0)

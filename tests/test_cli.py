@@ -396,6 +396,7 @@ class TestZeroOrNegativeOption:
         "extra",
         [
             ["infer", "--resamples", "0"],
+            ["infer", "--param", "median:0.3"],
             ["pbox", "--realisations", "-1"],
             ["compare", "--resamples", "0"],
             ["compare", "--credibility", "0"],

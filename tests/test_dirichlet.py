@@ -212,7 +212,7 @@ class TestSampleSplitIndex:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             sample_split_index([1.0, 0.0], 0.5, stream(0), 3)
-        for p in (0.0, 1.0, float("nan")):
+        for p in (0.0, 1.0, float("nan"), "0.5"):
             with pytest.raises(InvalidProbabilityError):
                 sample_split_index([1.0, 1.0], p, stream(0), 3)
 

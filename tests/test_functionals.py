@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from bisampling.dirichlet import merge_duplicates, split_window, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
+    _lumped,
+    _weighs,
     cell_endpoints,
     evaluate_rows,
     prepare_supports,
@@ -41,7 +45,8 @@ class TestFunctionalParsing:
         assert f.kind == kind and f.p == p
 
     def test_rejects_garbage(self):
-        for bad in ("moment:2", "quantile", "cvar:", "quantile:1.5"):
+        for bad in ("moment:2", "quantile", "cvar:", "quantile:1.5",
+                    "median:0.3", "median:", "mean:0.5", "mean:"):
             with pytest.raises((ValueError, InvalidProbabilityError)):
                 Functional.parse(bad)
 
@@ -93,6 +98,8 @@ class TestQuantile:
         d = step([1.0], [1.0])
         with pytest.raises(InvalidProbabilityError):
             q_quantile(d, 1.0)
+        with pytest.raises(InvalidProbabilityError):
+            Functional("quantile", "0.5")
 
 
 class TestTruncatedMeanAndCvar:
@@ -379,3 +386,136 @@ class TestSplitWindow:
         for window in ((-1, 1), (2, 1), (0, 3)):
             with pytest.raises(ValueError):
                 evaluate_rows(Functional("cvar", 0.5), [1.0, 2.0, 3.0], w, window)
+
+
+def limit_oracle(column, row, f):
+    """``f`` of the integer weight ``row`` on ``column`` in exact arithmetic,
+    an infinite atom taken as the limit of a finite one running off to it.
+
+    The i-th of ``n`` -inf atoms sits at -(n - i) * a and the i-th +inf atom
+    at (i + 1) * b.  The split depends on the weights alone, so the result
+    is affine in a and b and its coefficients say which way it goes as both
+    grow.  Returns a float, +-inf, or None where it goes both ways.
+    """
+    n_neg = sum(x == -INF for x in column)
+    first_pos = len(column) - sum(x == INF for x in column)
+
+    def value(a, b):
+        xs = [-(n_neg - i) * a if i < n_neg else (i - first_pos + 1) * b if i >= first_pos
+              else Fraction(x) for i, x in enumerate(column)]
+        total = sum(row)
+        if f.kind == "mean":
+            return sum(w * x for w, x in zip(row, xs)) / total
+        weights = [Fraction(int(w), int(total)) for w in row]
+        return oracle_split_mean(xs, weights, Fraction(f.p), f.kind == "cvar")
+
+    big = Fraction(10**6)
+    base = value(big, big)
+    down, up = value(2 * big, big) < base, value(big, 2 * big) > base
+    if down and up:
+        return None
+    return -INF if down else INF if up else float(base)
+
+
+def split_index(row, p):
+    """The first atom where the cumulative weight of ``row`` reaches p."""
+    cum = np.cumsum(row)
+    return int(np.argmax([Fraction(int(c)) >= Fraction(p) * int(cum[-1]) for c in cum]))
+
+
+INFINITE_RUN_CASES = [
+    # knots on infinite atoms: the cumulative weight reaches p exactly there
+    ([[-INF, -INF, 1.0, 2.0]], [[1, 1, 0, 2], [2, 1, 0, 1], [0, 2, 0, 2], [1, 1, 2, 0]], 0.5),
+    ([[1.0, INF, INF]], [[1, 1, 2], [2, 0, 2], [1, 1, 0]], 0.5),
+    ([[-INF, 0.5, INF]], [[1, 2, 1], [1, 3, 0], [0, 1, 3]], 0.25),
+]
+
+
+def infinite_run_cases(n_cases):
+    """Random columns with -inf runs first and +inf runs last, sharing
+    integer count rows with zeros, and a dyadic p, so knots are exact."""
+    yield from INFINITE_RUN_CASES
+    rng = np.random.default_rng(53)
+    for _ in range(n_cases):
+        k = int(rng.integers(1, 8))
+        columns = []
+        for _ in range(2):
+            n_neg = int(rng.integers(0, k + 1))
+            n_pos = int(rng.integers(0, k - n_neg + 1))
+            finite = np.sort(rng.choice(np.arange(-20, 21), k - n_neg - n_pos, replace=False)) / 4
+            columns.append([-INF] * n_neg + finite.tolist() + [INF] * n_pos)
+        rows = rng.integers(0, 4, size=(8, k))
+        rows[rows.sum(axis=1) == 0, -1] = 1
+        yield columns, rows.tolist(), int(rng.integers(1, 8)) / 8
+
+
+class TestInfiniteAtoms:
+    """Infinite atoms are placed by their counts alone: -inf atoms first,
+    +inf atoms last, each weighed by a row when that row's weights on them
+    are not all zero."""
+
+    def test_counts_wider_than_the_rows_cover_them_all(self):
+        # a lumped slice keeps the counts of the full supports
+        w = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        for last in (False, True):
+            got = _weighs(w, np.array([3, 0]), last)
+            assert got.tolist() == [[True, False], [True, False], [False, False]]
+
+    def test_mean_matches_the_limit_oracle(self):
+        mean = Functional("mean")
+        seen = set()
+        for columns, rows, _ in infinite_run_cases(300):
+            for column in columns:
+                for row in rows:
+                    want = limit_oracle(column, row, mean)
+                    seen.add(repr(want) if want in (None, INF, -INF) else "finite")
+                    if want is None:
+                        with pytest.raises(IndeterminateSumError):
+                            evaluate_rows(mean, column, np.array(row, dtype=float))
+                        continue
+                    got = evaluate_rows(mean, column, np.array(row, dtype=float))[0]
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert seen == {"None", "inf", "-inf", "finite"}
+
+    @pytest.mark.parametrize("kind", ["trunc_mean", "cvar"])
+    def test_split_means_match_the_limit_oracle(self, kind):
+        seen = set()
+        for columns, rows, p in infinite_run_cases(300):
+            f = Functional(kind, p)
+            s = np.column_stack(columns)
+            w = np.array(rows, dtype=float)
+            k = s.shape[0]
+            want = np.array([[limit_oracle(c, row, f) for c in columns] for row in rows],
+                            dtype=object)
+            split = np.array([split_index(row, p) for row in rows])
+            # a window leaves a row its result when it splits inside, else
+            # NaN; a lumped slice carries the atoms beyond the window as
+            # one atom at their edge, as the engine's lumped draw does
+            layouts = [(s, w, None, split)]
+            for lo in range(k):
+                for hi in range(lo, k):
+                    layouts.append((s, w, (lo, hi), split))
+                    if kind == "cvar" and lo > 0:
+                        lumped = np.column_stack((w[:, :lo].sum(axis=1), w[:, lo:]))
+                        layouts.append((_lumped(prepare_supports(s), slice(lo - 1, k)),
+                                        lumped, (1, hi - lo + 1), split - lo + 1))
+                    elif kind == "trunc_mean" and hi < k - 1:
+                        lumped = np.column_stack((w[:, : hi + 1], w[:, hi + 1 :].sum(axis=1)))
+                        layouts.append((_lumped(prepare_supports(s), slice(0, hi + 2)),
+                                        lumped, (lo, hi), split))
+            for sup, rows_in, window, at in layouts:
+                got = evaluate_rows(f, sup, rows_in, window)
+                inside = np.ones(len(rows), bool) if window is None else (
+                    (at >= window[0]) & (at <= window[1]))
+                assert np.isnan(got[~inside]).all()
+                for i in np.flatnonzero(inside):
+                    for c in range(len(columns)):
+                        expect = want[i, c]
+                        if expect is None:
+                            # both ways at once: the kernel picks the side's
+                            # own infinity
+                            assert got[i, c] == (INF if kind == "cvar" else -INF)
+                        else:
+                            assert got[i, c] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                        seen.add(repr(expect) if expect in (None, INF, -INF) else "finite")
+        assert {"inf", "-inf", "finite"} <= seen
