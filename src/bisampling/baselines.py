@@ -144,9 +144,9 @@ def bayesian_bootstrap_interval(
     The resamples come from the draw of ``bis_run``,
     ``bis._dirichlet_resample``, with all-ones parameters over one column
     of sorted data: a quantile is the observation at a split index drawn
-    from its exact law, with no weights drawn, and a truncated mean or
-    CVaR searches its split window and draws the observations it reads
-    only through their total as that one total.
+    from its exact Binomial(n - 1, p) law, with no weights drawn, and a
+    truncated mean or CVaR is the mean of the observations up to or from
+    that split, drawn given it (Pyke 1965).
     """
     arr = _observations(data, 1)
     qs = _dirichlet_resample(f, np.ones(arr.size), np.sort(arr)[:, None], rng, n_resample)

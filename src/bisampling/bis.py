@@ -17,10 +17,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .dirichlet import (
+    _unit_split,
     merge_duplicates,
     sample_dirichlet,
     sample_split_index,
-    split_window,
     weight_chunks,
 )
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .functionals import (
     Functional,
-    _lumped,
     cell_endpoints,
     evaluate_rows,
     prepare_supports,
@@ -46,12 +45,11 @@ from .pbox import (
 # pseudo-observation weight carried by the bounding interval itself
 PRIOR_WEIGHT = 1.0
 
-# bytes of weights per chunk of realisations.  A split is searched for
-# only in its window of cells, so a chunk's temporaries are window-sized
-# and the chunk with them stays in a 2 MiB L2 cache.  Each chunk holds at
-# least one row, so the working set is O(n), whatever the number of
-# resamples.  The rows come in order from one stream, so this size does
-# not change the weights drawn.
+# bytes of weights per chunk of realisations, so that a chunk and its
+# temporaries stay in a 2 MiB L2 cache.  Each chunk holds at least one
+# row, so the working set is O(n), whatever the number of resamples.  The
+# rows come in order from one stream, so this size does not change the
+# weights drawn.
 _CHUNK_BYTES = 1024 * 1024
 
 
@@ -174,76 +172,94 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
 def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> QSamples:
     """Q-samples of ``f`` under ``n_resample`` Dirichlet(params) weight rows on
     ``values``, a ``(k, m)`` array of sorted support columns, one row per
-    parameter: the draw of ``bis_run`` (the cells' endpoints) and of the
-    Bayesian bootstrap (the sorted data).  Column 0 gives ``q_min`` and the
-    last column ``q_max``.  The count is checked before anything is drawn.
+    integer parameter: the draw of ``bis_run`` (the cells' endpoints) and
+    of the Bayesian bootstrap (the sorted data).  Column 0 gives ``q_min``
+    and the last column ``q_max``.  The count is checked before anything is
+    drawn.
 
     A quantile depends on a row only through the cell where its cumulative
     weight reaches p, so that cell is drawn from its exact law
     (``sample_split_index``) and no weights are drawn.  The mean takes
     whole rows over the supports, prepared once.  A truncated mean or CVaR
-    looks for each row's split only in the cells lo..hi of ``split_window``
-    and reads the cells on one side of them only through their total: CVaR
-    the cells before lo, the truncated mean those after hi.  Those cells
-    are drawn as one Gamma total per row (``weight_chunks``' ``lump``, by
-    Dirichlet aggregation), which takes the slot of cell lo-1 or hi+1 in a
-    row slice of the supports (``functionals._lumped``), so every q-sample
-    keeps its law.  A row that splits outside the window (probability
-    about 2**-53) is evaluated again by ``_resample``, whole, with any
-    lumped cells redrawn from their exact law given the total (the total
-    times a Dirichlet vector of their parameters), in row order from a
-    substream spawned from ``rng``.
+    draws the split first: the unit cell K ~ Binomial(A - 1, p) of the A
+    unit cells behind the parameters, and the cell c holding it.  Given K
+    the K uniforms below p are i.i.d. U(0, p) (Pyke 1965), so the truncated
+    mean is the Dirichlet mean of cells 0..c with the split cell's share of
+    shape K - head[c-1] + 1, head being the cumulative parameters, and CVaR
+    that of cells c..k-1 with a share of shape head[c] - K (``_split_means``).
     """
     _check_n_resample(n_resample, least=0)
     if f.kind == "quantile":
         idx = sample_split_index(params, f.p, rng, n_resample)
         return QSamples(q_min=values[idx, 0], q_max=values[idx, -1])
     supports = prepare_supports(values)
+    if f.kind != "mean":
+        return _split_means(f, params, supports, rng, n_resample)
+    chunks = weight_chunks(params, rng, n_resample, _chunk_rows(8 * params.size))
+    return _resample(f, supports, chunks, n_resample)
+
+
+def _split_means(f: Functional, params, supports, rng, n_resample: int) -> QSamples:
+    """The truncated means or CVaR of ``_dirichlet_resample``, drawn given
+    their split cells.
+
+    All splits and then, where some parameter is not 1, all the split
+    cells' shares come first, each in one call; with unit parameters a
+    share is the split cell's own draw.  The rows are drawn over one span
+    of cells fixed by the splits drawn, 0..max c or min c..k-1, so the
+    stream does not depend on the chunk size.  In each chunk a row's split
+    cell takes its share and the far side of it is zeroed, in the columns
+    between the chunk's smallest and largest split; the columns beyond
+    them are cut off by the row slice of the supports whose mean is taken.
+    The clip keeps each result inside [s_0, s_c] or [s_c, s_last], since a
+    ratio of sums can round an ulp outside.
+    """
+    head, units = _unit_split(params, f.p, rng, n_resample)
+    cell = np.searchsorted(head, units, side="right")
+    tail = f.kind == "cvar"
+    shape = head[cell] - units if tail else units - head[cell] + params[cell] + 1.0
+    shares = None if (params == 1.0).all() else rng.standard_gamma(shape)
     k = params.size
-    chunk_rows = _chunk_rows(8 * k)
-    window = None if f.kind == "mean" else split_window(params, f.p)
-    if window is not None:
-        lo, hi = window
-        start, stop = (0, lo) if f.kind == "cvar" else (hi + 1, k)
-    if window is None or start == stop:
-        chunks = weight_chunks(params, rng, n_resample, chunk_rows)
-        return _resample(f, supports, chunks, n_resample, window)
-    sub = None
+    if tail:
+        first, stop = int(cell.min(initial=k - 1)), k
+    else:
+        first, stop = 0, int(cell.max(initial=0)) + 1
+    chunks = weight_chunks(params[first:stop], rng, n_resample, _chunk_rows(8 * (stop - first)))
+    s, mean = supports.values, Functional("mean")
+    q = np.empty((s.shape[1], n_resample))
+    start = 0
+    for w in chunks:
+        rows = slice(start, start + w.shape[0])
+        c = cell[rows] - first
+        if shares is not None:
+            w[np.arange(w.shape[0]), c] = shares[rows]
+        lo, hi = int(c.min()), int(c.max())
+        if tail:
+            band = w[:, lo:hi]
+            band[np.arange(lo, hi) < c[:, None]] = 0.0
+            cols = slice(lo, w.shape[1])
+        else:
+            band = w[:, lo + 1 : hi + 1]
+            band[np.arange(lo + 1, hi + 1) > c[:, None]] = 0.0
+            cols = slice(0, hi + 1)
+        block = evaluate_rows(mean, supports.atoms(first + cols.start, first + cols.stop),
+                              w[:, cols])
+        at = s[cell[rows]]
+        q[:, rows] = (np.clip(block, at, s[-1]) if tail else np.clip(block, s[0], at)).T
+        start = rows.stop
+    return QSamples(q_min=q[0], q_max=q[-1])
 
-    def redo(rows):
-        nonlocal sub
-        sub = sub or rng.spawn(1)[0]
-        (drawn,) = weight_chunks(params[start:stop], sub, len(rows), len(rows))
-        drawn /= drawn.sum(axis=1, keepdims=True)
-        full = np.hstack((rows[:, :start], rows[:, start, None] * drawn, rows[:, start + 1 :]))
-        return evaluate_rows(f, supports, full)
 
-    atoms = slice(lo - 1, k) if f.kind == "cvar" else slice(0, hi + 2)
-    chunks = weight_chunks(params, rng, n_resample, chunk_rows, (start, stop))
-    return _resample(f, _lumped(supports, atoms), chunks, n_resample,
-                     (lo - atoms.start, hi - atoms.start), redo)
-
-
-def _resample(f: Functional, supports, chunks, n_resample: int, window=None,
-              redo=None) -> QSamples:
+def _resample(f: Functional, supports, chunks, n_resample: int) -> QSamples:
     """Q-samples of ``f`` on the ``n_resample`` weight rows that ``chunks`` yields
     in blocks over the prepared ``supports``, each block evaluated as it comes.
-    The first supports column gives ``q_min`` and the last ``q_max``.  Rows
-    that split outside ``window`` come back NaN; this is the one place they
-    are evaluated again, while the block holds them, by ``redo`` of their
-    weights if given, else over every atom.  The caller checks the count
-    before ``chunks``, a generator, draws anything."""
+    The first supports column gives ``q_min`` and the last ``q_max``.  The
+    caller checks the count before ``chunks``, a generator, draws anything."""
     q = np.empty((supports.values.shape[1], n_resample))
     start = 0
     for w in chunks:
         stop = start + w.shape[0]
-        block = q[:, start:stop]
-        block[...] = evaluate_rows(f, supports, w, window).T
-        if window is not None:
-            (missed,) = np.isnan(block[0]).nonzero()
-            if missed.size:
-                rows = w[missed]
-                block[:, missed] = (redo(rows) if redo else evaluate_rows(f, supports, rows)).T
+        q[:, start:stop] = evaluate_rows(f, supports, w).T
         start = stop
     return QSamples(q_min=q[0], q_max=q[-1])
 

@@ -2,14 +2,13 @@
 
 One draw, ``_fill_rows``, makes every Dirichlet weight: ``weight_chunks``
 streams its rows unnormalised in chunks of one reused buffer for the
-resampling engine and the Bayesian bootstrap, optionally with a run of
-cells drawn as their one Gamma total, and ``sample_dirichlet`` normalises
-one such row (for one realisation and the unit-DP grid).
+resampling engine and the Bayesian bootstrap, and ``sample_dirichlet``
+normalises one such row (for one realisation and the unit-DP grid).
 ``sample_split_index`` draws the cell where the cumulative weight first
-reaches a level from its exact law, without drawing weights, and
-``split_window`` gives the few cells that law can select.  The unit
-Dirichlet process (sometimes called the identity Dirichlet process) is a
-random distortion of the uniform CDF on [0, 1] with concentration
+reaches a level without drawing weights: with integer parameters that
+cell holds a Binomial(A - 1, p) count of unit cells (Pyke 1965).  The
+unit Dirichlet process (sometimes called the identity Dirichlet process)
+is a random distortion of the uniform CDF on [0, 1] with concentration
 ``alpha``; two samplers are provided, one on a fixed grid of cells and one
 by truncated stick breaking.
 """
@@ -17,10 +16,8 @@ by truncated stick breaking.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
-from scipy.special import betaincc
 
 from .errors import _check_open_unit
 from .pbox import ExtendedOrderStats, WeightedStepCdf
@@ -33,22 +30,17 @@ def _positive_params(params) -> np.ndarray:
     return a
 
 
-def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out,
-               lump=None):
+def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out):
     """Fill the rows of ``out`` with unnormalised Dirichlet(a) weights.
 
-    ``lump``, a pair ``(column, totals)``, then overwrites that column with
-    totals drawn beforehand.  A row whose draws are all zero (every gamma
-    underflowed, or one cell drew an exact zero) becomes a random vertex,
-    the limit law of such a row.  Such a row starts with a zero, so only
-    those rows are scanned.
+    A row whose draws are all zero (every gamma underflowed, or one cell
+    drew an exact zero) becomes a random vertex, the limit law of such a
+    row.  Such a row starts with a zero, so only those rows are scanned.
     """
     if exponential:
         rng.standard_exponential(out=out)
     else:
         rng.standard_gamma(a, out=out)
-    if lump is not None:
-        out[:, lump[0]] = lump[1]
     maybe = np.flatnonzero(out[:, 0] <= 0.0)
     dead = maybe[~out[maybe].any(axis=1)]
     if dead.size:
@@ -65,36 +57,21 @@ def sample_dirichlet(params, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum()
 
 
-def weight_chunks(params, rng: np.random.Generator, size: int, chunk_rows: int,
-                  lump=None):
+def weight_chunks(params, rng: np.random.Generator, size: int, chunk_rows: int):
     """Draw ``size`` unnormalised Dirichlet weight rows, ``chunk_rows`` at a time.
 
-    Yields views of one reused ``(chunk_rows, width)`` buffer, each
+    Yields views of one reused ``(chunk_rows, len(params))`` buffer, each
     overwritten by the next chunk; the last may hold fewer rows.  Rows are
     filled in order from ``rng`` and a generator fills sequentially, so the
     rows drawn do not depend on ``chunk_rows``.  A row is proportional to a
     Dirichlet draw; its total is left as drawn.
-
-    ``lump``, a pair ``(start, stop)``, draws the cells ``start..stop-1`` as
-    one column at ``start``: their summed weight, which by Dirichlet
-    aggregation is one Gamma(sum of their parameters) variate independent
-    of the other cells.  All ``size`` totals are drawn first, in one call;
-    the rows, ``len(params) - (stop - start) + 1`` wide, are then filled
-    chunk by chunk with a placeholder draw at ``start`` that the total
-    overwrites, so every fill stays one contiguous call.  Without ``lump``
-    a row has one column per cell.
     """
     a = _positive_params(params)
-    if lump is not None:
-        start, stop = lump
-        totals = rng.standard_gamma(a[start:stop].sum(), size=size)
-        a = np.concatenate((a[:start], [1.0], a[stop:]))
     exponential = bool(np.all(a == 1.0))
     buf = np.empty((min(chunk_rows, size), a.size))
     for first in range(0, size, chunk_rows):
         out = buf[: min(chunk_rows, size - first)]
-        chunk_lump = None if lump is None else (start, totals[first : first + out.shape[0]])
-        _fill_rows(a, exponential, rng, out, chunk_lump)
+        _fill_rows(a, exponential, rng, out)
         yield out
 
 
@@ -103,71 +80,31 @@ def sample_split_index(
 ) -> np.ndarray:
     """Draw the first cell where Dirichlet cumulative weight reaches ``p``.
 
-    By the aggregation property the weight of cells 0..j follows
-    Beta(A_j, A - A_j), with A_j the sum of their parameters and A the sum
-    of all, so P(index <= j) = P(Beta(A_j, A - A_j) >= p), which is 1 at
-    the last cell.  The law is inverted at ``size`` uniforms drawn from
-    (0, 1], so no weight vector is ever formed.  It is evaluated only on
-    the cells of ``split_window``, the ones a uniform can select; the
-    indices drawn equal those of the law evaluated on every cell.
+    With integer parameters summing to A, Dirichlet(params) is the
+    aggregation of A unit cells under Dirichlet(1, ..., 1), whose
+    cumulative weights are the order statistics of A - 1 uniforms (Pyke
+    1965).  The unit cell where the cumulative weight reaches p is the
+    number of those uniforms below p, a Binomial(A - 1, p) count
+    (``_unit_split``), and the cell holding it is the first whose
+    cumulative parameter exceeds it.  No weight vector is ever formed.
     """
-    head, rest, lo, hi = _split_law(params, p)
-    cdf = np.append(betaincc(head[lo:hi], rest[lo:hi], p), 1.0)
-    np.maximum.accumulate(cdf, out=cdf)
-    return lo + np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
+    head, units = _unit_split(params, p, rng, size)
+    return np.searchsorted(head, units, side="right")
 
 
-def split_window(params, p: float) -> tuple[int, int]:
-    """Cells ``lo..hi`` that hold the split index of all but a fraction of
-    about 2**-53 of Dirichlet(params) draws.
+def _unit_split(params, p: float, rng: np.random.Generator, size: int) -> tuple:
+    """Check integer ``params`` and ``p``; return the cumulative parameters
+    and ``size`` Binomial(A - 1, p) unit-cell split indices, A their sum.
 
-    The split index is the first cell where the cumulative weight reaches
-    ``p``.  ``sample_split_index`` evaluates its law only on these cells,
-    and the resampling engine looks for the split of its weight rows only
-    there (``bis._resample`` evaluates a row that splits elsewhere again)
-    and draws the cells on one side of them as one total (``weight_chunks``'
-    ``lump``).  See ``_law_window``.
-    """
-    return _split_law(params, p)[2:]
-
-
-def _split_law(params, p: float) -> tuple:
-    """Check ``params`` and ``p`` once; return A_j and A - A_j for every
-    cell j but the last, then the window ``lo, hi`` of ``_law_window``.
-
-    The rest is summed from the right, so it stays positive where
-    A - A_j would round to 0.
+    Non-integer parameters are rejected: the binomial law holds only for
+    a sum of unit cells.
     """
     a = _positive_params(params)
+    if (a != np.floor(a)).any():
+        raise ValueError("the split index law needs integer Dirichlet parameters")
     _check_open_unit(p, "p")
-    head, rest = np.cumsum(a)[:-1], np.cumsum(a[::-1])[::-1][1:]
-    return head, rest, *_law_window(head, rest, p)
-
-
-# the smallest level 1 - U for U from ``Generator.random``, whose values are
-# multiples of 2**-53 below 1
-_MIN_LEVEL = 2.0**-53
-
-
-def _law_window(head, rest, p: float) -> tuple[int, int]:
-    """Cells ``lo..hi`` that hold every index a uniform level can select.
-
-    The law P(index <= j) is betaincc(head[j], rest[j], p) for j below
-    ``head.size`` and 1 at the last cell.  No level in [2**-53, 1] selects a
-    cell before one whose law reads below 2**-53, nor one after a cell whose
-    law reads exactly 1; so a Dirichlet draw splits before ``lo`` with
-    probability below 2**-53, and after ``hi`` with a probability that
-    rounds to 0 next to 1.  The law is monotone, so two bisections find
-    ``lo``, the last cell whose law reads below 2**-53 (or the first cell),
-    and ``hi``, the first cell whose law reads 1 (or the last cell).
-    """
-    k = head.size
-
-    def law(j):
-        return betaincc(head[j], rest[j], p)
-
-    lo = max(bisect_left(range(k), _MIN_LEVEL, key=law) - 1, 0)
-    return lo, bisect_left(range(k), 1.0, key=law)
+    head = np.cumsum(a)
+    return head, rng.binomial(int(head[-1]) - 1, p, size)
 
 
 def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:

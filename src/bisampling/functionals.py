@@ -5,7 +5,8 @@ stochastic dominance, so their extremes over a probability box are attained
 at the box's own bounds; ``cell_endpoints`` is the one place that pairs
 each extreme with its bound.  Functionals are total on finite-support
 distributions and return signed infinities where a result is unbounded
-rather than raising.
+rather than raising; only a sum that weighs both -inf and +inf raises
+``IndeterminateSumError``.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class Supports:
     with infinities zeroed, then a ones column that sums the weight in the
     same product, whatever the supports hold.  A sorted column holds its
     -inf atoms first and its +inf atoms last, so their counts say which
-    weights fall on them (``_weighs``).  ``terms`` is column-major: the
-    atoms outside a split window are a contiguous piece of every column.
+    weights fall on them (``_weighs``).  ``terms`` is column-major, so a
+    run of atoms (``atoms``) is a contiguous piece of every column.
     """
 
     values: np.ndarray  # (n, m) sorted columns
@@ -82,6 +83,14 @@ class Supports:
     n_pos: np.ndarray  # (m,) +inf atoms per column
     n_neg: np.ndarray  # (m,) -inf atoms per column
     vector: bool  # made from one vector: results are (k,), not (k, 1)
+
+    def atoms(self, start: int, stop: int) -> "Supports":
+        """The atoms ``start..stop-1``, a row slice with no copy, their
+        infinite atoms counted from where each column holds them."""
+        n, size = self.values.shape[0], stop - start
+        return replace(self, values=self.values[start:stop], terms=self.terms[start:stop],
+                       n_pos=np.clip(self.n_pos - (n - stop), 0, size),
+                       n_neg=np.clip(self.n_neg - start, 0, size))
 
 
 def prepare_supports(supports) -> Supports:
@@ -97,22 +106,11 @@ def prepare_supports(supports) -> Supports:
     return Supports(s, terms, (s == np.inf).sum(axis=0), (s == -np.inf).sum(axis=0), vector)
 
 
-def _lumped(sup: Supports, atoms: slice) -> Supports:
-    """The atoms ``atoms`` of ``sup``, a row slice with no copy, for weight
-    rows whose first or last atom carries the summed weight of that atom
-    and of every atom of ``sup`` beyond it.  A split read in a window that
-    leaves out that lump reads it only as weight on one side.  The counts
-    stay those of ``sup``, right for the side the slice keeps whole.
-    """
-    return replace(sup, values=sup.values[atoms], terms=sup.terms[atoms])
-
-
 def _weighs(w: np.ndarray, counts: np.ndarray, last: bool = False) -> np.ndarray:
     """Where each row of ``w`` puts weight on the first ``counts[c]`` atoms
-    of column c (the last ones if ``last``), as a ``(k, m)`` mask.  A count
-    wider than the rows covers them all."""
+    of column c (the last ones if ``last``), as a ``(k, m)`` mask."""
     n = w.shape[1]
-    return np.column_stack([(w[:, max(n - c, 0):] if last else w[:, :c]).any(axis=1) if c
+    return np.column_stack([(w[:, n - c:] if last else w[:, :c]).any(axis=1) if c
                             else np.zeros(len(w), bool) for c in counts])
 
 
@@ -127,23 +125,15 @@ def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
     return np.where(neg, -np.inf, out)
 
 
-def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -> np.ndarray:
+def _split_rows(sup: Supports, w: np.ndarray, f: Functional) -> np.ndarray:
     """A quantile, or the atom-split mean of the mass below p (truncated
     mean) or above it (CVaR), of each row.
 
     A row splits at its first atom where the cumulative weight reaches p of
-    the row's total; every column of supports shares that split atom.  It
-    is searched for only among the atoms ``lo..hi``: the weight before and
-    after them comes from row sums, and the strict-side sums over the atoms
-    outside them from one product on a row slice of ``terms``.  A row whose
-    split atom lies outside ``lo..hi`` is NaN, for the caller to evaluate
-    again; with every atom in the window no row is.  On rows laid out by
-    the engine's lumped draw (``_lumped``) the atom just outside the window
-    on one side is the total of every cell beyond it, so the weight on that
-    side, ``before`` for CVaR and ``after`` for the truncated mean, is that
-    one column.  Weight on an infinite atom is read from the weights and
-    the supports, never from the product ``w @ terms``, whose bytes thus
-    depend on the finite atoms alone.
+    the row's total; every column of supports shares that split atom.
+    Weight on an infinite atom is read from the weights and the supports,
+    never from the product with ``terms``, whose bytes thus depend on the
+    finite atoms alone.
 
     For a split mean the atoms strictly on the chosen side contribute their
     whole weight and the split atom the rest of that side's mass (p of the
@@ -151,61 +141,50 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional, lo: int, hi: int) -
     actually summed, so each result is a convex combination of its atoms.
     That mass is summed from the side's own atoms because a difference of
     cumulative sums near the total loses the small tail masses of p near 1.
+    A side that weighs both -inf and +inf raises ``IndeterminateSumError``,
+    as the mean does.
     """
     s, p = sup.values, f.p
-    n_atoms, m = s.shape
+    m = s.shape[1]
     tail = f.kind == "cvar"
-    win, terms = w[:, lo : hi + 1], sup.terms
-    if f.kind == "trunc_mean":
-        sums = w[:, :lo] @ terms[:lo]
-        before, after = sums[:, m], w[:, hi + 1 :].sum(axis=1)
-    elif tail:
-        sums = w[:, hi + 1 :] @ terms[hi + 1 :]
-        before, after = w[:, :lo].sum(axis=1), sums[:, m]
-    else:
-        before, after = w[:, :lo].sum(axis=1), w[:, hi + 1 :].sum(axis=1)
-    cum = np.cumsum(win, axis=1)
-    cum += before[:, None]
-    total = cum[:, -1] + after
+    cum = np.cumsum(w, axis=1)
+    total = cum[:, -1]
     reached = cum >= p * total[:, None]
-    idx = lo + reached.argmax(axis=1)
+    idx = reached.argmax(axis=1)
+    at = s[idx]
     if f.kind == "quantile":
-        out = s[idx]
+        return at
+    if tail:
+        # the atoms after the split atom follow an atom that has reached p
+        sums = np.where(reached[:, :-1], w[:, 1:], 0.0) @ sup.terms[1:]
     else:
-        if tail:
-            # the atoms after the split atom follow an atom that has reached p
-            sums += np.where(reached[:, :-1], win[:, 1:], 0.0) @ terms[lo + 1 : hi + 1]
-        else:
-            # the atoms before the split atom have not reached p
-            sums += np.where(reached, 0.0, win) @ terms[lo : hi + 1]
-        strict, mass = sums[:, :m], sums[:, m:]
-        share = (1.0 - p) if tail else p
-        mass_at = np.maximum(share * total[:, None] - mass, 0.0)
-        at = s[idx]
-        with np.errstate(invalid="ignore"):
-            at_term = np.where(mass_at > 0, mass_at * at, 0.0)
-        out = (strict + at_term) / (mass + mass_at)
-        # rounding can leave the ratio an ulp outside the range of its atoms
-        out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
-        # -inf atoms come first, so they lie on a truncated mean's side of
-        # every split, and +inf atoms on CVaR's: weight on them drives the
-        # sum there, and a split on such an atom is that atom by the clip.
-        # A CVaR that reaches p exactly at a -inf atom takes none of it, so
-        # the -inf atoms after that atom decide
-        if tail:
-            knot = np.isneginf(at) & (mass_at == 0)
-            for i, c in zip(*knot.nonzero()):
-                if w[i, idx[i] + 1 :][s[idx[i] + 1 :, c] == -np.inf].any():
-                    out[i, c] = -np.inf
-            out = np.where(_weighs(w, sup.n_pos, last=True), np.inf, out)
-        else:
-            out = np.where(_weighs(w, sup.n_neg), -np.inf, out)
-    if lo > 0 or hi < n_atoms - 1:
-        out[(before >= p * total) | ~reached[:, -1]] = np.nan
-    return out
+        # the atoms before the split atom have not reached p
+        sums = np.where(reached, 0.0, w) @ sup.terms
+    strict, mass = sums[:, :m], sums[:, m:]
+    share = (1.0 - p) if tail else p
+    mass_at = np.maximum(share * total[:, None] - mass, 0.0)
+    with np.errstate(invalid="ignore"):
+        at_term = np.where(mass_at > 0, mass_at * at, 0.0)
+    out = (strict + at_term) / (mass + mass_at)
+    # rounding can leave the ratio an ulp outside the range of its atoms
+    out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
+    # -inf atoms come first, so they lie on a truncated mean's side of every
+    # split, and +inf atoms on CVaR's; an infinity on the other side is the
+    # split atom with a share of the side.  A CVaR that reaches p exactly at
+    # a -inf atom takes none of it, so the -inf atoms after that atom decide
+    if tail:
+        neg = np.isneginf(at) & (mass_at > 0)
+        for i, c in zip(*(np.isneginf(at) & (mass_at == 0)).nonzero()):
+            neg[i, c] = w[i, idx[i] + 1 :][s[idx[i] + 1 :, c] == -np.inf].any()
+        pos = _weighs(w, sup.n_pos, last=True)
+    else:
+        neg, pos = _weighs(w, sup.n_neg), np.isposinf(at)
+    if np.any(pos & neg):
+        raise IndeterminateSumError("positive weight at both -inf and +inf")
+    return np.where(neg, -np.inf, np.where(pos, np.inf, out))
 
 
-def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarray:
+def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     """Apply ``f`` to each row of ``weight_rows`` as weights on ``supports``.
 
     ``supports`` is one sorted vector, or an ``(n, m)`` matrix of m sorted
@@ -215,27 +194,14 @@ def evaluate_rows(f: Functional, supports, weight_rows, window=None) -> np.ndarr
     number of weight rows.  A row need not sum to 1: every functional is
     taken of the row divided by its total.  This is the one vectorized
     backend, shared by the scalar functionals, the resampling engine and
-    both bootstraps.
-
-    ``window``, a pair ``(lo, hi)`` of atom indices, is the only place the
-    split atom of a quantile, truncated mean or CVaR is looked for
-    (``dirichlet.split_window`` gives it for Dirichlet rows); a row that
-    splits elsewhere is NaN, and the resampling engine (``bis._resample``)
-    evaluates it again.  None means every atom, and then no row is NaN;
-    the mean ignores the window.
+    both bootstraps; the engine's Dirichlet truncated means and CVaR are
+    means here, of rows cut at a split drawn beforehand.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    n_atoms = sup.values.shape[0]
-    if w.shape[1] != n_atoms:
+    if w.shape[1] != sup.values.shape[0]:
         raise ValueError("weight rows must match the number of supports")
-    if f.kind == "mean":
-        out = _mean_rows(sup, w)
-    else:
-        lo, hi = (0, n_atoms - 1) if window is None else window
-        if not 0 <= lo <= hi < n_atoms:
-            raise ValueError(f"window {window!r} is not within the {n_atoms} atoms")
-        out = _split_rows(sup, w, f, lo, hi)
+    out = _mean_rows(sup, w) if f.kind == "mean" else _split_rows(sup, w, f)
     return out[:, 0] if sup.vector else out
 
 

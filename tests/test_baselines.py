@@ -9,7 +9,7 @@ from scipy import stats as sps
 
 from conftest import oracle_split_mean
 
-from bisampling import bis, functionals
+from bisampling import bis
 from bisampling.baselines import (
     ExtremeMixture,
     TruncatedLognormal,
@@ -22,7 +22,7 @@ from bisampling.baselines import (
     student_t_interval,
 )
 from bisampling.bis import QSamples, interval_estimate
-from bisampling.dirichlet import sample_split_index, split_window, weight_chunks
+from bisampling.dirichlet import sample_split_index, weight_chunks
 from bisampling.errors import (
     EmptySamplesError,
     IndeterminateSumError,
@@ -233,15 +233,6 @@ class TestBayesianBootstrap:
         chunks = weight_chunks(ones, stream(21), 999, rows)
         want = interval_estimate(bis._resample(MEAN, supports, chunks, 999), 0.9)
         assert bayesian_bootstrap_interval(data, MEAN, 0.9, 999, stream(21)) == want
-        # CVaR draws the observations before its split window as one total,
-        # in the slot of the observation just before the window
-        f = Functional("cvar", 0.8)
-        lo, hi = split_window(ones, f.p)
-        assert lo > 1
-        chunks = weight_chunks(ones, stream(21), 999, rows, (0, lo))
-        lumped = functionals._lumped(supports, slice(lo - 1, n))
-        want = interval_estimate(bis._resample(f, lumped, chunks, 999, (1, hi - lo + 1)), 0.9)
-        assert bayesian_bootstrap_interval(data, f, 0.9, 999, stream(21)) == want
         # a quantile is the sorted value at the split index, drawn from its law
         f = Functional("quantile", 0.5)
         values = np.sort(data)[sample_split_index(ones, f.p, stream(21), 999)]
@@ -293,7 +284,8 @@ class TestBootstrapsShared:
 
     @pytest.mark.parametrize("method", BOOTSTRAPS)
     def test_zero_resamples_leave_nothing_to_invert(self, method):
-        for f in (MEAN, Functional("quantile", 0.5)):
+        for f in (MEAN, Functional("quantile", 0.5), Functional("trunc_mean", 0.5),
+                  Functional("cvar", 0.5)):
             with pytest.raises(EmptySamplesError):
                 method([1.0, 2.0, 3.0], f, 0.9, 0, stream(22))
 

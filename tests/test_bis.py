@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from bisampling import bis, dirichlet, functionals
+from bisampling import bis
 from bisampling.baselines import bayesian_bootstrap_interval
 from bisampling.bis import (
     BisConfig,
@@ -19,9 +19,9 @@ from bisampling.bis import (
     QSamples,
 )
 from bisampling.dirichlet import (
+    _unit_split,
     merge_duplicates,
     sample_dirichlet,
-    split_window,
     weight_chunks,
 )
 from bisampling.errors import (
@@ -276,194 +276,76 @@ class TestChunkedPath:
         assert np.isfinite(qs.q_min).all() and (qs.q_min <= qs.q_max).all()
 
 
-class TestWindowedSplit:
-    """The truncated mean and CVaR search each split in the law's window."""
-
-    @pytest.mark.parametrize(
-        "f,n,n_resample",
-        [("trunc-mean:0.99", 1000, 10_000), ("trunc-mean:0.9", 1000, 10_000),
-         ("cvar:0.99", 1000, 10_000), ("cvar:0.9", 1000, 10_000),
-         ("trunc-mean:0.9", 10**5, 1000)],
-    )
-    def test_no_row_leaves_the_law_window(self, monkeypatch, f, n, n_resample):
-        data = np.exp(stream(3).normal(0.0, 1.0, n))
-        functional = Functional.parse(f)
-        calls = []
-        split_rows = functionals._split_rows
-
-        def counting(sup, w, f, lo, hi):
-            calls.append((lo, hi, w.shape[0], sup.values.shape[0]))
-            return split_rows(sup, w, f, lo, hi)
-
-        # a row that splits outside the window is evaluated again, in a second
-        # call over every atom
-        monkeypatch.setattr(functionals, "_split_rows", counting)
-        bis_run(data, POSITIVE, BisConfig(functional, 0.9, n_resample, 11))
-        params = reduced_for(data, POSITIVE)[1]
-        k = params.size
-        lo, hi = split_window(params, functional.p)
-        # the rows hold the window's cells and one total for the cells the
-        # functional reads only through it: for CVaR those before the window,
-        # in the slot of cell lo - 1; for the truncated mean those after it,
-        # in the slot of cell hi + 1
-        if functional.kind == "cvar":
-            shift, atoms = lo - 1, k - lo + 1
-        else:
-            shift, atoms = 0, min(hi + 2, k)
-        assert {call[:2] for call in calls} == {(lo - shift, hi - shift)}
-        assert {call[3] for call in calls} == {atoms}
-        assert sum(call[2] for call in calls) == n_resample
-        assert hi - lo < k / 4
-
-
 def full_rows(f, params, supports, rng, n_resample):
     """The q-samples of ``f`` on whole Dirichlet rows, every split searched
-    for in every cell: the draw before the lumped total."""
+    for in every cell."""
     (w,) = weight_chunks(params, rng, n_resample, n_resample)
     return evaluate_rows(f, supports, w).reshape(n_resample, -1)
 
 
-def narrowed_window(params, f, lumped=True):
-    """The law's window cut at the cell where the cumulative parameters reach
-    p of their sum, so about half of the rows split outside it: on the side
-    whose cells ``f`` reads only through their total, where those rows split
-    inside that total, or with ``lumped`` false on the other side."""
-    lo, hi = split_window(params, f.p)
-    mid = int(np.searchsorted(np.cumsum(params), f.p * params.sum()))
-    return (mid, hi) if (f.kind == "cvar") == lumped else (lo, mid)
+def split_span(params, f, rng, n_resample):
+    """Cells the engine's rows of truncated means or CVaR span: 0..max c or
+    min c..k-1 over the splits, drawn first from ``rng``."""
+    head, units = _unit_split(params, f.p, rng, n_resample)
+    cell = np.searchsorted(head, units, side="right")
+    return params.size - cell.min() if f.kind == "cvar" else cell.max() + 1
 
 
 @pytest.mark.filterwarnings("ignore:n_resample is below")
-class TestLumpedDraw:
-    """CVaR draws the cells before its split window, and the truncated mean
-    those after it, as one Gamma total per row."""
+class TestConditionalSplit:
+    """Truncated means and CVaR are drawn given their binomial split cell."""
 
-    @staticmethod
-    def draw_inputs(case, n):
-        data = np.exp(stream(5).normal(0.0, 1.0, n))
-        if case == "cells":
-            reduced, params = reduced_for(data, POSITIVE)
-            return params, cell_endpoints(reduced)
-        # the Bayesian bootstrap's rows: all-ones weights on the sorted data
-        return np.ones(n), np.sort(data)[:, None]
-
-    @pytest.mark.parametrize("f", ["cvar:0.9", "trunc-mean:0.5", "mean"])
-    def test_rows_hold_one_column_for_the_total(self, monkeypatch, f):
-        data = np.exp(stream(3).normal(0.0, 1.0, 1000))
-        widths = []
-        fill_rows = dirichlet._fill_rows
-
-        def recording(a, exponential, rng, out, lump=None):
-            widths.append(out.shape[1])
-            return fill_rows(a, exponential, rng, out, lump)
-
-        monkeypatch.setattr(dirichlet, "_fill_rows", recording)
-        functional = Functional.parse(f)
-        bis_run(data, POSITIVE, BisConfig(functional, 0.9, 1000, 1))
-        params = reduced_for(data, POSITIVE)[1]
-        k = params.size
-        assert k == 1001
-        if functional.kind == "mean":
-            want = k
-        else:
-            lo, hi = split_window(params, functional.p)
-            want = k - lo + 1 if functional.kind == "cvar" else hi + 2
-            # the cells on the side read through the total make one column
-            assert want < k / 2 if functional.kind == "cvar" else want < k
-        assert set(widths) == {want}
-
-    @pytest.mark.parametrize("kind", ["cvar", "trunc_mean"])
-    @pytest.mark.parametrize("case", ["cells", "bayesian-bootstrap"])
-    def test_forced_fallback_keeps_the_law(self, monkeypatch, case, kind):
-        n_resample = 4000
-        params, supports = self.draw_inputs(case, 200)
-        f = Functional(kind, 0.5)
-        monkeypatch.setattr(bis, "split_window", lambda params, p: narrowed_window(params, f))
-        redraws = []
-        chunks = bis.weight_chunks
-
-        def counting(params, rng, size, chunk_rows, lump=None):
-            if lump is None:
-                # the redraw of the lumped cells: (cells, rows)
-                redraws.append((params.size, size))
-            return chunks(params, rng, size, chunk_rows, lump)
-
-        monkeypatch.setattr(bis, "weight_chunks", counting)
-        qs = bis._dirichlet_resample(f, params, supports, stream(7), n_resample)
-        # the rows that split inside the total redraw every cell of it
-        lo, hi = narrowed_window(params, f)
-        assert 0.3 * n_resample < sum(rows for _, rows in redraws) < 0.7 * n_resample
-        assert {cells for cells, _ in redraws} == {lo if kind == "cvar" else params.size - 1 - hi}
-        want = full_rows(f, params, supports, stream(8), n_resample)
-        for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, -1])):
-            assert not np.isnan(got).any()
-            assert sps.ks_2samp(got, ref).pvalue > 0.01
-
-    @pytest.mark.parametrize("total", ["kept", "none"])
-    @pytest.mark.parametrize("f", ["cvar:0.9", "cvar:0.5", "trunc-mean:0.5", "trunc-mean:0.9"])
-    def test_misses_outside_the_total_are_evaluated_again(self, monkeypatch, f, total):
-        # rows that split on the side of the window away from the total miss
-        # it; the engine evaluates them again, so nothing else is drawn and
-        # the results are those of a window that holds every split.  With
-        # the window stretched to the far end no cells are lumped, the rows
-        # are whole, and the misses are evaluated over every cell.
-        data = np.exp(stream(3).normal(0.0, 1.0, 1000))
-        functional, n_resample = Functional.parse(f), 2000
-
-        def narrowed(params, p):
-            lo, hi = narrowed_window(params, functional, lumped=False)
-            if total == "kept":
-                return lo, hi
-            return (0, hi) if functional.kind == "cvar" else (lo, params.size - 1)
-
-        def holding(params, p):
-            return split_window(params, p) if total == "kept" else (0, params.size - 1)
-
-        again = []
-        evaluate = bis.evaluate_rows
-
-        def counting(f, supports, rows, window=None):
-            if window is None:
-                again.append(rows.shape[0])
-            return evaluate(f, supports, rows, window)
-
-        monkeypatch.setattr(bis, "evaluate_rows", counting)
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("f", ["trunc-mean:0.5", "trunc-mean:0.99", "cvar:0.5",
+                                   "cvar:0.99", "median", "quantile:0.99"])
+    def test_chunk_size_changes_no_row(self, monkeypatch, f, tied):
+        data = np.exp(stream(3).normal(0.0, 1.0, 300))
+        if tied:
+            data = np.round(data, 1)
+        functional, n_resample, seed = Functional.parse(f), 50, 5
+        draws = [
+            (reduced_for(data, POSITIVE)[1], lambda: bis_run(
+                data, POSITIVE, BisConfig(functional, 0.5, n_resample, seed))),
+            # the Bayesian bootstrap's q-samples, of the engine's draw
+            (np.ones(data.size), lambda: bis._dirichlet_resample(
+                functional, np.ones(data.size), np.sort(data)[:, None], stream(seed),
+                n_resample)),
+        ]
         runs = []
-        for window in (holding, narrowed):
-            monkeypatch.setattr(bis, "split_window", window)
-            qs = bis_run(data, POSITIVE, BisConfig(functional, 0.9, n_resample, 5))
-            est = bayesian_bootstrap_interval(data, functional, 0.9, n_resample, stream(5))
-            runs.append(((qs.q_min, qs.q_max, [est.lo, est.hi]), sum(again)))
-        (want, none), (got, missed) = runs
-        # bis_run and the Bayesian bootstrap each miss about half their rows
-        assert none == 0 and 0.6 * n_resample < missed < 1.4 * n_resample
-        for a, b in zip(got, want):
-            assert not np.isnan(a).any()
-            assert np.array_equal(np.isinf(a), np.isinf(b))
-            np.testing.assert_allclose(a, b, rtol=1e-13)
-
-    @pytest.mark.parametrize("narrowed", [False, True], ids=["law-window", "narrowed"])
-    @pytest.mark.parametrize("f", ["cvar:0.9", "trunc-mean:0.5"])
-    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, f, narrowed):
-        data = np.exp(stream(3).normal(0.0, 1.0, 1000))
-        functional = Functional.parse(f)
-        if narrowed:
-            # about half of the rows take the exact fallback
-            monkeypatch.setattr(bis, "split_window",
-                                lambda params, p: narrowed_window(params, functional))
-        runs = []
-        # one-row chunks, 7-row chunks (7 does not divide 50), the default
-        for chunk_bytes in (1, 7 * 8 * 1001, bis._CHUNK_BYTES):
-            monkeypatch.setattr(bis, "_CHUNK_BYTES", chunk_bytes)
-            qs = bis_run(data, POSITIVE, BisConfig(functional, 0.5, 50, 5))
-            est = bayesian_bootstrap_interval(data, functional, 0.5, 50, stream(5))
-            runs.append((qs.q_min, qs.q_max, [est.lo, est.hi]))
+        # one-row chunks, three-row chunks (3 does not divide 50), the default
+        for rows in (1, 3, None):
+            run = []
+            for params, draw in draws:
+                if rows is not None:
+                    cells = params.size
+                    if functional.kind != "quantile":
+                        # the rows span only these cells
+                        cells = split_span(params, functional, stream(seed), n_resample)
+                    monkeypatch.setattr(bis, "_CHUNK_BYTES", rows * 8 * int(cells))
+                qs = draw()
+                run += [qs.q_min, qs.q_max]
+            est = bayesian_bootstrap_interval(data, functional, 0.5, n_resample, stream(seed))
+            runs.append(run + [[est.lo, est.hi]])
+            monkeypatch.undo()
         for run in runs[:-1]:
             for a, b in zip(run, runs[-1]):
-                assert not np.isnan(a).any()
-                assert np.array_equal(np.isinf(a), np.isinf(b))
-                # a matrix product may round differently for other row counts
-                np.testing.assert_allclose(a, b, rtol=1e-13)
+                if functional.kind == "quantile":
+                    assert np.array_equal(a, b)
+                else:
+                    # a matrix product may round differently for other row counts
+                    assert np.array_equal(np.isinf(a), np.isinf(b))
+                    np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @pytest.mark.parametrize("f", ["trunc-mean:0.3", "trunc-mean:0.99", "cvar:0.3", "cvar:0.99"])
+    def test_all_tied_data_gives_the_tied_value(self, f):
+        # a Dirichlet mean of one value rounds off it; the clip keeps it
+        functional = Functional.parse(f)
+        for value in (0.1, 2.0 / 3.0, -7.3):
+            qs = bis._dirichlet_resample(functional, np.ones(500), np.full((500, 1), value),
+                                         stream(6), 2000)
+            assert (qs.q_min == value).all()
+            est = bayesian_bootstrap_interval([value] * 500, functional, 0.9, 2000, stream(6))
+            assert est.lo == est.hi == value
 
 
 @pytest.mark.filterwarnings("ignore:n_resample is below")
@@ -531,7 +413,7 @@ SPLIT_INTERVALS = st.sampled_from([BoundingInterval(0.0, 6.0), POSITIVE,
 
 class TestExactSplitLaw:
     """The quantile path against Monte Carlo blocks and the Beta oracle, and
-    the lumped draw of the split means against whole rows."""
+    the split means drawn given their split against whole rows."""
 
     N = 20_000
     Z = 5.0
@@ -579,14 +461,14 @@ class TestExactSplitLaw:
     @given(
         data=SPLIT_DATA,
         # repeated ties keep the cells few but their parameters large, so the
-        # window leaves cells out on both sides and the total is drawn
+        # split cell's share has a shape other than its parameter
         copies=st.integers(1, 300),
         interval=SPLIT_INTERVALS,
         kind=st.sampled_from(["cvar", "trunc_mean"]),
         p=st.floats(0.001, 0.999),
         seed=st.integers(0, 2**32),
     )
-    def test_lumped_split_means_match_whole_rows(self, data, copies, interval, kind, p,
+    def test_split_means_match_whole_rows(self, data, copies, interval, kind, p,
                                                  seed):
         f = Functional(kind, p)
         qs = bis_run(data * copies, interval, BisConfig(f, 0.5, self.N, seed))

@@ -9,7 +9,6 @@ from bisampling.dirichlet import (
     sample_split_index,
     sample_unit_dp_grid,
     sample_unit_dp_stick,
-    split_window,
     weight_chunks,
 )
 from bisampling.errors import InvalidProbabilityError
@@ -109,17 +108,6 @@ class TestWeightChunks:
         assert ((rows == 0.0).sum(axis=1) == 6).all()
 
 
-class _FixedUniforms:
-    """Stands in for a generator whose ``random`` returns given uniforms."""
-
-    def __init__(self, uniforms):
-        self.uniforms = uniforms
-
-    def random(self, size):
-        assert size == self.uniforms.size
-        return self.uniforms
-
-
 def full_split_law(params, p):
     """P(split index <= j) evaluated on every cell, made monotone."""
     head = np.cumsum(params)[:-1]
@@ -128,75 +116,54 @@ def full_split_law(params, p):
     return np.maximum.accumulate(cdf)
 
 
+def split_params(n, ties):
+    """n + 1 unit cells, or with ``ties`` every third one a merged run of four."""
+    params = np.ones(n + 1)
+    if ties:
+        params[::3] = 4.0
+    return params
+
+
+def binomial_split_law(params, p):
+    """P(split index <= j): fewer than head[j] of the A - 1 uniforms behind
+    the A unit cells of integer ``params`` fall below p."""
+    head = np.cumsum(params)
+    return sps.binom.cdf(head - 1, head[-1] - 1, p)
+
+
 class TestSampleSplitIndex:
     @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.999, 1 - 1e-9])
     @pytest.mark.parametrize("n", [1, 10, 10**5])
     @pytest.mark.parametrize("ties", [False, True], ids=["ones", "merged-ties"])
-    def test_window_matches_full_law(self, ties, n, p):
-        params = np.ones(n + 1)
-        if ties:
-            # merged runs of tied points carry parameters above 1
-            params[::3] = 4.0
-        cdf = full_split_law(params, p)
-        # U from Generator.random is a multiple of 2**-53 in [0, 1): take the
-        # grid values next to every value the law takes, and both extremes
-        grid = 2.0**53
-        m = np.floor((1.0 - cdf) * grid)
-        u = np.unique(np.clip(np.concatenate((m - 1, m, m + 1, [0, grid - 1])), 0, grid - 1))
-        uniforms = u / grid
-        want = np.searchsorted(cdf, 1.0 - uniforms, side="left")
-        got = sample_split_index(params, p, _FixedUniforms(uniforms), uniforms.size)
-        assert np.array_equal(got, want)
-        # and on random uniforms from a seeded stream
-        assert np.array_equal(
-            sample_split_index(params, p, stream(8), 1000),
-            np.searchsorted(cdf, 1.0 - stream(8).random(1000), side="left"),
-        )
+    def test_binomial_law_matches_full_law(self, ties, n, p):
+        params = split_params(n, ties)
+        law = binomial_split_law(params, p)
+        assert law[-1] == 1.0
+        np.testing.assert_allclose(law, full_split_law(params, p), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.999, 1 - 1e-9])
-    @pytest.mark.parametrize("n", [1, 10, 1000])
-    def test_draws_from_the_split_window(self, n, p):
-        params = np.ones(n + 1)
-        params[::3] = 4.0
-        lo, hi = split_window(params, p)
-        cdf = full_split_law(params, p)
-        # no uniform level selects a cell at or before lo, or one after hi
-        assert lo == 0 or cdf[lo] < 2.0**-53
-        assert cdf[hi] == 1.0
-        levels = 1.0 - stream(8).random(2000)
-        want = lo + np.searchsorted(np.append(cdf[lo:hi], 1.0), levels, side="left")
-        got = sample_split_index(params, p, stream(8), 2000)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, np.searchsorted(cdf, levels, side="left"))
-
-    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.9, 0.999, 1 - 1e-9])
-    @pytest.mark.parametrize("case", ["merged-ties-1", "merged-ties-10", "merged-ties-1000",
-                                      "tied-data", "ones-200", "ones-1001"])
-    def test_window_is_the_linear_scan(self, case, p):
-        name, _, size = case.rpartition("-")
-        if name == "merged-ties":
-            params = np.ones(int(size) + 1)
-            params[::3] = 4.0
-        elif name == "tied":
-            data = np.round(stream(9).lognormal(size=500), 1)
-            stats = make_extended_order_stats(data, BoundingInterval(0.0, 50.0))
-            params = merge_duplicates(stats)[1]
-        else:
-            params = np.ones(int(size))
-        cdf = full_split_law(params, p)
-        # the last cell whose law reads below 2**-53, or the first cell; the
-        # first cell whose law reads 1, which the last cell always does
-        below = np.flatnonzero(cdf < 2.0**-53)
-        want = (int(below[-1]) if below.size else 0, int(np.argmax(cdf == 1.0)))
-        assert split_window(params, p) == want
-
-    def test_window_reaches_no_further_than_the_law(self):
-        assert split_window(np.ones(1001), 0.9) == (813, 968)
-        assert split_window(np.ones(200), 0.5)[0] > 0
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("n", [10, 1000])
+    @pytest.mark.parametrize("ties", [False, True], ids=["ones", "merged-ties"])
+    def test_draws_fit_the_law(self, ties, n, p):
+        params, size = split_params(n, ties), 200_000
+        got = np.bincount(sample_split_index(params, p, stream(8), size), minlength=params.size)
+        expected = size * np.diff(binomial_split_law(params, p), prepend=0.0)
+        # pool neighbouring cells until each pool expects at least 5 draws
+        starts, mass = [0], 0.0
+        for j, e in enumerate(expected):
+            if mass >= 5.0:
+                starts.append(j)
+                mass = 0.0
+            mass += e
+        if mass < 5.0 and len(starts) > 1:
+            starts.pop()
+        obs, exp = np.add.reduceat(got, starts), np.add.reduceat(expected, starts)
+        assert obs.sum() == size and len(starts) > 1
+        assert sps.chisquare(obs, exp * size / exp.sum()).pvalue > 1e-3
 
     def test_matches_weight_blocks(self):
-        # general (non-integer) parameters, against cumulative Dirichlet weights
-        params, p, n = np.array([0.5, 2.0, 1.5, 0.2, 3.0]), 0.4, 20_000
+        # merged ties of several sizes, against cumulative Dirichlet weights
+        params, p, n = np.array([1.0, 2.0, 5.0, 1.0, 3.0]), 0.4, 20_000
         idx = sample_split_index(params, p, stream(5), n)
         (w,) = weight_chunks(params, stream(6), n, n)
         cum = np.cumsum(w, axis=1)
@@ -212,6 +179,10 @@ class TestSampleSplitIndex:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             sample_split_index([1.0, 0.0], 0.5, stream(0), 3)
+        # the binomial law needs whole unit cells
+        for params in ([1.0, 0.5], [2.5, 1.0], [1.0, 1.0 + 1e-9]):
+            with pytest.raises(ValueError, match="integer"):
+                sample_split_index(params, 0.5, stream(0), 3)
         for p in (0.0, 1.0, float("nan"), "0.5"):
             with pytest.raises(InvalidProbabilityError):
                 sample_split_index([1.0, 1.0], p, stream(0), 3)

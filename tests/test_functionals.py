@@ -5,12 +5,10 @@ import pytest
 
 from conftest import oracle_split_mean, random_fraction_instance
 
-from bisampling.dirichlet import merge_duplicates, split_window, weight_chunks
+from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
-    _lumped,
-    _weighs,
     cell_endpoints,
     evaluate_rows,
     prepare_supports,
@@ -19,7 +17,7 @@ from bisampling.functionals import (
     q_quantile,
     q_truncated_mean,
 )
-from bisampling.pbox import BoundingInterval, WeightedStepCdf, make_extended_order_stats
+from bisampling.pbox import WeightedStepCdf
 from bisampling.rng import stream
 
 INF = float("inf")
@@ -332,62 +330,6 @@ class TestEvaluateRows:
             evaluate_rows(mean, s[:, 0], w)
 
 
-WINDOW_CASES = {
-    "ties": ([2.0, 2.0, 2.0, 3.0, 3.0, 5.0], BoundingInterval(0.0, 6.0)),
-    "on-bounds": ([0.0, 0.0, 3.0, 6.0, 6.0], BoundingInterval(0.0, 6.0)),
-    "both-infinite": ([-1.0, 0.5, 2.0, 3.0], BoundingInterval(-INF, INF)),
-    "empty": ([], BoundingInterval(0.0, 1.0)),
-    "lognormal": (np.exp(stream(5).normal(0.0, 1.0, 40)).tolist(), BoundingInterval(0.0, INF)),
-}
-
-
-class TestSplitWindow:
-    """A split window leaves the result of every row that splits inside it
-    and marks the others NaN."""
-
-    @pytest.mark.parametrize("p", [1e-12, 0.001, 0.5, 0.99, 1 - 1e-12])
-    @pytest.mark.parametrize("case", list(WINDOW_CASES))
-    def test_any_window_matches_full_path(self, case, p):
-        data, interval = WINDOW_CASES[case]
-        reduced, params = merge_duplicates(make_extended_order_stats(data, interval))
-        sup = prepare_supports(cell_endpoints(reduced))
-        k = params.size
-        (w,) = weight_chunks(params, stream(9), 300, 300)
-        if k > 1:
-            # rows with no weight on the first or the last cell
-            w[:30, 0] = 0.0
-            w[30:60, -1] = 0.0
-        scale = np.abs(reduced[np.isfinite(reduced)]).max(initial=1.0)
-        # one-cell windows at the first, a middle and the last cell miss most
-        # rows; the law's window and an inner one keep them
-        inner = (min(1, k - 1), max(k - 2, min(1, k - 1)))
-        windows = {(0, 0), (k // 2, k // 2), (k - 1, k - 1), inner, split_window(params, p)}
-        # each row's split index, searched for over every cell
-        split = evaluate_rows(Functional("quantile", p), np.arange(k, dtype=float), w)
-        for kind in ("quantile", "trunc_mean", "cvar"):
-            f = Functional(kind, p)
-            want = evaluate_rows(f, sup, w)
-            assert not np.isnan(want).any()
-            for lo, hi in windows:
-                got = evaluate_rows(f, sup, w, (lo, hi))
-                # a row is NaN, in every column, exactly when it splits
-                # outside the window; the others keep the full path's result
-                missed = (split < lo) | (split > hi)
-                assert np.array_equal(np.isnan(got), np.broadcast_to(missed[:, None], got.shape))
-                got, ref = got[~missed], want[~missed]
-                assert np.array_equal(np.isinf(got), np.isinf(ref))
-                if kind == "quantile":
-                    assert np.array_equal(got, ref)
-                else:
-                    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * scale)
-
-    def test_window_outside_the_atoms_rejected(self):
-        w = np.full((2, 3), 1.0)
-        for window in ((-1, 1), (2, 1), (0, 3)):
-            with pytest.raises(ValueError):
-                evaluate_rows(Functional("cvar", 0.5), [1.0, 2.0, 3.0], w, window)
-
-
 def limit_oracle(column, row, f):
     """``f`` of the integer weight ``row`` on ``column`` in exact arithmetic,
     an infinite atom taken as the limit of a finite one running off to it.
@@ -415,12 +357,6 @@ def limit_oracle(column, row, f):
     if down and up:
         return None
     return -INF if down else INF if up else float(base)
-
-
-def split_index(row, p):
-    """The first atom where the cumulative weight of ``row`` reaches p."""
-    cum = np.cumsum(row)
-    return int(np.argmax([Fraction(int(c)) >= Fraction(p) * int(cum[-1]) for c in cum]))
 
 
 INFINITE_RUN_CASES = [
@@ -454,12 +390,45 @@ class TestInfiniteAtoms:
     +inf atoms last, each weighed by a row when that row's weights on them
     are not all zero."""
 
-    def test_counts_wider_than_the_rows_cover_them_all(self):
-        # a lumped slice keeps the counts of the full supports
-        w = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        for last in (False, True):
-            got = _weighs(w, np.array([3, 0]), last)
-            assert got.tolist() == [[True, False], [True, False], [False, False]]
+    def test_atom_slices_count_their_own_infinities(self):
+        # the mean of a row slice of the supports is that of the whole row
+        # with no weight outside the slice
+        mean = Functional("mean")
+        for columns, rows, _ in infinite_run_cases(100):
+            s = np.column_stack(columns)
+            sup, k = prepare_supports(s), s.shape[0]
+            for start in range(k):
+                for stop in range(start + 1, k + 1):
+                    part = sup.atoms(start, stop)
+                    assert part.values.shape[0] == stop - start
+                    for row in np.array(rows, dtype=float):
+                        whole = np.zeros(k)
+                        whole[start:stop] = row[start:stop]
+                        if not whole.any():
+                            continue
+                        try:
+                            want = evaluate_rows(mean, sup, whole)
+                        except IndeterminateSumError:
+                            with pytest.raises(IndeterminateSumError):
+                                evaluate_rows(mean, part, row[start:stop])
+                            continue
+                        assert np.array_equal(evaluate_rows(mean, part, row[start:stop]), want)
+
+    @pytest.mark.parametrize("f", ["trunc-mean:0.5", "cvar:0.5"])
+    def test_a_side_weighing_both_infinities_raises(self, f):
+        # the truncated mean's side holds the -inf atom and the split +inf
+        # atom; CVaR's the split -inf atom and the +inf atom
+        f = Functional.parse(f)
+        counts = [1.0, 0.0, 3.0] if f.kind == "trunc_mean" else [3.0, 0.0, 1.0]
+        supports = [-INF, 1.0, INF]
+        with pytest.raises(IndeterminateSumError):
+            evaluate_rows(f, supports, counts)
+        with pytest.raises(IndeterminateSumError):
+            f.evaluate(step(supports, np.array(counts) / 4.0))
+        data = [x for x, c in zip(supports, counts) for _ in range(int(c))]
+        for method in (bootstrap_interval, bayesian_bootstrap_interval):
+            with pytest.raises(IndeterminateSumError):
+                method(data, f, 0.9, 200, stream(1))
 
     def test_mean_matches_the_limit_oracle(self):
         mean = Functional("mean")
@@ -484,38 +453,21 @@ class TestInfiniteAtoms:
             f = Functional(kind, p)
             s = np.column_stack(columns)
             w = np.array(rows, dtype=float)
-            k = s.shape[0]
             want = np.array([[limit_oracle(c, row, f) for c in columns] for row in rows],
                             dtype=object)
-            split = np.array([split_index(row, p) for row in rows])
-            # a window leaves a row its result when it splits inside, else
-            # NaN; a lumped slice carries the atoms beyond the window as
-            # one atom at their edge, as the engine's lumped draw does
-            layouts = [(s, w, None, split)]
-            for lo in range(k):
-                for hi in range(lo, k):
-                    layouts.append((s, w, (lo, hi), split))
-                    if kind == "cvar" and lo > 0:
-                        lumped = np.column_stack((w[:, :lo].sum(axis=1), w[:, lo:]))
-                        layouts.append((_lumped(prepare_supports(s), slice(lo - 1, k)),
-                                        lumped, (1, hi - lo + 1), split - lo + 1))
-                    elif kind == "trunc_mean" and hi < k - 1:
-                        lumped = np.column_stack((w[:, : hi + 1], w[:, hi + 1 :].sum(axis=1)))
-                        layouts.append((_lumped(prepare_supports(s), slice(0, hi + 2)),
-                                        lumped, (lo, hi), split))
-            for sup, rows_in, window, at in layouts:
-                got = evaluate_rows(f, sup, rows_in, window)
-                inside = np.ones(len(rows), bool) if window is None else (
-                    (at >= window[0]) & (at <= window[1]))
-                assert np.isnan(got[~inside]).all()
-                for i in np.flatnonzero(inside):
-                    for c in range(len(columns)):
-                        expect = want[i, c]
-                        if expect is None:
-                            # both ways at once: the kernel picks the side's
-                            # own infinity
-                            assert got[i, c] == (INF if kind == "cvar" else -INF)
-                        else:
-                            assert got[i, c] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-                        seen.add(repr(expect) if expect in (None, INF, -INF) else "finite")
-        assert {"inf", "-inf", "finite"} <= seen
+            for i, row in enumerate(w):
+                if None in want[i]:
+                    # both ways at once: the side sums -inf and +inf
+                    with pytest.raises(IndeterminateSumError):
+                        evaluate_rows(f, s, row)
+                    for c, column in enumerate(columns):
+                        if want[i, c] is not None:
+                            got = evaluate_rows(f, column, row)[0]
+                            assert got == pytest.approx(want[i, c], rel=1e-12, abs=1e-12)
+                    seen.add("None")
+                    continue
+                got = evaluate_rows(f, s, row)[0]
+                for c, expect in enumerate(want[i]):
+                    assert got[c] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                    seen.add(repr(expect) if expect in (INF, -INF) else "finite")
+        assert seen == {"None", "inf", "-inf", "finite"}
