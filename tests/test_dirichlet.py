@@ -131,15 +131,70 @@ def binomial_split_law(params, p):
     return sps.binom.cdf(head - 1, head[-1] - 1, p)
 
 
+def law_window(cdf):
+    """The cells a split index can reach, read off its law by a linear
+    scan: the last cell whose law reads below 2**-53 (or the first cell),
+    and the first cell whose law reads 1, which the last cell always does."""
+    below = np.flatnonzero(cdf < 2.0**-53)
+    return (int(below[-1]) if below.size else 0, int(np.argmax(cdf == 1.0)))
+
+
+def assert_inside_window(idx, cdf):
+    """No draw in ``idx`` falls where the law ``cdf`` puts less than 2**-53."""
+    lo, hi = law_window(cdf)
+    assert idx.min() >= lo + (cdf[lo] < 2.0**-53)
+    assert idx.max() <= hi
+
+
 class TestSampleSplitIndex:
     @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.999, 1 - 1e-9])
     @pytest.mark.parametrize("n", [1, 10, 10**5])
     @pytest.mark.parametrize("ties", [False, True], ids=["ones", "merged-ties"])
-    def test_binomial_law_matches_full_law(self, ties, n, p):
+    def test_window_matches_full_law(self, ties, n, p):
+        # the binomial law of the split index is the Beta law of the
+        # cumulative weights, cell by cell
         params = split_params(n, ties)
         law = binomial_split_law(params, p)
         assert law[-1] == 1.0
         np.testing.assert_allclose(law, full_split_law(params, p), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.999, 1 - 1e-9])
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_draws_from_the_split_window(self, n, p):
+        params = split_params(n, True)
+        # the draw is one binomial count of unit cells per row, read off the
+        # cumulative parameters, so it spends the stream as that count does
+        units = stream(8).binomial(int(params.sum()) - 1, p, 2000)
+        got = sample_split_index(params, p, stream(8), 2000)
+        assert np.array_equal(got, np.searchsorted(np.cumsum(params), units, side="right"))
+        assert_inside_window(got, full_split_law(params, p))
+
+    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.5, 0.9, 0.999, 1 - 1e-9])
+    @pytest.mark.parametrize("case", ["merged-ties-1", "merged-ties-10", "merged-ties-1000",
+                                      "tied-data", "ones-200", "ones-1001"])
+    def test_window_is_the_linear_scan(self, case, p):
+        name, _, size = case.rpartition("-")
+        if name == "merged-ties":
+            params = split_params(int(size), True)
+        elif name == "tied":
+            data = np.round(stream(9).lognormal(size=500), 1)
+            stats = make_extended_order_stats(data, BoundingInterval(0.0, 50.0))
+            params = merge_duplicates(stats)[1]
+        else:
+            params = np.ones(int(size))
+        cdf = full_split_law(params, p)
+        # the binomial law reaches exactly the cells the full law does, and
+        # the draws stay inside them
+        assert law_window(binomial_split_law(params, p)) == law_window(cdf)
+        assert_inside_window(sample_split_index(params, p, stream(10), 20_000), cdf)
+
+    def test_window_reaches_no_further_than_the_law(self):
+        law = binomial_split_law(np.ones(1001), 0.9)
+        assert law_window(law) == (813, 968)
+        idx = sample_split_index(np.ones(1001), 0.9, stream(11), 100_000)
+        assert 813 < idx.min() and idx.max() <= 968
+        assert law_window(binomial_split_law(np.ones(200), 0.5))[0] > 0
+        assert sample_split_index(np.ones(200), 0.5, stream(11), 100_000).min() > 0
 
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.9, 0.999])
     @pytest.mark.parametrize("n", [10, 1000])

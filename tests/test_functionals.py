@@ -6,6 +6,7 @@ import pytest
 from conftest import oracle_split_mean, random_fraction_instance
 
 from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
+from bisampling.dirichlet import merge_duplicates, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
@@ -17,7 +18,7 @@ from bisampling.functionals import (
     q_quantile,
     q_truncated_mean,
 )
-from bisampling.pbox import WeightedStepCdf
+from bisampling.pbox import BoundingInterval, WeightedStepCdf, make_extended_order_stats
 from bisampling.rng import stream
 
 INF = float("inf")
@@ -328,6 +329,77 @@ class TestEvaluateRows:
             evaluate_rows(mean, s, w)
         with pytest.raises(IndeterminateSumError):
             evaluate_rows(mean, s[:, 0], w)
+
+
+WINDOW_CASES = {
+    "ties": ([2.0, 2.0, 2.0, 3.0, 3.0, 5.0], BoundingInterval(0.0, 6.0)),
+    "on-bounds": ([0.0, 0.0, 3.0, 6.0, 6.0], BoundingInterval(0.0, 6.0)),
+    "both-infinite": ([-1.0, 0.5, 2.0, 3.0], BoundingInterval(-INF, INF)),
+    "empty": ([], BoundingInterval(0.0, 1.0)),
+    "lognormal": (np.exp(stream(5).normal(0.0, 1.0, 40)).tolist(), BoundingInterval(0.0, INF)),
+}
+
+
+def cut_at_split(w, p, tail):
+    """Each row of ``w`` cut at its split atom, the first where its
+    cumulative weight reaches p of its total, and that split atom.  The
+    far side of the split is zeroed and the split atom keeps the rest of
+    the side's mass: p of the total below it, or 1 - p of it above (tail)."""
+    k = w.shape[1]
+    cum = np.cumsum(w, axis=1)
+    total = cum[:, -1]
+    split = (cum >= p * total[:, None]).argmax(axis=1)
+    near = (np.arange(k) > split[:, None]) if tail else (np.arange(k) < split[:, None])
+    cut = np.where(near, w, 0.0)
+    share = ((1.0 - p) if tail else p) * total - cut.sum(axis=1)
+    cut[np.arange(len(w)), split] = np.maximum(share, 0.0)
+    return cut, split
+
+
+class TestSplitWindow:
+    """The mean of rows with no weight outside a window of atoms is the mean
+    on that window, a row slice of the supports; a truncated mean or CVaR
+    is the mean of its row cut at the split, on the window the cut keeps,
+    clipped to the split atom.  The engine draws its split means so."""
+
+    @pytest.mark.parametrize("p", [1e-12, 0.001, 0.5, 0.99, 1 - 1e-12])
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    def test_any_window_matches_full_path(self, case, p):
+        data, interval = WINDOW_CASES[case]
+        reduced, params = merge_duplicates(make_extended_order_stats(data, interval))
+        sup = prepare_supports(cell_endpoints(reduced))
+        s, k = sup.values, params.size
+        (w,) = weight_chunks(params, stream(9), 300, 300)
+        if k > 1:
+            # rows with no weight on the first or the last cell
+            w[:30, 0] = 0.0
+            w[30:60, -1] = 0.0
+        scale = np.abs(reduced[np.isfinite(reduced)]).max(initial=1.0)
+        mean = Functional("mean")
+
+        def assert_same(got, want):
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+        # one-cell windows at the first, a middle and the last cell, an
+        # inner one and all the cells
+        inner = (min(1, k - 1), max(k - 2, min(1, k - 1)))
+        for lo, hi in {(0, 0), (k // 2, k // 2), (k - 1, k - 1), inner, (0, k - 1)}:
+            rows = w[w[:, lo : hi + 1].any(axis=1)]
+            inside = np.zeros_like(rows)
+            inside[:, lo : hi + 1] = rows[:, lo : hi + 1]
+            assert_same(evaluate_rows(mean, sup.atoms(lo, hi + 1), rows[:, lo : hi + 1]),
+                        evaluate_rows(mean, sup, inside))
+        for kind in ("trunc_mean", "cvar"):
+            tail = kind == "cvar"
+            cut, split = cut_at_split(w, p, tail)
+            got = np.empty((len(w), s.shape[1]))
+            for c in np.unique(split):
+                rows = split == c
+                lo, hi = (c, k - 1) if tail else (0, c)
+                block = evaluate_rows(mean, sup.atoms(lo, hi + 1), cut[rows, lo : hi + 1])
+                got[rows] = np.clip(block, s[c], s[-1]) if tail else np.clip(block, s[0], s[c])
+            assert_same(got, evaluate_rows(Functional(kind, p), sup, w))
 
 
 def limit_oracle(column, row, f):
