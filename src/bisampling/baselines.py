@@ -1,8 +1,9 @@
 """Reference interval methods, synthetic generators and the coverage harness.
 
-Each bootstrap resample is a row of weights over the sorted data (integer
-counts, or the engine's Dirichlet rows for the Bayesian bootstrap),
-streamed in chunks through the engine's loop ``bis._resample``.
+Each bootstrap resample is a row of weights over the sorted data: integer
+count rows streamed in chunks through the engine's loop ``bis._resample``,
+or for the Bayesian bootstrap the engine's own Dirichlet draw with unit
+parameters (``bis._dirichlet_resample``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .bis import (
     bis_run,
     interval_estimate,
 )
-from .errors import NonFiniteError, TooFewSamplesError
+from .errors import NonFiniteError, TooFewSamplesError, _check_open_unit
 from .functionals import Functional, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
 
@@ -130,6 +131,7 @@ def bootstrap_interval(
     """Percentile bootstrap: resamples with replacement as integer count rows."""
     arr = _observations(data, 1)
     _check_n_resample(n_resample, least=0)
+    _check_open_unit(credibility, "credibility")
     # a chunk's draws, counts and rows are three (rows, n) arrays of 8 bytes
     chunks = _count_chunks(arr.size, rng, n_resample, _chunk_rows(24 * arr.size))
     qs = _resample(f, prepare_supports(np.sort(arr)), chunks, n_resample)
@@ -149,6 +151,7 @@ def bayesian_bootstrap_interval(
     that split, drawn given it (Pyke 1965).
     """
     arr = _observations(data, 1)
+    _check_open_unit(credibility, "credibility")
     qs = _dirichlet_resample(f, np.ones(arr.size), np.sort(arr)[:, None], rng, n_resample)
     return interval_estimate(qs, credibility)
 

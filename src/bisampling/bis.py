@@ -2,8 +2,10 @@
 
 ``bis_run`` draws imprecise realisations of the posterior over step
 distributions and records the extremes of a monotonic functional on each;
-``interval_estimate`` turns those extremes into a credible interval.  Its
-chunk loop ``_resample`` also runs both bootstraps of ``baselines``.
+``interval_estimate`` turns those extremes into a credible interval.  The
+Bayesian bootstrap of ``baselines`` is the same draw, ``_dirichlet_resample``,
+with unit parameters; its percentile bootstrap streams count rows through
+the chunk loop ``_resample``, which also evaluates the engine's means.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
 )
 from .functionals import (
     Functional,
+    _cut_mean,
     cell_endpoints,
     evaluate_rows,
     prepare_supports,
@@ -207,12 +210,10 @@ def _split_means(f: Functional, params, supports, rng, n_resample: int) -> QSamp
     cells' shares come first, each in one call; with unit parameters a
     share is the split cell's own draw.  The rows are drawn over one span
     of cells fixed by the splits drawn, 0..max c or min c..k-1, so the
-    stream does not depend on the chunk size.  In each chunk a row's split
-    cell takes its share and the far side of it is zeroed, in the columns
-    between the chunk's smallest and largest split; the columns beyond
-    them are cut off by the row slice of the supports whose mean is taken.
-    The clip keeps each result inside [s_0, s_c] or [s_c, s_last], since a
-    ratio of sums can round an ulp outside.
+    stream does not depend on the chunk size.  Each chunk is one call of
+    the split-mean kernel ``functionals._cut_mean`` on the span's atoms:
+    a row's split cell takes its share and the mean is taken of the row
+    cut at it, as for weight rows given to ``evaluate_rows``.
     """
     head, units = _unit_split(params, f.p, rng, n_resample)
     cell = np.searchsorted(head, units, side="right")
@@ -225,27 +226,13 @@ def _split_means(f: Functional, params, supports, rng, n_resample: int) -> QSamp
     else:
         first, stop = 0, int(cell.max(initial=0)) + 1
     chunks = weight_chunks(params[first:stop], rng, n_resample, _chunk_rows(8 * (stop - first)))
-    s, mean = supports.values, Functional("mean")
-    q = np.empty((s.shape[1], n_resample))
+    span = supports.atoms(first, stop)
+    q = np.empty((supports.values.shape[1], n_resample))
     start = 0
     for w in chunks:
         rows = slice(start, start + w.shape[0])
-        c = cell[rows] - first
-        if shares is not None:
-            w[np.arange(w.shape[0]), c] = shares[rows]
-        lo, hi = int(c.min()), int(c.max())
-        if tail:
-            band = w[:, lo:hi]
-            band[np.arange(lo, hi) < c[:, None]] = 0.0
-            cols = slice(lo, w.shape[1])
-        else:
-            band = w[:, lo + 1 : hi + 1]
-            band[np.arange(lo + 1, hi + 1) > c[:, None]] = 0.0
-            cols = slice(0, hi + 1)
-        block = evaluate_rows(mean, supports.atoms(first + cols.start, first + cols.stop),
-                              w[:, cols])
-        at = s[cell[rows]]
-        q[:, rows] = (np.clip(block, at, s[-1]) if tail else np.clip(block, s[0], at)).T
+        share = None if shares is None else shares[rows]
+        q[:, rows] = _cut_mean(span, w, cell[rows] - first, tail, share).T
         start = rows.stop
     return QSamples(q_min=q[0], q_max=q[-1])
 

@@ -75,7 +75,8 @@ class Supports:
     same product, whatever the supports hold.  A sorted column holds its
     -inf atoms first and its +inf atoms last, so their counts say which
     weights fall on them (``_weighs``).  ``terms`` is column-major, so a
-    run of atoms (``atoms``) is a contiguous piece of every column.
+    run of atoms (``atoms``) is a contiguous piece of every column: the
+    split means of ``_cut_mean`` read only the atoms their cut rows reach.
     """
 
     values: np.ndarray  # (n, m) sorted columns
@@ -125,63 +126,65 @@ def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
     return np.where(neg, -np.inf, out)
 
 
+def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
+              share: np.ndarray | None = None) -> np.ndarray:
+    """The mean of each row of ``w`` cut at its split atom ``c``: the
+    truncated mean, or CVaR if ``tail``, given the split.  ``w`` is cut in
+    place.
+
+    A row's split atom takes ``share`` (its own weight where None) and the
+    far side of it is zeroed, in the columns between the smallest and the
+    largest split only; the mean is taken on the row slice of the supports
+    that the cut rows reach, so the columns beyond are never read.  The
+    clip keeps each result inside [s_0, s_c] or [s_c, s_last], since a
+    ratio of sums can round an ulp outside.  Infinite atoms and a side
+    weighing both of them are the mean's (``_mean_rows``).
+    """
+    n = w.shape[1]
+    if share is not None:
+        w[np.arange(w.shape[0]), c] = share
+    lo, hi = int(c.min(initial=n - 1)), int(c.max(initial=0))
+    if tail:
+        band = w[:, lo:hi]
+        band[np.arange(lo, hi) < c[:, None]] = 0.0
+        start, stop = lo, n
+    else:
+        band = w[:, lo + 1 : hi + 1]
+        band[np.arange(lo + 1, hi + 1) > c[:, None]] = 0.0
+        start, stop = 0, hi + 1
+    out = _mean_rows(sup.atoms(start, stop), w[:, start:stop])
+    s = sup.values
+    return np.clip(out, s[c], s[-1]) if tail else np.clip(out, s[0], s[c])
+
+
 def _split_rows(sup: Supports, w: np.ndarray, f: Functional) -> np.ndarray:
     """A quantile, or the atom-split mean of the mass below p (truncated
     mean) or above it (CVaR), of each row.
 
     A row splits at its first atom where the cumulative weight reaches p of
-    the row's total; every column of supports shares that split atom.
-    Weight on an infinite atom is read from the weights and the supports,
-    never from the product with ``terms``, whose bytes thus depend on the
-    finite atoms alone.
-
-    For a split mean the atoms strictly on the chosen side contribute their
-    whole weight and the split atom the rest of that side's mass (p of the
-    total below, 1 - p of it above).  The sum is divided by the mass
-    actually summed, so each result is a convex combination of its atoms.
-    That mass is summed from the side's own atoms because a difference of
-    cumulative sums near the total loses the small tail masses of p near 1.
-    A side that weighs both -inf and +inf raises ``IndeterminateSumError``,
-    as the mean does.
+    the row's total; every column of supports shares that split atom.  A
+    split mean is ``_cut_mean`` of a copy of the rows: the atoms strictly
+    on the chosen side keep their weight and the split atom takes the rest
+    of that side's mass (p of the total below, 1 - p of it above).  That
+    strict mass is summed from the side's own atoms because a difference
+    of cumulative sums near the total loses the small tail masses of p
+    near 1.
     """
-    s, p = sup.values, f.p
-    m = s.shape[1]
-    tail = f.kind == "cvar"
+    p = f.p
     cum = np.cumsum(w, axis=1)
     total = cum[:, -1]
     reached = cum >= p * total[:, None]
     idx = reached.argmax(axis=1)
-    at = s[idx]
     if f.kind == "quantile":
-        return at
+        return sup.values[idx]
+    tail = f.kind == "cvar"
     if tail:
         # the atoms after the split atom follow an atom that has reached p
-        sums = np.where(reached[:, :-1], w[:, 1:], 0.0) @ sup.terms[1:]
+        share = (1.0 - p) * total - np.where(reached[:, :-1], w[:, 1:], 0.0).sum(axis=1)
     else:
         # the atoms before the split atom have not reached p
-        sums = np.where(reached, 0.0, w) @ sup.terms
-    strict, mass = sums[:, :m], sums[:, m:]
-    share = (1.0 - p) if tail else p
-    mass_at = np.maximum(share * total[:, None] - mass, 0.0)
-    with np.errstate(invalid="ignore"):
-        at_term = np.where(mass_at > 0, mass_at * at, 0.0)
-    out = (strict + at_term) / (mass + mass_at)
-    # rounding can leave the ratio an ulp outside the range of its atoms
-    out = np.clip(out, at, s[-1]) if tail else np.clip(out, s[0], at)
-    # -inf atoms come first, so they lie on a truncated mean's side of every
-    # split, and +inf atoms on CVaR's; an infinity on the other side is the
-    # split atom with a share of the side.  A CVaR that reaches p exactly at
-    # a -inf atom takes none of it, so the -inf atoms after that atom decide
-    if tail:
-        neg = np.isneginf(at) & (mass_at > 0)
-        for i, c in zip(*(np.isneginf(at) & (mass_at == 0)).nonzero()):
-            neg[i, c] = w[i, idx[i] + 1 :][s[idx[i] + 1 :, c] == -np.inf].any()
-        pos = _weighs(w, sup.n_pos, last=True)
-    else:
-        neg, pos = _weighs(w, sup.n_neg), np.isposinf(at)
-    if np.any(pos & neg):
-        raise IndeterminateSumError("positive weight at both -inf and +inf")
-    return np.where(neg, -np.inf, np.where(pos, np.inf, out))
+        share = p * total - np.where(reached, 0.0, w).sum(axis=1)
+    return _cut_mean(sup, w.copy(), idx, tail, np.maximum(share, 0.0))
 
 
 def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
@@ -194,8 +197,9 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     number of weight rows.  A row need not sum to 1: every functional is
     taken of the row divided by its total.  This is the one vectorized
     backend, shared by the scalar functionals, the resampling engine and
-    both bootstraps; the engine's Dirichlet truncated means and CVaR are
-    means here, of rows cut at a split drawn beforehand.
+    both bootstraps.  Every truncated mean and CVaR is the mean of its row
+    cut at the split (``_cut_mean``), the one kernel that the engine's
+    Dirichlet draw also calls with the splits it drew beforehand.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))

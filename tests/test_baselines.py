@@ -26,6 +26,7 @@ from bisampling.dirichlet import sample_split_index, weight_chunks
 from bisampling.errors import (
     EmptySamplesError,
     IndeterminateSumError,
+    InvalidProbabilityError,
     NonFiniteError,
     TooFewSamplesError,
 )
@@ -280,6 +281,17 @@ class TestBootstrapsShared:
             state = rng.bit_generator.state
             with pytest.raises(NonFiniteError):
                 method([1.0, math.nan, 3.0, 4.0], f, 0.9, 1000, rng)
+            assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("method", BOOTSTRAPS)
+    @pytest.mark.parametrize("credibility", [0.0, 1.0, 1.5, math.nan])
+    def test_bad_credibility_fails_before_drawing(self, method, credibility):
+        # it once drew all N resamples before the inverter raised
+        for f in (MEAN, Functional("quantile", 0.5), Functional("cvar", 0.5)):
+            rng = stream(22)
+            state = rng.bit_generator.state
+            with pytest.raises(InvalidProbabilityError):
+                method([1.0, 2.0, 3.0, 4.0], f, credibility, 1000, rng)
             assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("method", BOOTSTRAPS)

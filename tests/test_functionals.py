@@ -320,6 +320,31 @@ class TestEvaluateRows:
             assert np.array_equal(np.isinf(got), np.isinf(want))
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
+    def test_cvar_keeps_small_tail_masses_near_one(self):
+        # the atoms after the split carry 1e-11 to 1e-9 of the mass and p
+        # lies within about 1e-9 of 1: a tail mass taken as the total less a
+        # cumulative sum would be off by 1e-6 of the support scale
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            n_tail = int(rng.integers(1, n))
+            s = np.sort(rng.choice(np.arange(-400, 401), size=n, replace=False)) / 4
+            tail = 10.0 ** rng.uniform(-11, -9, n_tail)
+            w = np.concatenate((rng.dirichlet(np.ones(n - n_tail)) * (1 - tail.sum()), tail))
+            p = 1.0 - tail.sum() - 10.0 ** rng.uniform(-12, -10)
+            exact = [Fraction(x) for x in w]
+            want = oracle_split_mean([Fraction(x) for x in s], [x / sum(exact) for x in exact],
+                                     Fraction(p), tail=True)
+            got = evaluate_rows(Functional("cvar", p), s, w)[0]
+            assert abs(got - float(want)) <= 1e-12 * np.abs(s).max()
+
+    def test_no_rows_give_no_results(self):
+        s = np.array([-INF, 1.0, 2.0, INF])
+        for f in (Functional("mean"), Functional("quantile", 0.5),
+                  Functional("trunc_mean", 0.5), Functional("cvar", 0.5)):
+            assert evaluate_rows(f, s, np.empty((0, 4))).shape == (0,)
+            assert evaluate_rows(f, np.column_stack((s, s + 1)), np.empty((0, 4))).shape == (0, 2)
+
     def test_support_matrix_indeterminate_column(self):
         s = np.column_stack(([-INF, 1.0, 2.0, INF], [1.0, 2.0, 3.0, 4.0]))
         w = np.full((3, 4), 0.25)

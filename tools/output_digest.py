@@ -1,0 +1,133 @@
+"""Digest the library's seeded outputs over a fixed grid, one sha1 per family.
+
+Families:
+
+- ``bis_run``: q-samples (q_min then q_max) of every functional below, for
+  seeds 1-3, n = 15, 200, 1000, 1000 rounded to 0.1 (ties) and 10^5, on
+  [0, 60], [0, inf), (-inf, 60] and (-inf, inf); N = 2000, or 200 at 10^5.
+- ``bayesian_bootstrap`` and ``bootstrap``: the interval endpoints of the
+  same functionals on the same data, n <= 1000, N = 2000, credibility 0.9.
+- ``evaluate_rows``: every functional on 200 fixed Dirichlet rows over the
+  cell endpoints of the same data and intervals, n <= 1000.
+
+The functionals are mean, median, quantile:0.99, and trunc-mean and cvar at
+0.5, 0.9 and 0.99.  Two checkouts that print the same line for a family
+produce the same bytes for every case of it.  To see which cases moved and
+by how many ulps, save the outputs of one checkout and compare the other:
+
+    python tools/output_digest.py --src PARENT/src --save parent.npz
+    python tools/output_digest.py --against parent.npz
+
+``--src`` names the library source to digest (default: this checkout's).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import warnings
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+FUNCTIONALS = ("mean", "median", "quantile:0.99", "trunc-mean:0.5", "trunc-mean:0.9",
+               "trunc-mean:0.99", "cvar:0.5", "cvar:0.9", "cvar:0.99")
+SEEDS = (1, 2, 3)
+SIZES = ("15", "200", "1000", "1000-ties", "100000")
+INTERVALS = ((0.0, 60.0), (0.0, np.inf), (-np.inf, 60.0), (-np.inf, np.inf))
+FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate_rows")
+
+
+def data(size: str, seed: int) -> np.ndarray:
+    """Unit lognormal observations capped at 59, inside every interval."""
+    n = int(size.split("-")[0])
+    x = np.minimum(np.exp(np.random.default_rng(seed).normal(0.0, 1.0, n)), 59.0)
+    return np.round(x, 1) if size.endswith("ties") else x
+
+
+def outputs(bis):
+    """Yield ``(family, case, array)`` over the grid, in a fixed order."""
+    from bisampling.functionals import cell_endpoints, evaluate_rows
+
+    fs = [(name, bis.Functional.parse(name)) for name in FUNCTIONALS]
+    for size in SIZES:
+        n_resample = 200 if size == "100000" else 2000
+        for seed in SEEDS:
+            x = data(size, seed)
+            for lo, hi in INTERVALS:
+                interval = bis.BoundingInterval(lo, hi)
+                for name, f in fs:
+                    cfg = bis.BisConfig(f, 0.9, n_resample, seed)
+                    qs = bis.bis_run(x, interval, cfg)
+                    yield "bis_run", (name, size, seed, lo, hi), np.concatenate((qs.q_min, qs.q_max))
+            if size == "100000":
+                continue
+            for family, method in (("bayesian_bootstrap", bis.bayesian_bootstrap_interval),
+                                   ("bootstrap", bis.bootstrap_interval)):
+                for name, f in fs:
+                    est = method(x, f, 0.9, n_resample, np.random.default_rng(seed))
+                    yield family, (name, size, seed), np.array([est.lo, est.hi])
+            for lo, hi in INTERVALS:
+                stats = bis.make_extended_order_stats(x, bis.BoundingInterval(lo, hi))
+                reduced, _ = bis.merge_duplicates(stats)
+                cells = cell_endpoints(reduced)
+                rows = np.random.default_rng(seed).dirichlet(np.ones(len(cells)), size=200)
+                for name, f in fs:
+                    yield "evaluate_rows", (name, size, seed, lo, hi), evaluate_rows(f, cells, rows)
+
+
+def _ordered(x: np.ndarray) -> np.ndarray:
+    """Float64 bits as integers that count ulps monotonically across zero."""
+    i = x.astype(np.float64).view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+
+def compare(saved, current) -> None:
+    """Print, per family and functional, the cases that moved and their worst ulps."""
+    cases = Counter(tuple(key.split("|")[:2]) for key in current)
+    moved = {}
+    for key, got in current.items():
+        want = saved[key]
+        if np.array_equal(got, want, equal_nan=True):
+            continue
+        same_inf = np.array_equal(np.isinf(got), np.isinf(want))
+        ulps = int(np.abs(_ordered(got) - _ordered(want)).max()) if same_inf else None
+        moved.setdefault(tuple(key.split("|")[:2]), []).append(ulps)
+    for (family, name), ulps in moved.items():
+        spread = "infinities differ" if None in ulps else f"worst {max(ulps)} ulps"
+        print(f"moved {family} {name}: {len(ulps)} of {cases[family, name]} cases, {spread}")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="library source directory to digest")
+    parser.add_argument("--save", type=Path, help="write every output to this .npz file")
+    parser.add_argument("--against", type=Path, help="compare with a file written by --save")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import bisampling as bis
+
+    sha = {family: hashlib.sha1() for family in FAMILIES}
+    every = {}
+    with warnings.catch_warnings():
+        # N = 200 at n = 10^5 is below the resample rule of thumb on purpose
+        warnings.simplefilter("ignore", UserWarning)
+        for family, case, out in outputs(bis):
+            out = np.ascontiguousarray(out, dtype=np.float64)
+            sha[family].update(repr(case).encode())
+            sha[family].update(out.tobytes())
+            every["|".join(map(str, (family,) + case))] = out
+    for family in FAMILIES:
+        print(f"{family} {sha[family].hexdigest()}")
+    if args.save:
+        np.savez(args.save, **every)
+    if args.against:
+        with np.load(args.against) as saved:
+            compare(saved, every)
+
+
+if __name__ == "__main__":
+    main()
