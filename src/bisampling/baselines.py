@@ -1,9 +1,9 @@
 """Reference interval methods, synthetic generators and the coverage harness.
 
 Each bootstrap resample is a row of weights over the sorted data: integer
-count rows streamed in chunks through the engine's loop ``bis._resample``,
-or for the Bayesian bootstrap the engine's own Dirichlet draw with unit
-parameters (``bis._dirichlet_resample``).
+count rows, drawn, counted and evaluated (``evaluate_rows``) a chunk at a
+time, or for the Bayesian bootstrap the engine's own Dirichlet draw with
+unit parameters (``bis._dirichlet_resample``).
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ from scipy import stats as sps
 from . import rng as rngmod
 from .bis import (
     BisConfig,
+    QSamples,
     _check_n_resample,
     _chunk_rows,
     _dirichlet_resample,
-    _resample,
     bis_run,
     interval_estimate,
 )
 from .errors import NonFiniteError, TooFewSamplesError, _check_open_unit
-from .functionals import Functional, prepare_supports
+from .functionals import Functional, evaluate_rows, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
 
 # mean of the unit lognormal truncated to [0, 50]; equals
@@ -67,8 +67,7 @@ Generator = TruncatedLognormal | ExtremeMixture
 
 def generate(gen: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` observations from a synthetic generator."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n_resample(n, name="n")
     if isinstance(gen, TruncatedLognormal):
         out = np.empty(n)
         filled = 0
@@ -107,35 +106,29 @@ def student_t_interval(data, credibility: float) -> IntervalEstimate:
     return IntervalEstimate(lo=m - half, hi=m + half, credibility=credibility)
 
 
-def _count_chunks(n: int, rng: np.random.Generator, size: int, chunk_rows: int):
-    """Resamples with replacement of n sorted values as rows counting each,
-    ``chunk_rows`` at a time in one reused buffer.  The count row of a
-    uniform resample is exchangeable, so positions are drawn in the sorted
-    data directly.  The stream fills in order, so the draws equal one
-    ``(size, n)`` draw; one bincount over the positions offset by row * n
-    counts a chunk."""
-    buf = np.empty((min(chunk_rows, size), n))
-    offsets = n * np.arange(buf.shape[0])[:, None]
-    for start in range(0, size, chunk_rows):
-        rows = min(chunk_rows, size - start)
-        drawn = rng.integers(0, n, size=(rows, n))
-        drawn += offsets[:rows]
-        out = buf[:rows]
-        out[...] = np.bincount(drawn.ravel(), minlength=rows * n).reshape(rows, n)
-        yield out
-
-
 def bootstrap_interval(
     data, f: Functional, credibility: float, n_resample: int, rng: np.random.Generator
 ) -> IntervalEstimate:
-    """Percentile bootstrap: resamples with replacement as integer count rows."""
+    """Percentile bootstrap: resamples with replacement as integer count rows.
+
+    A count row is exchangeable, so positions are drawn in the sorted data
+    directly, in chunks filled in order from ``rng``: the draws equal one
+    ``(n_resample, n)`` draw.  One bincount counts a chunk.
+    """
     arr = _observations(data, 1)
     _check_n_resample(n_resample, least=0)
     _check_open_unit(credibility, "credibility")
+    n, supports = arr.size, prepare_supports(np.sort(arr))
     # a chunk's draws, counts and rows are three (rows, n) arrays of 8 bytes
-    chunks = _count_chunks(arr.size, rng, n_resample, _chunk_rows(24 * arr.size))
-    qs = _resample(f, prepare_supports(np.sort(arr)), chunks, n_resample)
-    return interval_estimate(qs, credibility)
+    chunk_rows = _chunk_rows(24 * n)
+    q = np.empty(n_resample)
+    for start in range(0, n_resample, chunk_rows):
+        rows = min(chunk_rows, n_resample - start)
+        drawn = rng.integers(0, n, size=(rows, n))
+        drawn += n * np.arange(rows)[:, None]  # row r counts in r*n..r*n+n-1
+        counts = np.bincount(drawn.ravel(), minlength=rows * n).reshape(rows, n)
+        q[start : start + rows] = evaluate_rows(f, supports, counts)
+    return interval_estimate(QSamples(q, q), credibility)
 
 
 def bayesian_bootstrap_interval(
@@ -194,8 +187,7 @@ def coverage_experiment(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    _check_n_resample(n_trials, name="n_trials")
     if math.isnan(true_q):
         raise ValueError("true_q must not be NaN")
 

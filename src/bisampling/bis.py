@@ -4,8 +4,8 @@
 distributions and records the extremes of a monotonic functional on each;
 ``interval_estimate`` turns those extremes into a credible interval.  The
 Bayesian bootstrap of ``baselines`` is the same draw, ``_dirichlet_resample``,
-with unit parameters; its percentile bootstrap streams count rows through
-the chunk loop ``_resample``, which also evaluates the engine's means.
+with unit parameters.  Its one chunk loop hands every block of weight rows
+straight to the mean and split-mean kernels of ``functionals``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .errors import (
 from .functionals import (
     Functional,
     _cut_mean,
+    _mean_rows,
     cell_endpoints,
-    evaluate_rows,
     prepare_supports,
 )
 from .pbox import (
@@ -61,10 +61,10 @@ def _chunk_rows(row_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // row_bytes)
 
 
-def _check_n_resample(n, least: int = 1) -> None:
-    """Reject a resample count that is not an integer of at least ``least``."""
+def _check_n_resample(n, least: int = 1, name: str = "n_resample") -> None:
+    """Reject a count ``name`` that is not an integer of at least ``least``."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ValueError(f"n_resample must be an integer of at least {least}, got {n!r}")
+        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -189,65 +189,38 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     the K uniforms below p are i.i.d. U(0, p) (Pyke 1965), so the truncated
     mean is the Dirichlet mean of cells 0..c with the split cell's share of
     shape K - head[c-1] + 1, head being the cumulative parameters, and CVaR
-    that of cells c..k-1 with a share of shape head[c] - K (``_split_means``).
+    that of cells c..k-1 with a share of shape head[c] - K.  All splits,
+    then all shares, come first, each in one call, then the rows over the
+    span the splits fix, 0..max c or min c..k-1 (all cells for the mean),
+    so the chunk size changes no draw.  Each chunk goes straight to its
+    kernel on the span's atoms, ``_mean_rows`` or ``_cut_mean``.
     """
     _check_n_resample(n_resample, least=0)
     if f.kind == "quantile":
         idx = sample_split_index(params, f.p, rng, n_resample)
         return QSamples(q_min=values[idx, 0], q_max=values[idx, -1])
     supports = prepare_supports(values)
-    if f.kind != "mean":
-        return _split_means(f, params, supports, rng, n_resample)
-    chunks = weight_chunks(params, rng, n_resample, _chunk_rows(8 * params.size))
-    return _resample(f, supports, chunks, n_resample)
-
-
-def _split_means(f: Functional, params, supports, rng, n_resample: int) -> QSamples:
-    """The truncated means or CVaR of ``_dirichlet_resample``, drawn given
-    their split cells.
-
-    All splits and then, where some parameter is not 1, all the split
-    cells' shares come first, each in one call; with unit parameters a
-    share is the split cell's own draw.  The rows are drawn over one span
-    of cells fixed by the splits drawn, 0..max c or min c..k-1, so the
-    stream does not depend on the chunk size.  Each chunk is one call of
-    the split-mean kernel ``functionals._cut_mean`` on the span's atoms:
-    a row's split cell takes its share and the mean is taken of the row
-    cut at it, as for weight rows given to ``evaluate_rows``.
-    """
-    head, units = _unit_split(params, f.p, rng, n_resample)
-    cell = np.searchsorted(head, units, side="right")
+    first, stop = 0, params.size
     tail = f.kind == "cvar"
-    shape = head[cell] - units if tail else units - head[cell] + params[cell] + 1.0
-    shares = None if (params == 1.0).all() else rng.standard_gamma(shape)
-    k = params.size
-    if tail:
-        first, stop = int(cell.min(initial=k - 1)), k
-    else:
-        first, stop = 0, int(cell.max(initial=0)) + 1
-    chunks = weight_chunks(params[first:stop], rng, n_resample, _chunk_rows(8 * (stop - first)))
+    if f.kind != "mean":
+        head, units = _unit_split(params, f.p, rng, n_resample)
+        cell = np.searchsorted(head, units, side="right")
+        shares = rng.standard_gamma(
+            head[cell] - units if tail else units - head[cell] + params[cell] + 1.0)
+        if tail:
+            first = int(cell.min(initial=stop - 1))
+        else:
+            stop = int(cell.max(initial=0)) + 1
     span = supports.atoms(first, stop)
     q = np.empty((supports.values.shape[1], n_resample))
     start = 0
-    for w in chunks:
+    for w in weight_chunks(params[first:stop], rng, n_resample, _chunk_rows(8 * (stop - first))):
         rows = slice(start, start + w.shape[0])
-        share = None if shares is None else shares[rows]
-        q[:, rows] = _cut_mean(span, w, cell[rows] - first, tail, share).T
+        if f.kind == "mean":
+            q[:, rows] = _mean_rows(span, w).T
+        else:
+            q[:, rows] = _cut_mean(span, w, cell[rows] - first, tail, shares[rows]).T
         start = rows.stop
-    return QSamples(q_min=q[0], q_max=q[-1])
-
-
-def _resample(f: Functional, supports, chunks, n_resample: int) -> QSamples:
-    """Q-samples of ``f`` on the ``n_resample`` weight rows that ``chunks`` yields
-    in blocks over the prepared ``supports``, each block evaluated as it comes.
-    The first supports column gives ``q_min`` and the last ``q_max``.  The
-    caller checks the count before ``chunks``, a generator, draws anything."""
-    q = np.empty((supports.values.shape[1], n_resample))
-    start = 0
-    for w in chunks:
-        stop = start + w.shape[0]
-        q[:, start:stop] = evaluate_rows(f, supports, w).T
-        start = stop
     return QSamples(q_min=q[0], q_max=q[-1])
 
 

@@ -69,7 +69,7 @@ class Functional:
 class Supports:
     """Sorted support columns with the arrays every weight row reuses.
 
-    Made once by ``prepare_supports`` and passed to ``evaluate_rows`` for
+    Made once by ``prepare_supports`` and passed to the row kernels for
     each block of weight rows.  ``terms`` holds the m columns of supports
     with infinities zeroed, then a ones column that sums the weight in the
     same product, whatever the supports hold.  A sorted column holds its
@@ -115,9 +115,16 @@ def _weighs(w: np.ndarray, counts: np.ndarray, last: bool = False) -> np.ndarray
                             else np.zeros(len(w), bool) for c in counts])
 
 
+def _positive_totals(total: np.ndarray) -> None:
+    """Reject rows whose totals are zero, negative or NaN: nothing is their mean."""
+    if not (total > 0).all():
+        raise ValueError("every weight row must have a positive total")
+
+
 def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
     m = sup.values.shape[1]
     sums = w @ sup.terms
+    _positive_totals(sums[:, m])
     out = sums[:, :m] / sums[:, m:]
     pos, neg = _weighs(w, sup.n_pos, last=True), _weighs(w, sup.n_neg)
     if np.any(pos & neg):
@@ -127,22 +134,21 @@ def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
 
 
 def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
-              share: np.ndarray | None = None) -> np.ndarray:
+              share: np.ndarray) -> np.ndarray:
     """The mean of each row of ``w`` cut at its split atom ``c``: the
     truncated mean, or CVaR if ``tail``, given the split.  ``w`` is cut in
     place.
 
-    A row's split atom takes ``share`` (its own weight where None) and the
-    far side of it is zeroed, in the columns between the smallest and the
-    largest split only; the mean is taken on the row slice of the supports
-    that the cut rows reach, so the columns beyond are never read.  The
-    clip keeps each result inside [s_0, s_c] or [s_c, s_last], since a
-    ratio of sums can round an ulp outside.  Infinite atoms and a side
-    weighing both of them are the mean's (``_mean_rows``).
+    A row's split atom takes ``share`` and the far side of it is zeroed, in
+    the columns between the smallest and the largest split only; the mean
+    is taken on the row slice of the supports that the cut rows reach, so
+    the columns beyond are never read.  The clip keeps each result inside
+    [s_0, s_c] or [s_c, s_last], since a ratio of sums can round an ulp
+    outside.  Infinite atoms and a side weighing both of them are the
+    mean's (``_mean_rows``).
     """
     n = w.shape[1]
-    if share is not None:
-        w[np.arange(w.shape[0]), c] = share
+    w[np.arange(w.shape[0]), c] = share
     lo, hi = int(c.min(initial=n - 1)), int(c.max(initial=0))
     if tail:
         band = w[:, lo:hi]
@@ -173,6 +179,7 @@ def _split_rows(sup: Supports, w: np.ndarray, f: Functional) -> np.ndarray:
     p = f.p
     cum = np.cumsum(w, axis=1)
     total = cum[:, -1]
+    _positive_totals(total)
     reached = cum >= p * total[:, None]
     idx = reached.argmax(axis=1)
     if f.kind == "quantile":
@@ -195,11 +202,11 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     merged atom), or either of them made once by ``prepare_supports``.
     Returns ``(k,)`` for a vector and ``(k, m)`` for a matrix, k being the
     number of weight rows.  A row need not sum to 1: every functional is
-    taken of the row divided by its total.  This is the one vectorized
-    backend, shared by the scalar functionals, the resampling engine and
-    both bootstraps.  Every truncated mean and CVaR is the mean of its row
-    cut at the split (``_cut_mean``), the one kernel that the engine's
-    Dirichlet draw also calls with the splits it drew beforehand.
+    taken of the row divided by its total, which must be positive.  This
+    serves given rows (count rows, one step CDF): it searches each row for
+    its split and takes a truncated mean or CVaR as the mean of the row
+    cut there (``_cut_mean``).  The engine's Dirichlet draw, which draws
+    its splits first, calls ``_mean_rows`` and ``_cut_mean`` directly.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))

@@ -9,7 +9,7 @@ from scipy import stats as sps
 
 from conftest import oracle_split_mean
 
-from bisampling import bis
+from bisampling import baselines, bis
 from bisampling.baselines import (
     ExtremeMixture,
     TruncatedLognormal,
@@ -30,7 +30,7 @@ from bisampling.errors import (
     NonFiniteError,
     TooFewSamplesError,
 )
-from bisampling.functionals import Functional, prepare_supports
+from bisampling.functionals import Functional, evaluate_rows, prepare_supports
 from bisampling.pbox import BoundingInterval
 from bisampling.rng import stream
 
@@ -56,6 +56,16 @@ def _exact_resample_value(f, resample):
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("n", [True, 2.5, 0, "3"], ids=["True", "2.5", "0", "str"])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, n):
+        base = TruncatedLognormal(0.0, 1.0, 0.5, 3.0)
+        for gen in (base, ExtremeMixture(base, 50.0, 0.1)):
+            rng = stream(1)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+                generate(gen, n, rng)
+            assert rng.bit_generator.state == state
+
     def test_truncation_respected(self):
         gen = TruncatedLognormal(0.0, 1.0, 0.5, 3.0)
         d = generate(gen, 5_000, stream(1))
@@ -227,12 +237,13 @@ class TestBayesianBootstrap:
 
     def test_is_the_engine_loop_over_sorted_data(self):
         # Dirichlet(1, ..., 1) rows from the engine's draw, column j on the
-        # j-th sorted value, through the engine's chunk loop
+        # j-th sorted value, evaluated as whole rows
         data = stream(20).lognormal(size=40)
         n, ones, supports = data.size, np.ones(data.size), prepare_supports(np.sort(data))
         rows = bis._chunk_rows(8 * n)
-        chunks = weight_chunks(ones, stream(21), 999, rows)
-        want = interval_estimate(bis._resample(MEAN, supports, chunks, 999), 0.9)
+        w = np.concatenate([chunk.copy() for chunk in weight_chunks(ones, stream(21), 999, rows)])
+        q = evaluate_rows(MEAN, supports, w)
+        want = interval_estimate(QSamples(q, q), 0.9)
         assert bayesian_bootstrap_interval(data, MEAN, 0.9, 999, stream(21)) == want
         # a quantile is the sorted value at the split index, drawn from its law
         f = Functional("quantile", 0.5)
@@ -249,9 +260,10 @@ class TestBayesianBootstrap:
         f, n_resample = Functional("quantile", p), 4000
         got = bis._dirichlet_resample(f, np.ones(n), data[:, None], stream(25), n_resample)
         chunks = weight_chunks(np.ones(n), stream(26), n_resample, bis._chunk_rows(8 * n))
-        want = bis._resample(f, prepare_supports(data), chunks, n_resample)
+        w = np.concatenate([chunk.copy() for chunk in chunks])
+        want = evaluate_rows(f, prepare_supports(data), w)
         assert np.array_equal(got.q_min, got.q_max)
-        assert sps.ks_2samp(got.q_min, want.q_min).pvalue > 0.01
+        assert sps.ks_2samp(got.q_min, want).pvalue > 0.01
 
     def test_agrees_with_bootstrap_for_large_n(self):
         rng = stream(13)
@@ -324,6 +336,21 @@ class TestCoverageExperiment:
             BoundingInterval(0.0, 50.0), seed=16,
         )
         assert r.hit_rate in (0.0, 1.0)
+
+    @pytest.mark.parametrize("n_trials", [True, 2.5, 0, -1, "3"],
+                             ids=["True", "2.5", "0", "-1", "str"])
+    def test_rejects_a_trial_count_that_is_not_a_positive_integer(self, monkeypatch, n_trials):
+        # True once ran one trial and reported n_trials=True
+        def no_draw(*args):
+            raise AssertionError("drew data")
+
+        monkeypatch.setattr(baselines, "generate", no_draw)
+        gen = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
+        with pytest.raises(ValueError, match="n_trials must be an integer of at least 1"):
+            coverage_experiment(
+                gen, TRUNC_LOGNORMAL_MEAN, "student_t", MEAN, 20, 0.9, n_trials, 0,
+                BoundingInterval(0.0, 50.0), seed=16,
+            )
 
     def test_rejects_nan_true_q(self):
         gen = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)

@@ -336,6 +336,30 @@ class TestConditionalSplit:
                     assert np.array_equal(np.isinf(a), np.isinf(b))
                     np.testing.assert_allclose(a, b, rtol=1e-12)
 
+    @pytest.mark.parametrize("f", ["trunc-mean:0.5", "trunc-mean:0.99", "cvar:0.5", "cvar:0.99"])
+    def test_unit_parameters_draw_splits_then_shares_then_rows(self, monkeypatch, f):
+        # every split, then every split cell's share (Gamma(1) for unit
+        # parameters), then the rows over the span the splits fix
+        functional, n_resample = Functional.parse(f), 200
+        data = np.sort(np.exp(stream(3).normal(0.0, 1.0, 300)))
+        ones = np.ones(data.size)
+        # one chunk holds every row
+        monkeypatch.setattr(bis, "_CHUNK_BYTES", 8 * data.size * n_resample)
+        got = bis._dirichlet_resample(functional, ones, data[:, None], stream(5), n_resample)
+        rng = stream(5)
+        head, units = _unit_split(ones, functional.p, rng, n_resample)
+        cell = np.searchsorted(head, units, side="right")
+        shares = rng.standard_gamma(np.ones(n_resample))
+        tail = functional.kind == "cvar"
+        first, stop = (cell.min(), data.size) if tail else (0, cell.max() + 1)
+        (w,) = weight_chunks(ones[first:stop], rng, n_resample, n_resample)
+        w[np.arange(n_resample), cell - first] = shares
+        span = np.arange(first, stop)
+        w[span < cell[:, None] if tail else span > cell[:, None]] = 0.0
+        want = evaluate_rows(Functional("mean"), data[first:stop], w)
+        want = np.clip(want, data[cell], data[-1]) if tail else np.clip(want, data[0], data[cell])
+        assert np.array_equal(got.q_min, want) and np.array_equal(got.q_max, want)
+
     @pytest.mark.parametrize("f", ["trunc-mean:0.3", "trunc-mean:0.99", "cvar:0.3", "cvar:0.99"])
     def test_all_tied_data_gives_the_tied_value(self, f):
         # a Dirichlet mean of one value rounds off it; the clip keeps it

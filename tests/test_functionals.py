@@ -345,6 +345,20 @@ class TestEvaluateRows:
             assert evaluate_rows(f, s, np.empty((0, 4))).shape == (0,)
             assert evaluate_rows(f, np.column_stack((s, s + 1)), np.empty((0, 4))).shape == (0, 2)
 
+    @pytest.mark.parametrize("total", [0.0, -1.0, np.nan])
+    def test_rows_without_a_positive_total_raise(self, total):
+        # a zero row once gave NaN with a RuntimeWarning, or the first atom
+        # for a quantile, and a negative total gave a number
+        s = np.array([1.0, 2.0, 4.0])
+        bad = [0.0, 0.0, 0.0] if total == 0.0 else [1.0, 0.5, total - 1.5]
+        rows = np.array([[0.2, 0.3, 0.5], bad])
+        for f in (Functional("mean"), Functional("quantile", 0.5),
+                  Functional("trunc_mean", 0.5), Functional("cvar", 0.5)):
+            for supports in (s, np.column_stack((s, s + 1))):
+                evaluate_rows(f, supports, rows[:1])
+                with pytest.raises(ValueError, match="positive total"):
+                    evaluate_rows(f, supports, rows)
+
     def test_support_matrix_indeterminate_column(self):
         s = np.column_stack(([-INF, 1.0, 2.0, INF], [1.0, 2.0, 3.0, 4.0]))
         w = np.full((3, 4), 0.25)

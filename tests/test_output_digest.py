@@ -1,0 +1,58 @@
+"""The output digest tool's ulp count and its gate, on hand-made arrays."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest)
+
+TINY = 5e-324  # the smallest positive subnormal
+
+
+def test_ordered_counts_one_ulp_between_neighbours_across_zero():
+    x = np.array([-2.0 * TINY, -TINY, -0.0, 0.0, TINY, 2.0 * TINY])
+    assert np.diff(digest._ordered(x)).tolist() == [1] * 5
+    # and far from zero, one per nextafter step
+    y = np.nextafter(1.0, np.array([0.0, 2.0]))
+    assert np.diff(digest._ordered(np.array([y[0], 1.0, y[1]]))).tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("before,after,ulps", [(0.0, -0.0, 1), (-TINY, 0.0, 2), (TINY, -TINY, 3)])
+def test_a_move_across_zero_is_counted(capsys, before, after, ulps):
+    saved = {"bis_run|mean|15|1": np.array([1.0, before]), "bis_run|mean|15|2": np.ones(2)}
+    current = {"bis_run|mean|15|1": np.array([1.0, after]), "bis_run|mean|15|2": np.ones(2)}
+    assert digest.compare(saved, current) == 1
+    assert capsys.readouterr().out == f"moved bis_run mean: 1 of 2 cases, worst {ulps} ulps\n"
+
+
+def test_an_infinity_mismatch_is_reported_as_such(capsys):
+    saved = {"bootstrap|cvar:0.9|15|1": np.array([1.0, np.inf])}
+    current = {"bootstrap|cvar:0.9|15|1": np.array([1.0, np.finfo(float).max])}
+    assert digest.compare(saved, current) == 1
+    assert capsys.readouterr().out == "moved bootstrap cvar:0.9: 1 of 1 cases, infinities differ\n"
+
+
+def test_equal_arrays_print_nothing(capsys):
+    arrays = {"bis_run|median|15|1": np.array([-0.0, np.inf, -np.inf, np.nan, 1.5]),
+              "evaluate_rows|mean|200|3": np.arange(6.0).reshape(3, 2)}
+    assert digest.compare(arrays, {k: v.copy() for k, v in arrays.items()}) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_against_exits_one_when_a_case_moved(monkeypatch, tmp_path, capsys):
+    saved = tmp_path / "parent.npz"
+    cases = [("bis_run", ("mean", "15", 1), np.array([1.0, 2.0]))]
+    monkeypatch.setattr(digest, "outputs", lambda bis: iter(cases))
+    digest.main(["--save", str(saved)])
+    with pytest.raises(SystemExit) as same:
+        digest.main(["--against", str(saved)])
+    cases[0] = ("bis_run", ("mean", "15", 1), np.array([1.0, np.nextafter(2.0, 3.0)]))
+    with pytest.raises(SystemExit) as moved:
+        digest.main(["--against", str(saved)])
+    assert (same.value.code, moved.value.code) == (0, 1)
+    assert capsys.readouterr().out.endswith("moved bis_run mean: 1 of 1 cases, worst 1 ulps\n")

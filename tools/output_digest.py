@@ -18,7 +18,9 @@ by how many ulps, save the outputs of one checkout and compare the other:
     python tools/output_digest.py --src PARENT/src --save parent.npz
     python tools/output_digest.py --against parent.npz
 
-``--src`` names the library source to digest (default: this checkout's).
+``--against`` exits 1 when any case moved and 0 when none did, so it can
+gate a change that claims to keep its bytes.  ``--src`` names the library
+source to digest (default: this checkout's).
 """
 
 from __future__ import annotations
@@ -79,18 +81,20 @@ def outputs(bis):
 
 
 def _ordered(x: np.ndarray) -> np.ndarray:
-    """Float64 bits as integers that count ulps monotonically across zero."""
+    """Float64 bits as integers that count ulps monotonically across zero,
+    -0.0 one below +0.0."""
     i = x.astype(np.float64).view(np.int64)
-    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+    return np.where(i < 0, np.iinfo(np.int64).min - i - 1, i)
 
 
-def compare(saved, current) -> None:
-    """Print, per family and functional, the cases that moved and their worst ulps."""
+def compare(saved, current) -> int:
+    """Print, per family and functional, the cases that moved and their worst
+    ulps; return how many moved.  A case moves when any of its bytes do."""
     cases = Counter(tuple(key.split("|")[:2]) for key in current)
     moved = {}
     for key, got in current.items():
         want = saved[key]
-        if np.array_equal(got, want, equal_nan=True):
+        if got.tobytes() == want.tobytes():
             continue
         same_inf = np.array_equal(np.isinf(got), np.isinf(want))
         ulps = int(np.abs(_ordered(got) - _ordered(want)).max()) if same_inf else None
@@ -98,6 +102,7 @@ def compare(saved, current) -> None:
     for (family, name), ulps in moved.items():
         spread = "infinities differ" if None in ulps else f"worst {max(ulps)} ulps"
         print(f"moved {family} {name}: {len(ulps)} of {cases[family, name]} cases, {spread}")
+    return sum(map(len, moved.values()))
 
 
 def main(argv=None) -> None:
@@ -126,7 +131,7 @@ def main(argv=None) -> None:
         np.savez(args.save, **every)
     if args.against:
         with np.load(args.against) as saved:
-            compare(saved, every)
+            sys.exit(1 if compare(saved, every) else 0)
 
 
 if __name__ == "__main__":
