@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from . import rng as rngmod
 from .bis import (
@@ -98,6 +97,9 @@ def _observations(data, least: int, finite: bool = False) -> np.ndarray:
 
 def student_t_interval(data, credibility: float) -> IntervalEstimate:
     """Classic mean interval from Student's t with n-1 degrees of freedom."""
+    # imported by its one user, so importing the package does not load it
+    from scipy import stats as sps
+
     arr = _observations(data, 2, finite=True)
     m = float(arr.mean())
     s = float(arr.std(ddof=1))

@@ -33,12 +33,20 @@ def _positive_params(params) -> np.ndarray:
 def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out):
     """Fill the rows of ``out`` with unnormalised Dirichlet(a) weights.
 
-    A row whose draws are all zero (every gamma underflowed, or one cell
-    drew an exact zero) becomes a random vertex, the limit law of such a
-    row.  Such a row starts with a zero, so only those rows are scanned.
+    All-ones parameters draw unit exponentials by inversion, -log(1 - U)
+    (Devroye 1986, II.2): U lies on the 2**-53 grid of [0, 1), so 1 - U is
+    exact and never 0, and no weight exceeds 53 ln 2.  Such a weight is
+    zero (-0.0) only where U == 0.  Other parameters draw gammas.
+
+    A row whose draws are all zero (every gamma underflowed, or every
+    uniform was 0) becomes a random vertex, the limit law of such a row.
+    Such a row starts with a zero, so only those rows are scanned.
     """
     if exponential:
-        rng.standard_exponential(out=out)
+        rng.random(out=out)
+        np.subtract(1.0, out, out=out)
+        np.log(out, out=out)
+        np.negative(out, out=out)
     else:
         rng.standard_gamma(a, out=out)
     maybe = np.flatnonzero(out[:, 0] <= 0.0)

@@ -11,7 +11,7 @@ rather than raising; only a sum that weighs both -inf and +inf raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,17 +81,18 @@ class Supports:
 
     values: np.ndarray  # (n, m) sorted columns
     terms: np.ndarray  # (n, m + 1), column-major
-    n_pos: np.ndarray  # (m,) +inf atoms per column
-    n_neg: np.ndarray  # (m,) -inf atoms per column
+    n_pos: tuple[int, ...]  # +inf atoms per column
+    n_neg: tuple[int, ...]  # -inf atoms per column
     vector: bool  # made from one vector: results are (k,), not (k, 1)
 
     def atoms(self, start: int, stop: int) -> "Supports":
         """The atoms ``start..stop-1``, a row slice with no copy, their
-        infinite atoms counted from where each column holds them."""
+        infinite atoms counted from where each column holds them.  The
+        engine slices once per chunk, so the counts are plain integers."""
         n, size = self.values.shape[0], stop - start
-        return replace(self, values=self.values[start:stop], terms=self.terms[start:stop],
-                       n_pos=np.clip(self.n_pos - (n - stop), 0, size),
-                       n_neg=np.clip(self.n_neg - start, 0, size))
+        return Supports(self.values[start:stop], self.terms[start:stop],
+                        tuple(min(max(c - (n - stop), 0), size) for c in self.n_pos),
+                        tuple(min(max(c - start, 0), size) for c in self.n_neg), self.vector)
 
 
 def prepare_supports(supports) -> Supports:
@@ -104,10 +105,11 @@ def prepare_supports(supports) -> Supports:
     terms = np.empty((n, m + 1), order="F")
     terms[:, :m] = np.where(np.isfinite(s), s, 0.0)
     terms[:, m] = 1.0
-    return Supports(s, terms, (s == np.inf).sum(axis=0), (s == -np.inf).sum(axis=0), vector)
+    return Supports(s, terms, tuple((s == np.inf).sum(axis=0).tolist()),
+                    tuple((s == -np.inf).sum(axis=0).tolist()), vector)
 
 
-def _weighs(w: np.ndarray, counts: np.ndarray, last: bool = False) -> np.ndarray:
+def _weighs(w: np.ndarray, counts: tuple[int, ...], last: bool = False) -> np.ndarray:
     """Where each row of ``w`` puts weight on the first ``counts[c]`` atoms
     of column c (the last ones if ``last``), as a ``(k, m)`` mask."""
     n = w.shape[1]

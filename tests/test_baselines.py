@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,22 @@ class TestStudentT:
     def test_non_finite_observation_rejected(self, bad):
         with pytest.raises(NonFiniteError):
             student_t_interval([1.0, bad, 3.0, 4.0], 0.9)
+
+    def test_package_import_leaves_scipy_stats_to_first_use(self):
+        # a fresh interpreter: importing the package and its command line
+        # loads no scipy.stats, and the t interval still loads it and gives
+        # the interval this process gives
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, bisampling, bisampling.cli\n"
+                "print('scipy.stats' in sys.modules)\n"
+                "est = bisampling.student_t_interval([1.0, 2.5, 3.0, 7.0], 0.9)\n"
+                "print('scipy.stats' in sys.modules, repr(est.lo), repr(est.hi))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.split("\n")
+        est = student_t_interval([1.0, 2.5, 3.0, 7.0], 0.9)
+        assert out[:2] == ["False", f"True {est.lo!r} {est.hi!r}"]
 
     def test_median_endpoints_in_reference_setting(self):
         # 50 draws from the truncated lognormal at 95%: endpoint medians

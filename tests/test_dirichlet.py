@@ -108,6 +108,44 @@ class TestWeightChunks:
         assert ((rows == 0.0).sum(axis=1) == 6).all()
 
 
+class GivenUniforms:
+    """A generator stand-in whose ``random`` writes the given uniforms and
+    whose vertex draw picks the last cell."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, out):
+        out[...] = self.uniforms
+
+    def integers(self, high, size):
+        return np.full(size, high - 1)
+
+
+class TestInversionDraw:
+    """Unit parameters draw each weight as -log(1 - U) from one uniform."""
+
+    def test_weights_are_the_inverted_uniforms(self):
+        u = [0.0, 0.5, 1.0 - 2.0**-53]
+        ((w,),) = weight_chunks(np.ones(3), GivenUniforms([u]), 1, 1)
+        # the smallest uniform gives a zero and the largest 53 ln 2, the
+        # largest weight the draw can make
+        assert w[0] == 0.0
+        np.testing.assert_array_max_ulp(w[1:], [np.log(2.0), 53 * np.log(2.0)], maxulp=1)
+
+    def test_a_row_of_zero_uniforms_becomes_a_vertex(self):
+        u = [[0.0] * 4, [0.25, 0.0, 0.5, 0.75], [0.0] * 4]
+        (rows,) = weight_chunks(np.ones(4), GivenUniforms(u), 3, 3)
+        assert rows[[0, 2]].tolist() == [[0.0, 0.0, 0.0, 1.0]] * 2
+        assert rows[1, 1] == 0.0 and (rows[1, [0, 2, 3]] > 0).all()
+        assert sample_dirichlet(np.ones(4), GivenUniforms([0.0] * 4)).tolist() == [0, 0, 0, 1]
+
+    def test_entries_are_unit_exponentials(self):
+        (rows,) = weight_chunks(np.ones(10), stream(14), 20_000, 20_000)
+        assert rows.max() <= 53 * np.log(2.0)
+        assert sps.kstest(rows.ravel(), "expon").pvalue > 0.01
+
+
 def full_split_law(params, p):
     """P(split index <= j) evaluated on every cell, made monotone."""
     head = np.cumsum(params)[:-1]

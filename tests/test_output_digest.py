@@ -56,3 +56,38 @@ def test_against_exits_one_when_a_case_moved(monkeypatch, tmp_path, capsys):
         digest.main(["--against", str(saved)])
     assert (same.value.code, moved.value.code) == (0, 1)
     assert capsys.readouterr().out.endswith("moved bis_run mean: 1 of 1 cases, worst 1 ulps\n")
+
+
+def one_case(bis):
+    return iter([("bis_run", ("mean", "15", 1), np.ones(2))])
+
+
+def test_save_records_the_host(monkeypatch, tmp_path):
+    saved = tmp_path / "run.npz"
+    monkeypatch.setattr(digest, "outputs", one_case)
+    digest.main(["--save", str(saved)])
+    facts = digest.host()
+    assert facts["numpy"] == np.__version__ and set(facts) == {"numpy", "blas", "cpu"}
+    with np.load(saved) as npz:
+        assert {k: str(npz[digest.HOST + k]) for k in facts} == facts
+        assert sorted(npz) == sorted(["bis_run|mean|15|1"] + [digest.HOST + k for k in facts])
+
+
+def test_against_names_the_host_facts_that_differ(monkeypatch, tmp_path, capsys):
+    saved = tmp_path / "run.npz"
+    monkeypatch.setattr(digest, "outputs", one_case)
+    there = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31", "cpu": "X86_V3 X86_V4"}
+    monkeypatch.setattr(digest, "host", lambda: there)
+    digest.main(["--save", str(saved)])
+    here = {**there, "cpu": "X86_V3"}
+    monkeypatch.setattr(digest, "host", lambda: here)
+    with pytest.raises(SystemExit) as same:
+        digest.main(["--against", str(saved)])
+    # a host difference alone moves no case, so the gate still passes
+    assert same.value.code == 0
+    assert capsys.readouterr().out.endswith("host cpu differs: X86_V3 X86_V4 -> X86_V3\n")
+
+
+def test_against_a_run_saved_without_host_facts(capsys):
+    digest.compare_host({"bis_run|mean|15|1": np.ones(2)}, {"numpy": "2.4.6"})
+    assert capsys.readouterr().out == "host numpy differs: not recorded -> 2.4.6\n"

@@ -21,6 +21,13 @@ by how many ulps, save the outputs of one checkout and compare the other:
 ``--against`` exits 1 when any case moved and 0 when none did, so it can
 gate a change that claims to keep its bytes.  ``--src`` names the library
 source to digest (default: this checkout's).
+
+The bytes also depend on the host: the BLAS build rounds the products of
+the mean and the split means, and NumPy's SIMD dispatch picks the ``log``
+kernel behind the unit Dirichlet weights.  ``--save`` records the NumPy
+version, the BLAS name and version and the CPU features NumPy dispatches
+to, and ``--against`` prints each of them that differs before the cases
+that moved, so a digest taken on another host reads as such.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ SEEDS = (1, 2, 3)
 SIZES = ("15", "200", "1000", "1000-ties", "100000")
 INTERVALS = ((0.0, 60.0), (0.0, np.inf), (-np.inf, 60.0), (-np.inf, np.inf))
 FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate_rows")
+HOST = "host|"  # prefix of the saved host facts, apart from the cases
 
 
 def data(size: str, seed: int) -> np.ndarray:
@@ -78,6 +86,28 @@ def outputs(bis):
                 rows = np.random.default_rng(seed).dirichlet(np.ones(len(cells)), size=200)
                 for name, f in fs:
                     yield "evaluate_rows", (name, size, seed, lo, hi), evaluate_rows(f, cells, rows)
+
+
+def host() -> dict:
+    """The NumPy version, its BLAS build and the CPU features it dispatches to."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu": " ".join(f for f in umath.__cpu_dispatch__
+                            if umath.__cpu_features__.get(f))}
+
+
+def compare_host(saved, current: dict) -> None:
+    """Print each host fact that differs from the saved run's."""
+    for name, now in current.items():
+        key = HOST + name
+        was = str(saved[key]) if key in saved else "not recorded"
+        if was != now:
+            print(f"host {name} differs: {was} -> {now}")
 
 
 def _ordered(x: np.ndarray) -> np.ndarray:
@@ -127,10 +157,12 @@ def main(argv=None) -> None:
             every["|".join(map(str, (family,) + case))] = out
     for family in FAMILIES:
         print(f"{family} {sha[family].hexdigest()}")
+    facts = host()
     if args.save:
-        np.savez(args.save, **every)
+        np.savez(args.save, **every, **{HOST + k: np.array(v) for k, v in facts.items()})
     if args.against:
         with np.load(args.against) as saved:
+            compare_host(saved, facts)
             sys.exit(1 if compare(saved, every) else 0)
 
 
