@@ -30,25 +30,54 @@ def _positive_params(params) -> np.ndarray:
     return a
 
 
+def _unit_draw(log_kernel: str) -> str:
+    """How all-ones parameters draw their unit exponentials, given the
+    kernel NumPy dispatches float64 ``log`` to.
+
+    Inversion is one uniform and one ``log`` a weight; it beats NumPy's
+    ziggurat only where that ``log`` is an AVX-512 kernel (about 1 ns a
+    value, against 8 ns for the X86_V3 one, which makes inversion about
+    1.5 times slower than the ziggurat).  Elsewhere the ziggurat stays.
+    """
+    avx512 = log_kernel == "X86_V4" or log_kernel.startswith("AVX512")
+    return "inversion" if avx512 else "ziggurat"
+
+
+def _log_kernel() -> str:
+    """The kernel NumPy dispatches float64 ``log`` to ('' if unreported)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # NumPy 1.x reports no dispatch
+        return ""
+    return opt_func_info("^log$", "float64").get("log", {}).get("dd", {}).get("current", "")
+
+
+# "inversion" or "ziggurat", fixed for the process by this host's ``log``
+UNIT_DRAW = _unit_draw(_log_kernel())
+
+
 def _fill_rows(a: np.ndarray, exponential: bool, rng: np.random.Generator, out):
     """Fill the rows of ``out`` with unnormalised Dirichlet(a) weights.
 
-    All-ones parameters draw unit exponentials by inversion, -log(1 - U)
-    (Devroye 1986, II.2): U lies on the 2**-53 grid of [0, 1), so 1 - U is
-    exact and never 0, and no weight exceeds 53 ln 2.  Such a weight is
-    zero (-0.0) only where U == 0.  Other parameters draw gammas.
+    All-ones parameters draw unit exponentials, by ``UNIT_DRAW``: either
+    NumPy's ziggurat or inversion, -log(1 - U) (Devroye 1986, II.2).  In
+    the inversion U lies on the 2**-53 grid of [0, 1), so 1 - U is exact
+    and never 0, no weight exceeds 53 ln 2, and a weight is zero (-0.0)
+    only where U == 0.  Other parameters draw gammas.
 
-    A row whose draws are all zero (every gamma underflowed, or every
-    uniform was 0) becomes a random vertex, the limit law of such a row.
+    A row whose draws are all zero (every gamma underflowed, or every unit
+    draw was 0) becomes a random vertex, the limit law of such a row.
     Such a row starts with a zero, so only those rows are scanned.
     """
-    if exponential:
+    if not exponential:
+        rng.standard_gamma(a, out=out)
+    elif UNIT_DRAW == "inversion":
         rng.random(out=out)
         np.subtract(1.0, out, out=out)
         np.log(out, out=out)
         np.negative(out, out=out)
     else:
-        rng.standard_gamma(a, out=out)
+        rng.standard_exponential(out=out)
     maybe = np.flatnonzero(out[:, 0] <= 0.0)
     dead = maybe[~out[maybe].any(axis=1)]
     if dead.size:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 from scipy.special import betaincc
 
+from bisampling import dirichlet
 from bisampling.dirichlet import (
     merge_duplicates,
     sample_dirichlet,
@@ -123,7 +129,11 @@ class GivenUniforms:
 
 
 class TestInversionDraw:
-    """Unit parameters draw each weight as -log(1 - U) from one uniform."""
+    """Inversion draws each unit weight as -log(1 - U) from one uniform."""
+
+    @pytest.fixture(autouse=True)
+    def inversion(self, monkeypatch):
+        monkeypatch.setattr(dirichlet, "UNIT_DRAW", "inversion")
 
     def test_weights_are_the_inverted_uniforms(self):
         u = [0.0, 0.5, 1.0 - 2.0**-53]
@@ -144,6 +154,42 @@ class TestInversionDraw:
         (rows,) = weight_chunks(np.ones(10), stream(14), 20_000, 20_000)
         assert rows.max() <= 53 * np.log(2.0)
         assert sps.kstest(rows.ravel(), "expon").pvalue > 0.01
+
+
+class TestUnitDraw:
+    """The host's float64 ``log`` kernel picks the unit draw: inversion
+    where it is an AVX-512 one, NumPy's ziggurat elsewhere."""
+
+    @pytest.mark.parametrize(
+        "kernel, draw",
+        [("X86_V4", "inversion"), ("AVX512F", "inversion"), ("AVX512_SKX", "inversion"),
+         ("X86_V3", "ziggurat"), ("FMA3__AVX2", "ziggurat"), ("ASIMD", "ziggurat"),
+         ("", "ziggurat")],
+    )
+    def test_inversion_only_on_an_avx512_log(self, kernel, draw):
+        assert dirichlet._unit_draw(kernel) == draw
+
+    def test_ziggurat_rows_are_standard_exponentials(self, monkeypatch):
+        monkeypatch.setattr(dirichlet, "UNIT_DRAW", "ziggurat")
+        rows = np.concatenate([c.copy() for c in weight_chunks(np.ones(10), stream(14), 1000, 64)])
+        assert rows.tobytes() == stream(14).standard_exponential((1000, 10)).tobytes()
+
+    @pytest.mark.skipif(dirichlet._log_kernel() != "X86_V4",
+                        reason="float64 log does not dispatch to X86_V4 here")
+    def test_a_log_kept_off_avx512_keeps_the_ziggurat(self):
+        # a fresh interpreter whose NumPy may not dispatch to AVX-512 draws
+        # the ziggurat's bytes
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import numpy as np\n"
+                "from bisampling import dirichlet, rng\n"
+                "rows, = dirichlet.weight_chunks(np.ones(10), rng.stream(14), 100, 100)\n"
+                "zig = rng.stream(14).standard_exponential((100, 10))\n"
+                "print(dirichlet._log_kernel(), dirichlet.UNIT_DRAW, rows.tobytes() == zig.tobytes())\n")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.split() == ["X86_V3", "ziggurat", "True"]
 
 
 def full_split_law(params, p):

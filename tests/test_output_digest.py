@@ -67,7 +67,7 @@ def test_save_records_the_host(monkeypatch, tmp_path):
     monkeypatch.setattr(digest, "outputs", one_case)
     digest.main(["--save", str(saved)])
     facts = digest.host()
-    assert facts["numpy"] == np.__version__ and set(facts) == {"numpy", "blas", "cpu"}
+    assert facts["numpy"] == np.__version__ and set(facts) == {"numpy", "blas", "cpu", "log"}
     with np.load(saved) as npz:
         assert {k: str(npz[digest.HOST + k]) for k in facts} == facts
         assert sorted(npz) == sorted(["bis_run|mean|15|1"] + [digest.HOST + k for k in facts])

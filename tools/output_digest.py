@@ -23,11 +23,13 @@ gate a change that claims to keep its bytes.  ``--src`` names the library
 source to digest (default: this checkout's).
 
 The bytes also depend on the host: the BLAS build rounds the products of
-the mean and the split means, and NumPy's SIMD dispatch picks the ``log``
-kernel behind the unit Dirichlet weights.  ``--save`` records the NumPy
-version, the BLAS name and version and the CPU features NumPy dispatches
-to, and ``--against`` prints each of them that differs before the cases
-that moved, so a digest taken on another host reads as such.
+the mean and the split means, and the kernel NumPy dispatches float64
+``log`` to decides how unit Dirichlet weights are drawn (by inversion on
+an AVX-512 kernel, by the ziggurat elsewhere) and, with inversion, their
+last bits.  ``--save`` records the NumPy version, the BLAS name and
+version, the CPU features NumPy dispatches to and that ``log`` kernel, and
+``--against`` prints each of them that differs before the cases that
+moved, so a digest taken on another host reads as such.
 """
 
 from __future__ import annotations
@@ -89,16 +91,21 @@ def outputs(bis):
 
 
 def host() -> dict:
-    """The NumPy version, its BLAS build and the CPU features it dispatches to."""
+    """The NumPy version, its BLAS build, the CPU features it dispatches to
+    and the kernel of its float64 ``log``."""
     try:
         from numpy._core import _multiarray_umath as umath
+        from numpy.lib.introspect import opt_func_info
+        log = opt_func_info("^log$", "float64")["log"]["dd"]["current"]
     except ImportError:  # NumPy 1.x
         from numpy.core import _multiarray_umath as umath
+        log = "not reported"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "cpu": " ".join(f for f in umath.__cpu_dispatch__
-                            if umath.__cpu_features__.get(f))}
+                            if umath.__cpu_features__.get(f)),
+            "log": log}
 
 
 def compare_host(saved, current: dict) -> None:
