@@ -17,13 +17,12 @@ from . import rng as rngmod
 from .bis import (
     BisConfig,
     QSamples,
-    _check_n_resample,
     _chunk_rows,
     _dirichlet_resample,
     bis_run,
     interval_estimate,
 )
-from .errors import NonFiniteError, TooFewSamplesError, _check_open_unit
+from .errors import NonFiniteError, TooFewSamplesError, _check_n_resample, _check_open_unit
 from .functionals import Functional, evaluate_rows, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
 
@@ -42,10 +41,14 @@ class TruncatedLognormal:
     hi: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
+        if self.hi <= 0:
+            raise ValueError("need hi > 0: no draw of exp(Normal) lands at or below 0")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ straight to the mean and split-mean kernels of ``functionals``.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .errors import (
     AtObservationError,
     EmptySamplesError,
     OutOfBoundsError,
+    _check_n_resample,
     _check_open_unit,
 )
 from .functionals import (
@@ -59,12 +59,6 @@ _CHUNK_BYTES = 1024 * 1024
 def _chunk_rows(row_bytes: int) -> int:
     """Rows per chunk when each row takes ``row_bytes`` of the chunk's arrays."""
     return max(1, _CHUNK_BYTES // row_bytes)
-
-
-def _check_n_resample(n, least: int = 1, name: str = "n_resample") -> None:
-    """Reject a count ``name`` that is not an integer of at least ``least``."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -182,24 +176,23 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
 
     A quantile depends on a row only through the cell where its cumulative
     weight reaches p, so that cell is drawn from its exact law
-    (``sample_split_index``) and no weights are drawn.  The mean takes
-    whole rows over the supports, prepared once.  A truncated mean or CVaR
-    draws the split first: the unit cell K ~ Binomial(A - 1, p) of the A
-    unit cells behind the parameters, and the cell c holding it.  Given K
-    the K uniforms below p are i.i.d. U(0, p) (Pyke 1965), so the truncated
-    mean is the Dirichlet mean of cells 0..c with the split cell's share of
-    shape K - head[c-1] + 1, head being the cumulative parameters, and CVaR
-    that of cells c..k-1 with a share of shape head[c] - K.  All splits,
-    then all shares, come first, each in one call, then the rows over the
-    span the splits fix, 0..max c or min c..k-1 (all cells for the mean),
-    so the chunk size changes no draw.  Each chunk goes straight to its
-    kernel on the span's atoms, ``_mean_rows`` or ``_cut_mean``.
+    (``sample_split_index``) and no weights are drawn.  The mean takes whole
+    rows.  A truncated mean or CVaR draws the split first: the unit cell
+    K ~ Binomial(A - 1, p) of the A unit cells behind the parameters, and
+    the cell c holding it.  Given K the K uniforms below p are i.i.d. U(0, p)
+    (Pyke 1965), so the truncated mean is the Dirichlet mean of cells 0..c
+    with the split cell's share of shape K - head[c-1] + 1, head being the
+    cumulative parameters, and CVaR that of cells c..k-1 with a share of
+    shape head[c] - K.  All splits, then all shares, come first, each in one
+    call, then the rows over the span the splits fix, 0..max c or min c..k-1
+    (all cells for the mean), so the chunk size changes no draw.  The span's
+    atoms alone are prepared, and each chunk goes straight to its kernel on
+    them, ``_mean_rows`` or ``_cut_mean``.
     """
     _check_n_resample(n_resample, least=0)
     if f.kind == "quantile":
         idx = sample_split_index(params, f.p, rng, n_resample)
         return QSamples(q_min=values[idx, 0], q_max=values[idx, -1])
-    supports = prepare_supports(values)
     first, stop = 0, params.size
     tail = f.kind == "cvar"
     if f.kind != "mean":
@@ -211,8 +204,8 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
             first = int(cell.min(initial=stop - 1))
         else:
             stop = int(cell.max(initial=0)) + 1
-    span = supports.atoms(first, stop)
-    q = np.empty((supports.values.shape[1], n_resample))
+    span = prepare_supports(values[first:stop])
+    q = np.empty((values.shape[1], n_resample))
     start = 0
     for w in weight_chunks(params[first:stop], rng, n_resample, _chunk_rows(8 * (stop - first))):
         rows = slice(start, start + w.shape[0])

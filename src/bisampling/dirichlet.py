@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import _check_open_unit
+from .errors import _check_n_resample, _check_open_unit
 from .pbox import ExtendedOrderStats, WeightedStepCdf
 
 
@@ -188,8 +188,7 @@ def sample_unit_dp_grid(
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    if n_cells < 1:
-        raise ValueError("n_cells must be at least 1")
+    _check_n_resample(n_cells, name="n_cells")
     if alpha / n_cells == 0:
         raise ValueError(f"alpha / n_cells = {alpha!r} / {n_cells} underflows to 0")
     w = sample_dirichlet(np.full(n_cells, alpha / n_cells), rng)
@@ -209,8 +208,7 @@ def sample_unit_dp_stick(
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
+    _check_n_resample(n_terms, name="n_terms")
     locations = rng.random(n_terms + 1)
     b = rng.beta(1.0, alpha, size=n_terms)
     leftover = np.cumprod(1.0 - b)

@@ -74,7 +74,7 @@ class Supports:
     with infinities zeroed, then a ones column that sums the weight in the
     same product, whatever the supports hold.  A sorted column holds its
     -inf atoms first and its +inf atoms last, so their counts say which
-    weights fall on them (``_weighs``).  ``terms`` is column-major, so a
+    weights fall on them (``_mean_rows``).  ``terms`` is column-major, so a
     run of atoms (``atoms``) is a contiguous piece of every column: the
     split means of ``_cut_mean`` read only the atoms their cut rows reach.
     """
@@ -109,30 +109,36 @@ def prepare_supports(supports) -> Supports:
                     tuple((s == -np.inf).sum(axis=0).tolist()), vector)
 
 
-def _weighs(w: np.ndarray, counts: tuple[int, ...], last: bool = False) -> np.ndarray:
-    """Where each row of ``w`` puts weight on the first ``counts[c]`` atoms
-    of column c (the last ones if ``last``), as a ``(k, m)`` mask."""
-    n = w.shape[1]
-    return np.column_stack([(w[:, n - c:] if last else w[:, :c]).any(axis=1) if c
-                            else np.zeros(len(w), bool) for c in counts])
-
-
 def _positive_totals(total: np.ndarray) -> None:
     """Reject rows whose totals are zero, negative or NaN: nothing is their mean."""
     if not (total > 0).all():
         raise ValueError("every weight row must have a positive total")
 
 
-def _mean_rows(sup: Supports, w: np.ndarray) -> np.ndarray:
-    m = sup.values.shape[1]
+def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
+    """The mean of each row of ``w`` on each column of ``sup``, ``(k, m)``.
+
+    Every weighted sum of a block becomes a mean here.  A column's finite
+    sums come from one product with ``terms``; where a row weighs a
+    column's -inf (+inf) atoms, of which ``n_neg`` (``n_pos``) are counted,
+    the mean is -inf (+inf), and weight on both raises
+    ``IndeterminateSumError``.  Columns with no infinite atom skip that
+    check.  A ratio of rounded sums can land an ulp outside the atoms it
+    averages, so each result is clipped to ``[low, high]``: by default the
+    column's first and last atoms, for a split mean its side's bounds.
+    """
+    s, n, m = sup.values, w.shape[1], sup.values.shape[1]
     sums = w @ sup.terms
     _positive_totals(sums[:, m])
     out = sums[:, :m] / sums[:, m:]
-    pos, neg = _weighs(w, sup.n_pos, last=True), _weighs(w, sup.n_neg)
-    if np.any(pos & neg):
-        raise IndeterminateSumError("positive weight at both -inf and +inf")
-    out = np.where(pos, np.inf, out)
-    return np.where(neg, -np.inf, out)
+    for j in range(m):
+        if sup.n_neg[j] or sup.n_pos[j]:
+            neg = w[:, : sup.n_neg[j]].any(axis=1)
+            pos = w[:, n - sup.n_pos[j] :].any(axis=1)
+            if np.any(neg & pos):
+                raise IndeterminateSumError("positive weight at both -inf and +inf")
+            out[neg, j], out[pos, j] = -np.inf, np.inf
+    return np.clip(out, s[:1] if low is None else low, s[-1:] if high is None else high, out=out)
 
 
 def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
@@ -144,10 +150,9 @@ def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
     A row's split atom takes ``share`` and the far side of it is zeroed, in
     the columns between the smallest and the largest split only; the mean
     is taken on the row slice of the supports that the cut rows reach, so
-    the columns beyond are never read.  The clip keeps each result inside
-    [s_0, s_c] or [s_c, s_last], since a ratio of sums can round an ulp
-    outside.  Infinite atoms and a side weighing both of them are the
-    mean's (``_mean_rows``).
+    the columns beyond are never read.  ``_mean_rows`` takes it and keeps
+    each result inside its side, [s_0, s_c] or [s_c, s_last]; infinite
+    atoms and a side weighing both of them are its rules too.
     """
     n = w.shape[1]
     w[np.arange(w.shape[0]), c] = share
@@ -160,9 +165,9 @@ def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
         band = w[:, lo + 1 : hi + 1]
         band[np.arange(lo + 1, hi + 1) > c[:, None]] = 0.0
         start, stop = 0, hi + 1
-    out = _mean_rows(sup.atoms(start, stop), w[:, start:stop])
     s = sup.values
-    return np.clip(out, s[c], s[-1]) if tail else np.clip(out, s[0], s[c])
+    low, high = (s[c], s[-1]) if tail else (s[0], s[c])
+    return _mean_rows(sup.atoms(start, stop), w[:, start:stop], low, high)
 
 
 def _split_rows(sup: Supports, w: np.ndarray, f: Functional) -> np.ndarray:

@@ -70,6 +70,16 @@ class TestGenerate:
                 generate(gen, n, rng)
             assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("mu, sigma, lo, hi", [
+        (math.nan, 1.0, 0.0, 50.0), (math.inf, 1.0, 0.0, 50.0), (-math.inf, 1.0, 0.0, 50.0),
+        (0.0, math.nan, 0.0, 50.0), (0.0, math.inf, 0.0, 50.0), (0.0, 0.0, 0.0, 50.0),
+        (0.0, 1.0, -2.0, -1.0), (0.0, 1.0, -1.0, 0.0), (0.0, 1.0, 3.0, 3.0),
+    ])
+    def test_rejects_a_law_no_draw_can_land_in(self, mu, sigma, lo, hi):
+        # generate would draw forever
+        with pytest.raises(ValueError):
+            TruncatedLognormal(mu, sigma, lo, hi)
+
     def test_truncation_respected(self):
         gen = TruncatedLognormal(0.0, 1.0, 0.5, 3.0)
         d = generate(gen, 5_000, stream(1))
@@ -295,6 +305,13 @@ class TestBayesianBootstrap:
 
 
 class TestBootstrapsShared:
+    @pytest.mark.parametrize("method", BOOTSTRAPS)
+    def test_mean_of_one_repeated_value_is_that_value(self, method):
+        # the sums of ten 0.1s round, so their ratio lands an ulp off 0.1
+        # unless the mean is clipped to its supports
+        est = method(np.full(10, 0.1), MEAN, 0.9, 2000, stream(5))
+        assert est.lo == est.hi == 0.1
+
     @pytest.mark.parametrize("method", BOOTSTRAPS)
     @pytest.mark.parametrize("n_resample", [2.5, True, -3])
     def test_bad_resample_count_fails_before_drawing(self, method, n_resample):

@@ -393,6 +393,16 @@ class TestEdgeInputs:
         for q in (qs.q_min, qs.q_max):
             assert ((q >= 0.0) & (q <= 5.0)).all()
 
+    @pytest.mark.parametrize("hi", [50.0, 0.1, 3.3, 123.456])
+    @pytest.mark.parametrize("f", ["mean", "trunc-mean:0.5", "cvar:0.5"])
+    def test_data_all_on_the_upper_bound(self, f, hi):
+        # every q-sample is a weighted mean of cell endpoints in [0, hi]; a
+        # ratio of rounded sums of hi can land an ulp above it, unclipped
+        for seed in range(1, 6):
+            qs = bis_run([hi] * 12, BoundingInterval(0.0, hi),
+                         BisConfig(Functional.parse(f), 0.9, 1000, seed))
+            assert (qs.q_min >= 0.0).all() and (qs.q_max <= hi).all()
+
     def test_unbounded_both_sides(self):
         # each bound CDF has mass at one infinity only, so no sum is indeterminate
         interval = BoundingInterval(-INF, INF)

@@ -218,6 +218,14 @@ class TestInfer:
         assert result["unbounded_above"] is True
         assert abs(result["interval"]["lo"] - 1.21) <= 0.10
 
+    def test_mean_of_data_on_the_upper_bound_stays_inside(self, capsys, tmp_path):
+        path = tmp_path / "fifty.txt"
+        path.write_text("50\n" * 12)
+        code, out, _ = run(capsys, ["infer", str(path), "--param", "mean",
+                                    "--bounds", "0", "50", "--seed", "14"])
+        assert code == 0
+        assert json.loads(out)["interval"]["hi"] == 50.0
+
     @pytest.mark.parametrize("param", ["mean", "cvar:0.9"])
     def test_unbounded_both_sides(self, capsys, sample_file, param):
         # each bound CDF has mass at one infinity only: no indeterminate sum

@@ -429,6 +429,10 @@ class TestUnitDpGrid:
             sample_unit_dp_grid(INF, 10, stream(0))
         with pytest.raises(ValueError):
             sample_unit_dp_grid(1.0, 0, stream(0))
+        for n_cells in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="n_cells must be an integer of at least 1"):
+                sample_unit_dp_grid(1.0, n_cells, stream(0))
+        assert sample_unit_dp_grid(1.0, np.int64(3), stream(0)).n_atoms == 3
 
 
 class TestUnitDpStick:
@@ -457,6 +461,10 @@ class TestUnitDpStick:
                 sample_unit_dp_stick(alpha, 10, stream(0))
         with pytest.raises(ValueError):
             sample_unit_dp_stick(1.0, 0, stream(0))
+        for n_terms in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="n_terms must be an integer of at least 1"):
+                sample_unit_dp_stick(1.0, n_terms, stream(0))
+        assert sample_unit_dp_stick(1.0, np.int64(3), stream(0)).n_atoms == 4
 
 
 class TestDeterminism:

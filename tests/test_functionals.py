@@ -65,6 +65,11 @@ class TestMean:
         with pytest.raises(IndeterminateSumError):
             q_mean(step([-INF, 0.0, INF], [0.1, 0.8, 0.1]))
 
+    def test_one_repeated_atom_is_its_own_mean(self):
+        # a ratio of rounded sums of 0.1s lands an ulp off 0.1, unclipped
+        rows = np.random.default_rng(32).random((500, 7))
+        assert (evaluate_rows(Functional("mean"), np.full(7, 0.1), rows) == 0.1).all()
+
     def test_within_support_range(self):
         rng = np.random.default_rng(31)
         for _ in range(200):

@@ -1,6 +1,10 @@
 """The output digest tool's ulp count and its gate, on hand-made arrays."""
 
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +90,25 @@ def test_against_names_the_host_facts_that_differ(monkeypatch, tmp_path, capsys)
     # a host difference alone moves no case, so the gate still passes
     assert same.value.code == 0
     assert capsys.readouterr().out.endswith("host cpu differs: X86_V3 X86_V4 -> X86_V3\n")
+
+
+def inputs_sha1(tool) -> str:
+    """The sha1 of every observation the digest tool draws."""
+    return hashlib.sha1(b"".join(tool.data(size, seed).tobytes()
+                                 for size in tool.SIZES for seed in tool.SEEDS)).hexdigest()
+
+
+@pytest.mark.skipif(digest.host()["log"] != "X86_V4",
+                    reason="float64 log does not dispatch to X86_V4 here")
+def test_inputs_do_not_depend_on_the_dispatch():
+    # a fresh interpreter whose NumPy may not dispatch to AVX-512 draws the
+    # same observations, so only the library's own outputs can move
+    code = (f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import test_output_digest as t\nprint(t.inputs_sha1(t.digest))\n")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == inputs_sha1(digest)
 
 
 def test_against_a_run_saved_without_host_facts(capsys):

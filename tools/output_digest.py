@@ -26,10 +26,13 @@ The bytes also depend on the host: the BLAS build rounds the products of
 the mean and the split means, and the kernel NumPy dispatches float64
 ``log`` to decides how unit Dirichlet weights are drawn (by inversion on
 an AVX-512 kernel, by the ziggurat elsewhere) and, with inversion, their
-last bits.  ``--save`` records the NumPy version, the BLAS name and
-version, the CPU features NumPy dispatches to and that ``log`` kernel, and
-``--against`` prints each of them that differs before the cases that
-moved, so a digest taken on another host reads as such.
+last bits.  Medians, quantiles, the percentile bootstrap and the given
+rows of ``evaluate_rows`` keep their bytes across the dispatch (the
+inputs are drawn so that they do too).  ``--save`` records the NumPy
+version, the BLAS name and version, the CPU features NumPy dispatches to
+and that ``log`` kernel, and ``--against`` prints each of them that
+differs before the cases that moved, so a digest taken on another host
+reads as such.
 """
 
 from __future__ import annotations
@@ -53,9 +56,14 @@ HOST = "host|"  # prefix of the saved host facts, apart from the cases
 
 
 def data(size: str, seed: int) -> np.ndarray:
-    """Unit lognormal observations capped at 59, inside every interval."""
+    """Unit lognormal observations capped at 59, inside every interval.
+
+    The generator's own lognormal takes libm's ``exp``, not NumPy's
+    dispatched one, so the inputs are the same bytes on every CPU feature
+    set and only the library's outputs can move with it.
+    """
     n = int(size.split("-")[0])
-    x = np.minimum(np.exp(np.random.default_rng(seed).normal(0.0, 1.0, n)), 59.0)
+    x = np.minimum(np.random.default_rng(seed).lognormal(0.0, 1.0, n), 59.0)
     return np.round(x, 1) if size.endswith("ties") else x
 
 
