@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .dirichlet import (
-    _unit_split,
-    merge_duplicates,
-    sample_dirichlet,
-    sample_split_index,
-    weight_chunks,
-)
+from .dirichlet import _unit_split, merge_duplicates, sample_dirichlet, weight_chunks
 from .errors import (
     AtObservationError,
     EmptySamplesError,
@@ -174,12 +168,12 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     and the last column ``q_max``.  The count is checked before anything is
     drawn.
 
-    A quantile depends on a row only through the cell where its cumulative
-    weight reaches p, so that cell is drawn from its exact law
-    (``sample_split_index``) and no weights are drawn.  The mean takes whole
-    rows.  A truncated mean or CVaR draws the split first: the unit cell
-    K ~ Binomial(A - 1, p) of the A unit cells behind the parameters, and
-    the cell c holding it.  Given K the K uniforms below p are i.i.d. U(0, p)
+    Every functional but the mean draws its split once, first: the unit
+    cell K ~ Binomial(A - 1, p) of the A unit cells behind the parameters,
+    and the cell c holding it, where the cumulative weight reaches p (the
+    law of ``sample_split_index``).  A quantile depends on a row only
+    through c, so it is the atoms of c and no weights are drawn.  The mean
+    takes whole rows.  Given K the K uniforms below p are i.i.d. U(0, p)
     (Pyke 1965), so the truncated mean is the Dirichlet mean of cells 0..c
     with the split cell's share of shape K - head[c-1] + 1, head being the
     cumulative parameters, and CVaR that of cells c..k-1 with a share of
@@ -190,14 +184,13 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     them, ``_mean_rows`` or ``_cut_mean``.
     """
     _check_n_resample(n_resample, least=0)
-    if f.kind == "quantile":
-        idx = sample_split_index(params, f.p, rng, n_resample)
-        return QSamples(q_min=values[idx, 0], q_max=values[idx, -1])
     first, stop = 0, params.size
     tail = f.kind == "cvar"
     if f.kind != "mean":
         head, units = _unit_split(params, f.p, rng, n_resample)
         cell = np.searchsorted(head, units, side="right")
+        if f.kind == "quantile":
+            return QSamples(q_min=values[cell, 0], q_max=values[cell, -1])
         shares = rng.standard_gamma(
             head[cell] - units if tail else units - head[cell] + params[cell] + 1.0)
         if tail:

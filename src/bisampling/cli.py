@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .baselines import METHODS, coverage_experiment, preset
+from .baselines import METHODS, CoverageReport, coverage_experiment, preset
 from .bis import (
     BisConfig,
     bis_run,
@@ -112,7 +113,10 @@ def read_observations(path: str, column: str | None = None) -> np.ndarray:
     return data
 
 
-def _manifest(command: str, args, functional: str | None, credibility, n_resample, seed):
+def _manifest(command: str, args, functional: str | None = None, credibility=None,
+              n_resample=None, **extra) -> dict:
+    """The run's manifest: its command, input, bounds and seed, the given
+    settings (None where the command has none) and the command's ``extra`` keys."""
     bounds = getattr(args, "bounds", None)
     return {
         "command": command,
@@ -121,8 +125,9 @@ def _manifest(command: str, args, functional: str | None, credibility, n_resampl
         "functional": functional,
         "credibility": credibility,
         "n_resample": n_resample,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
+        **extra,
     }
 
 
@@ -135,6 +140,8 @@ def _write_text(text: str, out: str | None):
 
 
 def _csv_text(manifest: dict, header: list[str], rows) -> str:
+    """The manifest as a comment line, the header, then one line per row:
+    floats in shortest round-trip text, anything else as ``str`` gives it."""
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
@@ -157,7 +164,7 @@ def cmd_infer(args) -> int:
     )
     qs = bis_run(data, interval, cfg)
     est = interval_estimate(qs, args.credibility)
-    manifest = _manifest("infer", args, args.param, args.credibility, n_resample, args.seed)
+    manifest = _manifest("infer", args, args.param, args.credibility, n_resample)
     result = {
         "interval": {"lo": _encode(est.lo), "hi": _encode(est.hi)},
         "credibility": args.credibility,
@@ -173,13 +180,8 @@ def cmd_infer(args) -> int:
         n = qs.q_min.size
         ecdf_min = np.searchsorted(np.sort(qs.q_min), grid, side="right") / n
         ecdf_max = np.searchsorted(np.sort(qs.q_max), grid, side="right") / n
-        rows = [
-            (float(x), float(flo), float(fhi))
-            for x, flo, fhi in zip(grid, ecdf_max, ecdf_min)
-        ]
-        _write_text(
-            _csv_text(manifest, ["value", "F_lower", "F_upper"], rows), args.qbox
-        )
+        rows = zip(grid, ecdf_max, ecdf_min)
+        _write_text(_csv_text(manifest, ["value", "F_lower", "F_upper"], rows), args.qbox)
     return 0
 
 
@@ -199,9 +201,7 @@ def cmd_pbox(args) -> int:
             real = sample_realization(reduced, params, rngmod.substream(args.seed, i))
             header += [f"r{i + 1}_lower", f"r{i + 1}_upper"]
             columns += [real.lower.cdf(grid), real.upper.cdf(grid)]
-    manifest = _manifest("pbox", args, None, None, None, args.seed)
-    rows = [tuple(float(col[j]) for col in columns) for j in range(grid.size)]
-    _write_text(_csv_text(manifest, header, rows), args.out)
+    _write_text(_csv_text(_manifest("pbox", args), header, zip(*columns)), args.out)
     return 0
 
 
@@ -212,12 +212,8 @@ def cmd_compare(args) -> int:
     credibility = config["credibility"] if args.credibility is None else args.credibility
     n_sample = config["n_sample"] if args.n_sample is None else args.n_sample
     true_q = config["true_q"] if args.true_q is None else args.true_q
-    manifest = _manifest(
-        "compare", args, config["functional"].kind, credibility, n_resample, args.seed
-    )
-    manifest["preset"] = args.preset
-    manifest["n_trials"] = args.trials
-    manifest["true_q"] = true_q
+    manifest = _manifest("compare", args, config["functional"].kind, credibility, n_resample,
+                         preset=args.preset, n_trials=args.trials, true_q=true_q)
     rows = []
     for method in methods:
         report = coverage_experiment(
@@ -232,17 +228,8 @@ def cmd_compare(args) -> int:
             interval=config["interval"],
             seed=args.seed,
         )
-        rows.append(
-            (
-                report.method,
-                report.credibility,
-                report.n_trials,
-                report.hit_rate,
-                report.median_lo,
-                report.median_hi,
-            )
-        )
-    header = ["method", "credibility", "n_trials", "hit_rate", "median_lo", "median_hi"]
+        rows.append(dataclasses.astuple(report))
+    header = [field.name for field in dataclasses.fields(CoverageReport)]
     _write_text(_csv_text(manifest, header, rows), args.out)
     return 0
 
@@ -267,12 +254,9 @@ def cmd_udp_sample(args) -> int:
         else:
             real = sample_unit_dp_stick(args.alpha, args.terms, stream)
         columns.append(real.cdf(grid))
-    manifest = _manifest("udp-sample", args, None, None, None, args.seed)
-    manifest["alpha"] = args.alpha
-    manifest["cells"] = args.cells
-    manifest["method"] = args.method
-    rows = [tuple(float(col[j]) for col in columns) for j in range(grid.size)]
-    _write_text(_csv_text(manifest, header, rows), args.out)
+    manifest = _manifest("udp-sample", args, alpha=args.alpha, cells=args.cells,
+                         method=args.method)
+    _write_text(_csv_text(manifest, header, zip(*columns)), args.out)
     return 0
 
 
@@ -288,17 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    infer = sub.add_parser("infer", help="credible interval for a population parameter")
-    infer.add_argument("input", help="data file, one observation per line")
-    infer.add_argument("--column", help="read this column of a CSV file instead")
-    infer.add_argument(
-        "--param",
-        required=True,
-        help="mean | median | quantile:p | trunc-mean:p | cvar:p",
-    )
-    infer.add_argument("--credibility", type=float, default=0.9)
-    infer.add_argument(
+    # options every command takes, and those of the commands that read data
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", default=None)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("input", help="data file, one observation per line")
+    data.add_argument("--column", help="read this column of a CSV file instead")
+    data.add_argument(
         "--bounds",
         nargs=2,
         type=_parse_bound,
@@ -306,24 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         help="bounding interval; accepts inf and -inf",
     )
+
+    infer = sub.add_parser("infer", parents=[run, data],
+                           help="credible interval for a population parameter")
+    infer.add_argument(
+        "--param",
+        required=True,
+        help="mean | median | quantile:p | trunc-mean:p | cvar:p",
+    )
+    infer.add_argument("--credibility", type=float, default=0.9)
     infer.add_argument("--resamples", type=int, default=None)
-    infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--out", default=None)
     infer.add_argument("--qbox", default=None, help="also write the q-box ECDFs as CSV")
     infer.set_defaults(func=cmd_infer)
 
-    pbox = sub.add_parser("pbox", help="expected probability box as CSV")
-    pbox.add_argument("input")
-    pbox.add_argument("--column")
-    pbox.add_argument(
-        "--bounds", nargs=2, type=_parse_bound, required=True, metavar=("LO", "HI")
-    )
+    pbox = sub.add_parser("pbox", parents=[run, data], help="expected probability box as CSV")
     pbox.add_argument("--realisations", type=int, default=0)
-    pbox.add_argument("--seed", type=int, default=0)
-    pbox.add_argument("--out", default=None)
     pbox.set_defaults(func=cmd_pbox)
 
-    compare = sub.add_parser("compare", help="coverage comparison of interval methods")
+    compare = sub.add_parser("compare", parents=[run],
+                             help="coverage comparison of interval methods")
     compare.add_argument("--preset", choices=("table3", "table4"), required=True)
     compare.add_argument("--trials", type=int, required=True)
     compare.add_argument("--methods", nargs="+", choices=METHODS, default=None)
@@ -331,18 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--credibility", type=float, default=None)
     compare.add_argument("--n-sample", type=int, default=None)
     compare.add_argument("--true-q", type=float, default=None)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--out", default=None)
     compare.set_defaults(func=cmd_compare)
 
-    udp = sub.add_parser("udp-sample", help="unit Dirichlet process realisations")
+    udp = sub.add_parser("udp-sample", parents=[run], help="unit Dirichlet process realisations")
     udp.add_argument("--alpha", type=float, required=True)
     udp.add_argument("--cells", type=int, default=200)
     udp.add_argument("--count", type=int, default=1)
     udp.add_argument("--method", choices=("grid", "stick"), default="grid")
     udp.add_argument("--terms", type=int, default=100)
-    udp.add_argument("--seed", type=int, default=0)
-    udp.add_argument("--out", default=None)
     udp.set_defaults(func=cmd_udp_sample)
 
     for command in sub.choices.values():

@@ -96,12 +96,25 @@ class Supports:
 
 
 def prepare_supports(supports) -> Supports:
-    """Prepare one sorted support vector, or an ``(n, m)`` matrix of columns."""
+    """Prepare one sorted support vector, or an ``(n, m)`` matrix of columns.
+
+    Supports the kernels cannot read raise ValueError: no atoms, a NaN, or
+    a column out of order (its infinite atoms would be miscounted).
+    """
     s = np.asarray(supports, dtype=float)
     vector = s.ndim < 2
     if vector:
         s = s.reshape(-1, 1)
     n, m = s.shape
+    if n == 0:
+        raise ValueError("supports must hold at least one atom")
+    # checked column by column: across the rows of the engine's overlapping
+    # view of the cell endpoints the same checks are twenty times slower
+    cols = s.T
+    if np.isnan(cols).any():
+        raise ValueError("supports must not hold NaN")
+    if (cols[:, 1:] < cols[:, :-1]).any():
+        raise ValueError("every support column must be sorted")
     terms = np.empty((n, m + 1), order="F")
     terms[:, :m] = np.where(np.isfinite(s), s, 0.0)
     terms[:, m] = 1.0
@@ -206,9 +219,11 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
 
     ``supports`` is one sorted vector, or an ``(n, m)`` matrix of m sorted
     columns sharing the weights (ties allowed; tied atoms behave as one
-    merged atom), or either of them made once by ``prepare_supports``.
-    Returns ``(k,)`` for a vector and ``(k, m)`` for a matrix, k being the
-    number of weight rows.  A row need not sum to 1: every functional is
+    merged atom), or either of them made once by ``prepare_supports``,
+    which raises ValueError for supports with no atoms, a NaN or an
+    unsorted column.  Returns ``(k,)`` for a vector and ``(k, m)`` for a
+    matrix, k being the number of weight rows, zero included.  A row need
+    not sum to 1: every functional is
     taken of the row divided by its total, which must be positive.  This
     serves given rows (count rows, one step CDF): it searches each row for
     its split and takes a truncated mean or CVaR as the mean of the row

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import SMALL_SAMPLE
 
-from bisampling import bis, cli
+from bisampling import __version__, bis, cli
+from bisampling.baselines import preset
 from bisampling.cli import main, read_observations
 
 
@@ -523,3 +524,61 @@ class TestManifest:
             assert code == 0
             assert "manifest" in out
             assert "\"version\": \"" in out or "'version'" in out
+
+    @staticmethod
+    def csv_manifest(text):
+        head, _, _ = text.partition("\n")
+        assert head.startswith("# manifest: ")
+        return json.loads(head[len("# manifest: "):])
+
+    def test_each_command_records_its_settings(self, capsys, sample_file, tmp_path):
+        common = {"input": None, "bounds": None, "functional": None, "credibility": None,
+                  "n_resample": None, "seed": 0, "version": __version__}
+        data = {**common, "input": sample_file, "bounds": [0.0, "inf"]}
+        qbox = tmp_path / "q.csv"
+        code, out, _ = run(capsys, ["infer", sample_file, "--param", "mean", "--bounds", "0",
+                                    "inf", "--qbox", str(qbox)])
+        infer = {**data, "command": "infer", "functional": "mean", "credibility": 0.9,
+                 "n_resample": 1000}
+        assert code == 0 and json.loads(out)["manifest"] == infer
+        assert self.csv_manifest(qbox.read_text()) == infer
+        code, out, _ = run(capsys, ["pbox", sample_file, "--bounds", "0", "inf"])
+        assert code == 0 and self.csv_manifest(out) == {**data, "command": "pbox"}
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            code, out, _ = run(capsys, ["compare", "--preset", "table4", "--trials", "2",
+                                        "--resamples", "200", "--seed", "3", "--methods", "bis"])
+        assert code == 0 and self.csv_manifest(out) == {
+            **common, "command": "compare", "functional": "mean", "credibility": 0.95,
+            "n_resample": 200, "seed": 3, "preset": "table4", "n_trials": 2,
+            "true_q": preset("table4")["true_q"]}
+        code, out, _ = run(capsys, ["udp-sample", "--alpha", "1", "--cells", "3"])
+        assert code == 0 and self.csv_manifest(out) == {
+            **common, "command": "udp-sample", "alpha": 1.0, "cells": 3, "method": "grid"}
+
+
+class TestOutputBytes:
+    def test_pbox_of_three_observations(self, capsys, tmp_path, monkeypatch):
+        # no draw: these bytes hold on every host
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "obs.txt").write_text("1\n2\n2\n")
+        code, out, _ = run(capsys, ["pbox", "obs.txt", "--bounds", "0", "4"])
+        assert code == 0
+        assert out == (
+            '# manifest: {"bounds": [0.0, 4.0], "command": "pbox", "credibility": null, '
+            '"functional": null, "input": "obs.txt", "n_resample": null, "seed": 0, '
+            f'"version": "{__version__}"}}\n'
+            "x,F_lower,F_upper\n"
+            "0.0,0.0,0.25\n"
+            "1.0,0.25,0.5\n"
+            "2.0,0.75,1.0\n"
+            "4.0,1.0,1.0\n"
+        )
+
+    def test_compare_row_fields(self, capsys):
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            code, out, _ = run(capsys, ["compare", "--preset", "table3", "--trials", "5",
+                                        "--resamples", "200", "--methods", "student_t", "bis"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        # the method is its bare name, the credibility a float, the trial count an integer
+        assert [r[:3] for r in rows] == [["student_t", "0.95", "5"], ["bis", "0.95", "5"]]

@@ -364,6 +364,28 @@ class TestEvaluateRows:
                 with pytest.raises(ValueError, match="positive total"):
                     evaluate_rows(f, supports, rows)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("f", [Functional("mean"), Functional("quantile", 0.5),
+                                   Functional("trunc_mean", 0.5), Functional("cvar", 0.5)],
+                             ids=lambda f: f.kind)
+    def test_supports_the_kernels_cannot_read_raise(self, f, k):
+        # no atoms once raised a bare IndexError (the mean returned []), an
+        # unsorted column misplaced its infinite atoms (the mean of inf, 1, 2
+        # under 0, 1/2, 1/2 gave 2) and a NaN read as 0 was clipped away
+        cases = {
+            "no atoms": [],
+            "+inf first": [INF, 1.0, 2.0],
+            "unsorted second column": np.column_stack(([1.0, 2.0, INF], [INF, 1.0, 2.0])),
+            "NaN": [1.0, np.nan, 2.0],
+        }
+        for name, supports in cases.items():
+            n = np.shape(supports)[0]
+            rows = np.full((k, n), 1.0 / max(n, 1))
+            with pytest.raises(ValueError, match="atom|NaN|sorted"):
+                evaluate_rows(f, supports, rows)
+            with pytest.raises(ValueError, match="atom|NaN|sorted"):
+                prepare_supports(supports)
+
     def test_support_matrix_indeterminate_column(self):
         s = np.column_stack(([-INF, 1.0, 2.0, INF], [1.0, 2.0, 3.0, 4.0]))
         w = np.full((3, 4), 0.25)

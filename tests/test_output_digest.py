@@ -114,3 +114,32 @@ def test_inputs_do_not_depend_on_the_dispatch():
 def test_against_a_run_saved_without_host_facts(capsys):
     digest.compare_host({"bis_run|mean|15|1": np.ones(2)}, {"numpy": "2.4.6"})
     assert capsys.readouterr().out == "host numpy differs: not recorded -> 2.4.6\n"
+
+
+@pytest.mark.parametrize("after", [b"x,1.5\n", b"x,1.25\n"], ids=["same-length", "longer"])
+def test_a_moved_cli_case_reports_no_ulps(capsys, after):
+    # an ulp of a character means nothing, and a longer text is no infinity
+    key = "cli|pbox|stdout"
+    saved = {key: np.frombuffer(b"x,1.0\n", np.uint8)}
+    assert digest.compare(saved, {key: np.frombuffer(after, np.uint8)}) == 1
+    assert capsys.readouterr().out == "moved cli pbox: 1 of 1 cases, text differs\n"
+
+
+def test_cli_family_digests_stdout_and_every_output_file():
+    from bisampling import cli
+
+    here = os.getcwd()
+    with pytest.warns(UserWarning, match="rule of thumb"):  # compare at 200 resamples
+        found = digest.cli_outputs(cli)
+    assert os.getcwd() == here
+    assert {family for family, _, _ in found} == {"cli"}
+    texts = {case: out.tobytes() for _, case, out in found}
+    assert list(texts) == [
+        ("infer", "stdout"), ("infer-qbox", "stdout"), ("infer-qbox", "infer.json"),
+        ("infer-qbox", "qbox.csv"), ("pbox", "stdout"), ("pbox-realisations", "stdout"),
+        ("pbox-realisations", "pbox.csv"), ("compare", "stdout"), ("udp-grid", "stdout"),
+        ("udp-stick", "stdout"), ("udp-stick", "udp.csv")]
+    # a command writing to --out leaves stdout empty; the input path is as given
+    assert [case for case, text in texts.items() if not text] == [
+        ("infer-qbox", "stdout"), ("pbox-realisations", "stdout"), ("udp-stick", "stdout")]
+    assert b'"input": "obs.txt"' in texts["pbox", "stdout"]

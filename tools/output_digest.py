@@ -9,11 +9,14 @@ Families:
   same functionals on the same data, n <= 1000, N = 2000, credibility 0.9.
 - ``evaluate_rows``: every functional on 200 fixed Dirichlet rows over the
   cell endpoints of the same data and intervals, n <= 1000.
+- ``cli``: the bytes that fixed ``bis`` command lines write to stdout and to
+  every ``--out`` and ``--qbox`` file, run on the n = 200 data of seed 1.
 
 The functionals are mean, median, quantile:0.99, and trunc-mean and cvar at
 0.5, 0.9 and 0.99.  Two checkouts that print the same line for a family
 produce the same bytes for every case of it.  To see which cases moved and
-by how many ulps, save the outputs of one checkout and compare the other:
+by how many ulps (a ``cli`` case is text, so it reports none), save the
+outputs of one checkout and compare the other:
 
     python tools/output_digest.py --src PARENT/src --save parent.npz
     python tools/output_digest.py --against parent.npz
@@ -38,8 +41,12 @@ reads as such.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -51,7 +58,23 @@ FUNCTIONALS = ("mean", "median", "quantile:0.99", "trunc-mean:0.5", "trunc-mean:
 SEEDS = (1, 2, 3)
 SIZES = ("15", "200", "1000", "1000-ties", "100000")
 INTERVALS = ((0.0, 60.0), (0.0, np.inf), (-np.inf, 60.0), (-np.inf, np.inf))
-FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate_rows")
+FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate_rows", "cli")
+# (name, argv) of each ``bis`` command line of the ``cli`` family, run on obs.txt
+CLI_RUNS = (
+    ("infer", ["infer", "obs.txt", "--param", "mean", "--bounds", "0", "inf", "--seed", "1"]),
+    ("infer-qbox", ["infer", "obs.txt", "--param", "cvar:0.9", "--bounds", "-inf", "60",
+                    "--credibility", "0.8", "--seed", "2", "--out", "infer.json",
+                    "--qbox", "qbox.csv"]),
+    ("pbox", ["pbox", "obs.txt", "--bounds", "0", "inf"]),
+    ("pbox-realisations", ["pbox", "obs.txt", "--bounds", "0", "60", "--realisations", "3",
+                           "--seed", "3", "--out", "pbox.csv"]),
+    ("compare", ["compare", "--preset", "table4", "--trials", "3", "--resamples", "200",
+                 "--seed", "4", "--methods", "student_t", "bootstrap", "bayesian_bootstrap",
+                 "bis"]),
+    ("udp-grid", ["udp-sample", "--alpha", "5", "--cells", "50", "--count", "2", "--seed", "5"]),
+    ("udp-stick", ["udp-sample", "--alpha", "5", "--cells", "50", "--method", "stick",
+                   "--terms", "100", "--seed", "6", "--out", "udp.csv"]),
+)
 HOST = "host|"  # prefix of the saved host facts, apart from the cases
 
 
@@ -96,6 +119,34 @@ def outputs(bis):
                 rows = np.random.default_rng(seed).dirichlet(np.ones(len(cells)), size=200)
                 for name, f in fs:
                     yield "evaluate_rows", (name, size, seed, lo, hi), evaluate_rows(f, cells, rows)
+    from bisampling import cli
+
+    yield from cli_outputs(cli)
+
+
+def cli_outputs(cli) -> list:
+    """``("cli", (name, output), bytes)`` of each command line of ``CLI_RUNS``,
+    run through ``cli.main`` in a fresh directory holding the n = 200 data of
+    seed 1 as obs.txt: its stdout, then each file it names after ``--out`` or
+    ``--qbox``, the bytes as a uint8 array.  The manifest records the input
+    path as given, so the path is relative and the bytes do not depend on the
+    directory."""
+    found, here = [], os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("obs.txt").write_text("".join(f"{v!r}\n" for v in data("200", 1).tolist()))
+            for name, argv in CLI_RUNS:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"bis {' '.join(argv)} failed")
+                found.append(("cli", (name, "stdout"), stdout.getvalue().encode()))
+                found += [("cli", (name, path), Path(path).read_bytes())
+                          for flag, path in zip(argv, argv[1:]) if flag in ("--out", "--qbox")]
+        finally:
+            os.chdir(here)
+    return [(family, case, np.frombuffer(text, np.uint8)) for family, case, text in found]
 
 
 def host() -> dict:
@@ -132,20 +183,28 @@ def _ordered(x: np.ndarray) -> np.ndarray:
     return np.where(i < 0, np.iinfo(np.int64).min - i - 1, i)
 
 
+def _ulps(got: np.ndarray, want: np.ndarray):
+    """How far a moved case moved: its worst ulps, or why it has none."""
+    if got.dtype == np.uint8:
+        return "text differs"  # command output: an ulp of a character means nothing
+    if not np.array_equal(np.isinf(got), np.isinf(want)):
+        return "infinities differ"
+    return int(np.abs(_ordered(got) - _ordered(want)).max())
+
+
 def compare(saved, current) -> int:
-    """Print, per family and functional, the cases that moved and their worst
-    ulps; return how many moved.  A case moves when any of its bytes do."""
+    """Print, per family and functional (command line for ``cli``), the
+    cases that moved and their worst ulps; return how many moved.  A case
+    moves when any of its bytes do."""
     cases = Counter(tuple(key.split("|")[:2]) for key in current)
     moved = {}
     for key, got in current.items():
         want = saved[key]
-        if got.tobytes() == want.tobytes():
-            continue
-        same_inf = np.array_equal(np.isinf(got), np.isinf(want))
-        ulps = int(np.abs(_ordered(got) - _ordered(want)).max()) if same_inf else None
-        moved.setdefault(tuple(key.split("|")[:2]), []).append(ulps)
+        if got.tobytes() != want.tobytes():
+            moved.setdefault(tuple(key.split("|")[:2]), []).append(_ulps(got, want))
     for (family, name), ulps in moved.items():
-        spread = "infinities differ" if None in ulps else f"worst {max(ulps)} ulps"
+        why = [u for u in ulps if isinstance(u, str)]
+        spread = why[0] if why else f"worst {max(ulps)} ulps"
         print(f"moved {family} {name}: {len(ulps)} of {cases[family, name]} cases, {spread}")
     return sum(map(len, moved.values()))
 
@@ -166,7 +225,7 @@ def main(argv=None) -> None:
         # N = 200 at n = 10^5 is below the resample rule of thumb on purpose
         warnings.simplefilter("ignore", UserWarning)
         for family, case, out in outputs(bis):
-            out = np.ascontiguousarray(out, dtype=np.float64)
+            out = np.ascontiguousarray(out, dtype=np.uint8 if family == "cli" else np.float64)
             sha[family].update(repr(case).encode())
             sha[family].update(out.tobytes())
             every["|".join(map(str, (family,) + case))] = out
