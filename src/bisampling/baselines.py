@@ -49,6 +49,15 @@ class TruncatedLognormal:
             raise ValueError("need lo < hi")
         if self.hi <= 0:
             raise ValueError("need hi > 0: no draw of exp(Normal) lands at or below 0")
+        # the mass of [lo, hi], from the upper tail where it starts at or
+        # above the median so that a tail mass keeps its precision
+        a = (math.log(self.lo) - self.mu) / self.sigma if self.lo > 0 else -math.inf
+        b, r = (math.log(self.hi) - self.mu) / self.sigma, math.sqrt(0.5)
+        mass = 0.5 * (math.erfc(a * r) - math.erfc(b * r) if a >= 0
+                      else math.erfc(-b * r) - math.erfc(-a * r))
+        if not mass >= 1e-6:
+            raise ValueError(f"[lo, hi] holds {mass:.3g} of the law's mass, below 1e-6: "
+                             "generate would draw about 1/mass normals per observation")
 
 
 @dataclass(frozen=True)

@@ -72,34 +72,26 @@ class Supports:
     Made once by ``prepare_supports`` and passed to the row kernels for
     each block of weight rows.  ``terms`` holds the m columns of supports
     with infinities zeroed, then a ones column that sums the weight in the
-    same product, whatever the supports hold.  A sorted column holds its
-    -inf atoms first and its +inf atoms last, so their counts say which
-    weights fall on them (``_mean_rows``).  ``terms`` is column-major, so a
-    run of atoms (``atoms``) is a contiguous piece of every column: the
-    split means of ``_cut_mean`` read only the atoms their cut rows reach.
+    same product, whatever the supports hold.  ``terms`` is column-major,
+    so a run of atoms (``atoms``) is a contiguous piece of every column:
+    the split means of ``_cut_mean`` read only the atoms their cut rows
+    reach.
     """
 
     values: np.ndarray  # (n, m) sorted columns
     terms: np.ndarray  # (n, m + 1), column-major
-    n_pos: tuple[int, ...]  # +inf atoms per column
-    n_neg: tuple[int, ...]  # -inf atoms per column
     vector: bool  # made from one vector: results are (k,), not (k, 1)
 
     def atoms(self, start: int, stop: int) -> "Supports":
-        """The atoms ``start..stop-1``, a row slice with no copy, their
-        infinite atoms counted from where each column holds them.  The
-        engine slices once per chunk, so the counts are plain integers."""
-        n, size = self.values.shape[0], stop - start
-        return Supports(self.values[start:stop], self.terms[start:stop],
-                        tuple(min(max(c - (n - stop), 0), size) for c in self.n_pos),
-                        tuple(min(max(c - start, 0), size) for c in self.n_neg), self.vector)
+        """The atoms ``start..stop-1``, a row slice with no copy."""
+        return Supports(self.values[start:stop], self.terms[start:stop], self.vector)
 
 
 def prepare_supports(supports) -> Supports:
     """Prepare one sorted support vector, or an ``(n, m)`` matrix of columns.
 
     Supports the kernels cannot read raise ValueError: no atoms, a NaN, or
-    a column out of order (its infinite atoms would be miscounted).
+    a column out of order (its infinite atoms would be misplaced).
     """
     s = np.asarray(supports, dtype=float)
     vector = s.ndim < 2
@@ -108,46 +100,50 @@ def prepare_supports(supports) -> Supports:
     n, m = s.shape
     if n == 0:
         raise ValueError("supports must hold at least one atom")
-    # checked column by column: across the rows of the engine's overlapping
-    # view of the cell endpoints the same checks are twenty times slower
+    # every elementwise pass reads the columns: across the rows of the
+    # engine's overlapping view of the cell endpoints it is twenty times slower
     cols = s.T
     if np.isnan(cols).any():
         raise ValueError("supports must not hold NaN")
     if (cols[:, 1:] < cols[:, :-1]).any():
         raise ValueError("every support column must be sorted")
     terms = np.empty((n, m + 1), order="F")
-    terms[:, :m] = np.where(np.isfinite(s), s, 0.0)
+    terms.T[:m] = np.where(np.isfinite(cols), cols, 0.0)
     terms[:, m] = 1.0
-    return Supports(s, terms, tuple((s == np.inf).sum(axis=0).tolist()),
-                    tuple((s == -np.inf).sum(axis=0).tolist()), vector)
+    return Supports(s, terms, vector)
+
+
+_BAD_ROWS = "every weight row must be nonnegative, with a positive total"
 
 
 def _positive_totals(total: np.ndarray) -> None:
-    """Reject rows whose totals are zero, negative or NaN: nothing is their mean."""
-    if not (total > 0).all():
-        raise ValueError("every weight row must have a positive total")
+    """Reject rows whose totals are not positive and finite: nothing is their mean."""
+    if not ((total > 0) & (total < np.inf)).all():
+        raise ValueError(_BAD_ROWS)
 
 
 def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
     """The mean of each row of ``w`` on each column of ``sup``, ``(k, m)``.
 
     Every weighted sum of a block becomes a mean here.  A column's finite
-    sums come from one product with ``terms``; where a row weighs a
-    column's -inf (+inf) atoms, of which ``n_neg`` (``n_pos``) are counted,
-    the mean is -inf (+inf), and weight on both raises
-    ``IndeterminateSumError``.  Columns with no infinite atom skip that
-    check.  A ratio of rounded sums can land an ulp outside the atoms it
-    averages, so each result is clipped to ``[low, high]``: by default the
-    column's first and last atoms, for a split mean its side's bounds.
+    sums come from one product with ``terms``.  A sorted column holds its
+    -inf atoms first and its +inf atoms last, so only a column with an
+    infinite end is searched for them; where a row weighs its -inf (+inf)
+    atoms the mean is -inf (+inf), and weight on both raises
+    ``IndeterminateSumError``.  A ratio of rounded sums can land an ulp
+    outside the atoms it averages, so each result is clipped to
+    ``[low, high]``: by default the column's first and last atoms, for a
+    split mean its side's bounds.
     """
-    s, n, m = sup.values, w.shape[1], sup.values.shape[1]
+    s, m = sup.values, sup.values.shape[1]
     sums = w @ sup.terms
     _positive_totals(sums[:, m])
     out = sums[:, :m] / sums[:, m:]
     for j in range(m):
-        if sup.n_neg[j] or sup.n_pos[j]:
-            neg = w[:, : sup.n_neg[j]].any(axis=1)
-            pos = w[:, n - sup.n_pos[j] :].any(axis=1)
+        col = s[:, j]
+        if col[0] == -np.inf or col[-1] == np.inf:
+            neg = w[:, : np.searchsorted(col, -np.inf, "right")].any(axis=1)
+            pos = w[:, np.searchsorted(col, np.inf, "left") :].any(axis=1)
             if np.any(neg & pos):
                 raise IndeterminateSumError("positive weight at both -inf and +inf")
             out[neg, j], out[pos, j] = -np.inf, np.inf
@@ -223,17 +219,20 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     which raises ValueError for supports with no atoms, a NaN or an
     unsorted column.  Returns ``(k,)`` for a vector and ``(k, m)`` for a
     matrix, k being the number of weight rows, zero included.  A row need
-    not sum to 1: every functional is
-    taken of the row divided by its total, which must be positive.  This
-    serves given rows (count rows, one step CDF): it searches each row for
-    its split and takes a truncated mean or CVaR as the mean of the row
-    cut there (``_cut_mean``).  The engine's Dirichlet draw, which draws
-    its splits first, calls ``_mean_rows`` and ``_cut_mean`` directly.
+    not sum to 1: every functional is taken of the row divided by its
+    total.  A negative, infinite or NaN weight, or a row with no positive
+    total, raises ValueError.  This serves given rows (count rows, one
+    step CDF): it searches each row for its split and takes a truncated
+    mean or CVaR as the mean of the row cut there (``_cut_mean``).  The
+    engine's Dirichlet draw, which draws its splits first, calls
+    ``_mean_rows`` and ``_cut_mean`` directly.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
     if w.shape[1] != sup.values.shape[0]:
         raise ValueError("weight rows must match the number of supports")
+    if not w.min(initial=0.0) >= 0:
+        raise ValueError(_BAD_ROWS)
     out = _mean_rows(sup, w) if f.kind == "mean" else _split_rows(sup, w, f)
     return out[:, 0] if sup.vector else out
 

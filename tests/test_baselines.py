@@ -74,6 +74,7 @@ class TestGenerate:
         (math.nan, 1.0, 0.0, 50.0), (math.inf, 1.0, 0.0, 50.0), (-math.inf, 1.0, 0.0, 50.0),
         (0.0, math.nan, 0.0, 50.0), (0.0, math.inf, 0.0, 50.0), (0.0, 0.0, 0.0, 50.0),
         (0.0, 1.0, -2.0, -1.0), (0.0, 1.0, -1.0, 0.0), (0.0, 1.0, 3.0, 3.0),
+        (0.0, 1.0, 1e6, 1e7), (0.0, 1.0, 3.0, 3.0 + 1e-12),
     ])
     def test_rejects_a_law_no_draw_can_land_in(self, mu, sigma, lo, hi):
         # generate would draw forever
@@ -441,3 +442,18 @@ class TestCoverageExperiment:
         assert p4["true_q"] == pytest.approx(0.99 * TRUNC_LOGNORMAL_MEAN + 0.5)
         with pytest.raises(ValueError):
             preset("table9")
+
+
+BASE = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
+
+
+@pytest.mark.parametrize("make, error, word", [
+    (lambda: ExtremeMixture(BASE, 50.0, 1.5), ValueError, "atom_prob"),
+    (lambda: generate("lognormal", 3, stream(1)), TypeError, "unknown generator"),
+    (lambda: baselines.CoverageReport("bis", 0.9, 10, 1.5, 0.0, 1.0), ValueError, "fraction"),
+    (lambda: coverage_experiment(BASE, 1.0, "jackknife", MEAN, 15, 0.9, 1, 200,
+                                 BoundingInterval(0.0, 50.0), 1), ValueError, "unknown method"),
+], ids=["atom_prob", "generator", "hit_rate", "method"])
+def test_invalid_arguments_raise(make, error, word):
+    with pytest.raises(error, match=word):
+        make()

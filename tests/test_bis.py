@@ -670,3 +670,14 @@ class TestProbabilisticProjection:
         )
         assert points.tolist() == [0.0, 0.5, 1.0]
         assert params.tolist() == [1.5, 2.0, 0.5]
+
+
+@pytest.mark.parametrize("make, word", [
+    (lambda: QSamples(q_min=np.zeros(2), q_max=np.zeros(3)), "equal length"),
+    (lambda: QSamples(q_min=np.ones(2), q_max=np.zeros(2)), "exceed"),
+    (lambda: bis.BetaParams(-1.0, 1.0), "beta"),
+    (lambda: sample_realization([0.0, 1.0, 2.0], [1.0], stream(1)), "one more point"),
+], ids=["unequal-qsamples", "crossed-qsamples", "beta", "realization"])
+def test_invalid_arguments_raise(make, word):
+    with pytest.raises(ValueError, match=word):
+        make()

@@ -11,6 +11,7 @@ from conftest import SMALL_SAMPLE
 from bisampling import __version__, bis, cli
 from bisampling.baselines import preset
 from bisampling.cli import main, read_observations
+from bisampling.errors import IndeterminateSumError
 
 
 @pytest.fixture()
@@ -582,3 +583,28 @@ class TestOutputBytes:
         rows = [line.split(",") for line in out.splitlines()[2:]]
         # the method is its bare name, the credibility a float, the trial count an integer
         assert [r[:3] for r in rows] == [["student_t", "0.95", "5"], ["bis", "0.95", "5"]]
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["udp-sample", "--alpha", "1", "--cells", "0"], "--cells"),
+    (["udp-sample", "--alpha", "1", "--count", "0"], "--count"),
+], ids=["cells", "count"])
+def test_bad_udp_sizes_exit_2(capsys, argv, word):
+    code, _, err = run(capsys, argv)
+    assert code == 2 and word in err
+
+
+def test_nan_bound_exits_2(capsys, sample_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", sample_file, "--param", "mean", "--bounds", "nan", "1"])
+    assert exc.value.code == 2 and "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [IndeterminateSumError, FloatingPointError])
+def test_arithmetic_errors_exit_1(capsys, monkeypatch, sample_file, error):
+    def fail(*args):
+        raise error(f"{error.__name__} from the run")
+
+    monkeypatch.setattr(cli, "bis_run", fail)
+    code, _, err = run(capsys, ["infer", sample_file, "--param", "mean", "--bounds", "0", "inf"])
+    assert code == 1 and error.__name__ in err

@@ -350,10 +350,14 @@ class TestEvaluateRows:
             assert evaluate_rows(f, s, np.empty((0, 4))).shape == (0,)
             assert evaluate_rows(f, np.column_stack((s, s + 1)), np.empty((0, 4))).shape == (0, 2)
 
-    @pytest.mark.parametrize("total", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("total", [0.0, -1.0, np.nan,
+                                       pytest.param(1.0, id="a-negative-weight"),
+                                       pytest.param(np.inf, id="an-infinite-weight")])
     def test_rows_without_a_positive_total_raise(self, total):
         # a zero row once gave NaN with a RuntimeWarning, or the first atom
-        # for a quantile, and a negative total gave a number
+        # for a quantile, and a negative total gave a number; so did a
+        # negative weight under a positive total, and an infinite weight
+        # gave NaN
         s = np.array([1.0, 2.0, 4.0])
         bad = [0.0, 0.0, 0.0] if total == 0.0 else [1.0, 0.5, total - 1.5]
         rows = np.array([[0.2, 0.3, 0.5], bad])
@@ -609,3 +613,10 @@ class TestInfiniteAtoms:
                     assert got[c] == pytest.approx(expect, rel=1e-12, abs=1e-12)
                     seen.add(repr(expect) if expect in (INF, -INF) else "finite")
         assert seen == {"None", "inf", "-inf", "finite"}
+
+
+@pytest.mark.parametrize("kind, p, word", [("median", None, "unknown"),
+                                           ("mean", 0.5, "probability")])
+def test_invalid_functionals_raise(kind, p, word):
+    with pytest.raises(ValueError, match=word):
+        Functional(kind, p)

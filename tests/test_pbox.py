@@ -12,6 +12,7 @@ from bisampling.errors import (
 from bisampling.functionals import q_quantile
 from bisampling.pbox import (
     BoundingInterval,
+    IntervalEstimate,
     ProbabilityBox,
     WeightedStepCdf,
     expected_pbox,
@@ -220,3 +221,15 @@ class TestExpectedPbox:
         assert box.lower.supports.tolist() == [0.5, 1.0]
         assert box.upper.supports.tolist() == [0.0, 0.5]
         assert box.lower.weights.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("make, error, word", [
+    (lambda: WeightedStepCdf([], []), ValueError, "nonempty"),
+    (lambda: WeightedStepCdf([math.nan], [1.0]), NonFiniteError, "NaN"),
+    (lambda: WeightedStepCdf([1.0, 2.0], [1.5, -0.5]), ValueError, "nonnegative"),
+    (lambda: WeightedStepCdf([1.0], [1.0]).cdf(math.nan), NonFiniteError, "NaN"),
+    (lambda: IntervalEstimate(2.0, 1.0, 0.9), BadIntervalError, "malformed"),
+], ids=["empty", "nan-support", "negative-weight", "nan-cdf", "crossed-interval"])
+def test_invalid_arguments_raise(make, error, word):
+    with pytest.raises(error, match=word):
+        make()

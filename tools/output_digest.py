@@ -6,7 +6,10 @@ Families:
   seeds 1-3, n = 15, 200, 1000, 1000 rounded to 0.1 (ties) and 10^5, on
   [0, 60], [0, inf), (-inf, 60] and (-inf, inf); N = 2000, or 200 at 10^5.
 - ``bayesian_bootstrap`` and ``bootstrap``: the interval endpoints of the
-  same functionals on the same data, n <= 1000, N = 2000, credibility 0.9.
+  same functionals on the same data, n <= 1000, N = 2000, credibility 0.9;
+  then on the same data with its three largest values set to +inf, and with
+  its three smallest set to -inf (cases ending ``+inf`` and ``-inf``), so
+  that count rows of the percentile bootstrap skip some infinite atoms.
 - ``evaluate_rows``: every functional on 200 fixed Dirichlet rows over the
   cell endpoints of the same data and intervals, n <= 1000.
 - ``cli``: the bytes that fixed ``bis`` command lines write to stdout and to
@@ -90,6 +93,15 @@ def data(size: str, seed: int) -> np.ndarray:
     return np.round(x, 1) if size.endswith("ties") else x
 
 
+def infinite_ends(x: np.ndarray, sign: int) -> np.ndarray:
+    """``x`` with its three largest values set to +inf (``sign`` 1) or its
+    three smallest set to -inf (``sign`` -1)."""
+    order = np.argsort(x, kind="stable")
+    y = x.copy()
+    y[order[-3:] if sign > 0 else order[:3]] = sign * np.inf
+    return y
+
+
 def outputs(bis):
     """Yield ``(family, case, array)`` over the grid, in a fixed order."""
     from bisampling.functionals import cell_endpoints, evaluate_rows
@@ -109,9 +121,11 @@ def outputs(bis):
                 continue
             for family, method in (("bayesian_bootstrap", bis.bayesian_bootstrap_interval),
                                    ("bootstrap", bis.bootstrap_interval)):
-                for name, f in fs:
-                    est = method(x, f, 0.9, n_resample, np.random.default_rng(seed))
-                    yield family, (name, size, seed), np.array([est.lo, est.hi])
+                for end, y in (((), x), (("+inf",), infinite_ends(x, 1)),
+                               (("-inf",), infinite_ends(x, -1))):
+                    for name, f in fs:
+                        est = method(y, f, 0.9, n_resample, np.random.default_rng(seed))
+                        yield family, (name, size, seed) + end, np.array([est.lo, est.hi])
             for lo, hi in INTERVALS:
                 stats = bis.make_extended_order_stats(x, bis.BoundingInterval(lo, hi))
                 reduced, _ = bis.merge_duplicates(stats)
