@@ -209,14 +209,9 @@ def coverage_experiment(
         data = generate(gen, n_sample, rngmod.substream(seed, t, 0))
         if method == "student_t":
             est = student_t_interval(data, credibility)
-        elif method == "bootstrap":
-            est = bootstrap_interval(
-                data, f, credibility, n_resample, rngmod.substream(seed, t, 1)
-            )
-        elif method == "bayesian_bootstrap":
-            est = bayesian_bootstrap_interval(
-                data, f, credibility, n_resample, rngmod.substream(seed, t, 1)
-            )
+        elif method in ("bootstrap", "bayesian_bootstrap"):
+            bootstrap = bootstrap_interval if method == "bootstrap" else bayesian_bootstrap_interval
+            est = bootstrap(data, f, credibility, n_resample, rngmod.substream(seed, t, 1))
         else:
             cfg = BisConfig(
                 functional=f,

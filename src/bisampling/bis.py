@@ -187,8 +187,7 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     first, stop = 0, params.size
     tail = f.kind == "cvar"
     if f.kind != "mean":
-        head, units = _unit_split(params, f.p, rng, n_resample)
-        cell = np.searchsorted(head, units, side="right")
+        head, units, cell = _unit_split(params, f.p, rng, n_resample)
         if f.kind == "quantile":
             return QSamples(q_min=values[cell, 0], q_max=values[cell, -1])
         shares = rng.standard_gamma(

@@ -333,17 +333,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IndeterminateSumError as exc:
+    except (ArithmeticError, OSError, ValueError, MemoryError) as exc:
+        # a numeric failure exits 1 and any other an input error, 2; a
+        # MemoryError is a request too large to allocate, such as
+        # --resamples 10**15
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BisamplingError, OSError, ValueError, MemoryError) as exc:
-        # a MemoryError is a request too large to allocate, such as
-        # --resamples 10**15, so an input error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (ArithmeticError, IndeterminateSumError)) else 2
 
 
 def entrypoint():

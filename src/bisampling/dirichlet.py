@@ -125,13 +125,13 @@ def sample_split_index(
     (``_unit_split``), and the cell holding it is the first whose
     cumulative parameter exceeds it.  No weight vector is ever formed.
     """
-    head, units = _unit_split(params, p, rng, size)
-    return np.searchsorted(head, units, side="right")
+    return _unit_split(params, p, rng, size)[2]
 
 
 def _unit_split(params, p: float, rng: np.random.Generator, size: int) -> tuple:
-    """Check integer ``params`` and ``p``; return the cumulative parameters
-    and ``size`` Binomial(A - 1, p) unit-cell split indices, A their sum.
+    """Check integer ``params`` and ``p``; return the cumulative parameters,
+    ``size`` Binomial(A - 1, p) unit-cell split indices, A their sum, and
+    the cells holding them: the first whose cumulative parameter exceeds each.
 
     Non-integer parameters are rejected: the binomial law holds only for
     a sum of unit cells.
@@ -141,7 +141,8 @@ def _unit_split(params, p: float, rng: np.random.Generator, size: int) -> tuple:
         raise ValueError("the split index law needs integer Dirichlet parameters")
     _check_open_unit(p, "p")
     head = np.cumsum(a)
-    return head, rng.binomial(int(head[-1]) - 1, p, size)
+    units = rng.binomial(int(head[-1]) - 1, p, size)
+    return head, units, np.searchsorted(head, units, side="right")
 
 
 def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:

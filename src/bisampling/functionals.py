@@ -49,9 +49,11 @@ class Functional:
         if name in ("mean", "median") and not colon:
             return cls("mean") if name == "mean" else cls("quantile", 0.5)
         table = {"quantile": "quantile", "trunc-mean": "trunc_mean", "cvar": "cvar"}
-        if name not in table or not arg:
-            raise ValueError(f"cannot parse functional {text!r}")
-        return cls(table[name], float(arg))
+        try:
+            kind, p = table[name], float(arg)
+        except (KeyError, ValueError):
+            raise ValueError(f"cannot parse functional {text!r}") from None
+        return cls(kind, p)
 
     def evaluate(self, dist: WeightedStepCdf) -> float:
         """The functional of one step distribution.

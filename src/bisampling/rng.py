@@ -23,8 +23,8 @@ def _normalize(value: int) -> int:
 
 
 def stream(seed: int) -> np.random.Generator:
-    """Root generator for ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(_normalize(seed)))
+    """Root generator for ``seed``: the substream with no key."""
+    return substream(seed)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

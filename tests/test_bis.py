@@ -286,8 +286,7 @@ def full_rows(f, params, supports, rng, n_resample):
 def split_span(params, f, rng, n_resample):
     """Cells the engine's rows of truncated means or CVaR span: 0..max c or
     min c..k-1 over the splits, drawn first from ``rng``."""
-    head, units = _unit_split(params, f.p, rng, n_resample)
-    cell = np.searchsorted(head, units, side="right")
+    cell = _unit_split(params, f.p, rng, n_resample)[2]
     return params.size - cell.min() if f.kind == "cvar" else cell.max() + 1
 
 
@@ -347,8 +346,7 @@ class TestConditionalSplit:
         monkeypatch.setattr(bis, "_CHUNK_BYTES", 8 * data.size * n_resample)
         got = bis._dirichlet_resample(functional, ones, data[:, None], stream(5), n_resample)
         rng = stream(5)
-        head, units = _unit_split(ones, functional.p, rng, n_resample)
-        cell = np.searchsorted(head, units, side="right")
+        cell = _unit_split(ones, functional.p, rng, n_resample)[2]
         shares = rng.standard_gamma(np.ones(n_resample))
         tail = functional.kind == "cvar"
         first, stop = (cell.min(), data.size) if tail else (0, cell.max() + 1)

@@ -1,7 +1,11 @@
 import gzip
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from conftest import SMALL_SAMPLE
 from bisampling import __version__, bis, cli
 from bisampling.baselines import preset
 from bisampling.cli import main, read_observations
-from bisampling.errors import IndeterminateSumError
+from bisampling.errors import BisamplingError, IndeterminateSumError
 
 
 @pytest.fixture()
@@ -600,11 +604,56 @@ def test_nan_bound_exits_2(capsys, sample_file):
     assert exc.value.code == 2 and "NaN" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [IndeterminateSumError, FloatingPointError])
-def test_arithmetic_errors_exit_1(capsys, monkeypatch, sample_file, error):
+# an error raised by the run, and the code bis exits with: 1 for a numeric
+# failure, 2 for a usage or input error
+EXIT_CODES = [
+    (IndeterminateSumError("weight at both -inf and +inf"), 1),
+    (FloatingPointError("overflow in a kernel"), 1),
+    (ZeroDivisionError("a zero total"), 1),
+    (OverflowError("a sum out of range"), 1),
+    (BisamplingError("a bad input"), 2),
+    (ValueError("a bad value"), 2),
+    (OSError("a file that cannot be read"), 2),
+    (MemoryError("a request too large to allocate"), 2),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2),
+]
+
+
+@pytest.mark.parametrize("error,code", EXIT_CODES,
+                         ids=[type(error).__name__ for error, _ in EXIT_CODES])
+def test_error_exit_codes(capsys, monkeypatch, sample_file, error, code):
     def fail(*args):
-        raise error(f"{error.__name__} from the run")
+        raise error
 
     monkeypatch.setattr(cli, "bis_run", fail)
-    code, _, err = run(capsys, ["infer", sample_file, "--param", "mean", "--bounds", "0", "inf"])
-    assert code == 1 and error.__name__ in err
+    got, out, err = run(capsys, ["infer", sample_file, "--param", "mean", "--bounds", "0", "inf"])
+    assert (got, out, err) == (code, "", f"error: {error}\n")
+
+
+def test_unparsable_functional_exits_2_naming_it(capsys, sample_file):
+    code, _, err = run(capsys, ["infer", sample_file, "--param", "quantile:abc",
+                                "--bounds", "0", "4"])
+    assert code == 2 and err == "error: cannot parse functional 'quantile:abc'\n"
+
+
+def run_module(module, argv, cwd):
+    """``python -m module argv`` in ``cwd`` with this checkout's library."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_bisampling_prints_what_main_does(capsys, sample_file):
+    argv = ["infer", sample_file, "--param", "median", "--bounds", "0", "inf", "--seed", "1"]
+    done = run_module("bisampling", argv, Path(sample_file).parent)
+    assert (done.returncode, done.stdout, done.stderr) == (*run(capsys, argv)[:2], "")
+
+
+@pytest.mark.parametrize("module", ["bisampling", "bisampling.cli"])
+def test_a_failing_command_exits_2_from_the_entry_point(tmp_path, module):
+    done = run_module(module, ["infer", "no-such-file", "--param", "mean", "--bounds", "0", "1"],
+                      tmp_path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "no-such-file" in done.stderr

@@ -169,6 +169,12 @@ class TestUnitDraw:
     def test_inversion_only_on_an_avx512_log(self, kernel, draw):
         assert dirichlet._unit_draw(kernel) == draw
 
+    def test_a_numpy_without_dispatch_reports_no_kernel(self, monkeypatch):
+        # NumPy 1.x has no numpy.lib.introspect, so its log keeps the ziggurat
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert dirichlet._log_kernel() == ""
+        assert dirichlet._unit_draw(dirichlet._log_kernel()) == "ziggurat"
+
     def test_ziggurat_rows_are_standard_exponentials(self, monkeypatch):
         monkeypatch.setattr(dirichlet, "UNIT_DRAW", "ziggurat")
         rows = np.concatenate([c.copy() for c in weight_chunks(np.ones(10), stream(14), 1000, 64)])
@@ -474,6 +480,11 @@ class TestDeterminism:
             assert np.array_equal(
                 sample_dirichlet(np.ones(8), r1), sample_dirichlet(np.ones(8), r2)
             )
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**40 + 3, 2**64 - 1, np.int64(5)])
+    def test_stream_is_the_substream_with_no_key(self, seed):
+        assert stream(seed).integers(2**63, size=8).tolist() == \
+            substream(seed).integers(2**63, size=8).tolist()
 
     def test_substreams_differ(self):
         a = sample_dirichlet(np.ones(8), substream(1, 0))

@@ -49,6 +49,15 @@ class TestFunctionalParsing:
             with pytest.raises((ValueError, InvalidProbabilityError)):
                 Functional.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["quantile:abc", "quantile:0.5:3", "cvar:"])
+    def test_a_p_that_is_no_number_names_the_text(self, bad):
+        with pytest.raises(ValueError, match=f"^cannot parse functional '{bad}'$"):
+            Functional.parse(bad)
+
+    def test_a_p_out_of_range_keeps_its_error(self):
+        with pytest.raises(InvalidProbabilityError, match=r"p must be in \(0, 1\), got inf"):
+            Functional.parse("trunc-mean:1e400")
+
 
 class TestMean:
     def test_hand_value(self):

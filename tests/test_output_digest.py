@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bisampling import dirichlet
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 _spec = importlib.util.spec_from_file_location("output_digest", TOOL)
 digest = importlib.util.module_from_spec(_spec)
@@ -71,7 +73,9 @@ def test_save_records_the_host(monkeypatch, tmp_path):
     monkeypatch.setattr(digest, "outputs", one_case)
     digest.main(["--save", str(saved)])
     facts = digest.host()
-    assert facts["numpy"] == np.__version__ and set(facts) == {"numpy", "blas", "cpu", "log"}
+    assert facts["numpy"] == np.__version__
+    assert set(facts) == {"numpy", "blas", "cpu", "log", "unit_draw"}
+    assert facts["unit_draw"] == dirichlet.UNIT_DRAW
     with np.load(saved) as npz:
         assert {k: str(npz[digest.HOST + k]) for k in facts} == facts
         assert sorted(npz) == sorted(["bis_run|mean|15|1"] + [digest.HOST + k for k in facts])

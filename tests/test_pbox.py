@@ -132,6 +132,10 @@ class TestWeightedStepCdf:
                 # any point strictly left of the inverse has cdf below p
                 assert d.cdf_left(x) < p or math.isclose(d.cdf_left(x), p)
 
+    def test_repr_names_the_atom_count_and_range(self):
+        assert repr(WeightedStepCdf([2.5, -1.0], [0.25, 0.75])) == \
+            "WeightedStepCdf(2 atoms on [-1.0, 2.5])"
+
     def test_does_not_mutate_caller_arrays(self):
         s = np.array([1.0, 2.0])
         w = np.array([0.5, 0.5])

@@ -35,10 +35,13 @@ an AVX-512 kernel, by the ziggurat elsewhere) and, with inversion, their
 last bits.  Medians, quantiles, the percentile bootstrap and the given
 rows of ``evaluate_rows`` keep their bytes across the dispatch (the
 inputs are drawn so that they do too).  ``--save`` records the NumPy
-version, the BLAS name and version, the CPU features NumPy dispatches to
-and that ``log`` kernel, and ``--against`` prints each of them that
-differs before the cases that moved, so a digest taken on another host
-reads as such.
+version, the BLAS name and version, the CPU features NumPy dispatches to,
+and that ``log`` kernel and the unit draw as the digested library reads
+them (``dirichlet._log_kernel`` and ``dirichlet.UNIT_DRAW``), and
+``--against`` prints each of them that differs before the cases that
+moved, so a digest taken on another host reads as such: ``host unit_draw
+differs: inversion -> ziggurat`` names the fact that moves the bytes of
+the mean and the split means.
 """
 
 from __future__ import annotations
@@ -164,21 +167,23 @@ def cli_outputs(cli) -> list:
 
 
 def host() -> dict:
-    """The NumPy version, its BLAS build, the CPU features it dispatches to
-    and the kernel of its float64 ``log``."""
+    """The NumPy version, its BLAS build, the CPU features it dispatches to,
+    and, as the digested library reads them, the kernel of its float64
+    ``log`` and the unit draw that kernel picks."""
+    from bisampling import dirichlet
+
     try:
         from numpy._core import _multiarray_umath as umath
-        from numpy.lib.introspect import opt_func_info
-        log = opt_func_info("^log$", "float64")["log"]["dd"]["current"]
     except ImportError:  # NumPy 1.x
         from numpy.core import _multiarray_umath as umath
-        log = "not reported"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    log = dirichlet._log_kernel() if hasattr(dirichlet, "_log_kernel") else ""
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "cpu": " ".join(f for f in umath.__cpu_dispatch__
                             if umath.__cpu_features__.get(f)),
-            "log": log}
+            "log": log or "not reported",
+            "unit_draw": getattr(dirichlet, "UNIT_DRAW", "not present")}
 
 
 def compare_host(saved, current: dict) -> None:
