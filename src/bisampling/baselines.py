@@ -97,8 +97,9 @@ def generate(gen: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _observations(data, least: int, finite: bool = False) -> np.ndarray:
     """``data`` as a flat float array of at least ``least`` observations, none
-    NaN, and none infinite when ``finite`` (the bootstraps take infinities)."""
-    arr = np.asarray(data, dtype=float).reshape(-1)
+    NaN, and none infinite when ``finite`` (the bootstraps take infinities);
+    a copy with -0.0 read as 0.0, so tied zeros sort to equal bits."""
+    arr = np.asarray(data, dtype=float).reshape(-1) + 0.0
     if arr.size < least:
         raise TooFewSamplesError(f"need at least {least} observation(s), got {arr.size}")
     bad = ~np.isfinite(arr) if finite else np.isnan(arr)

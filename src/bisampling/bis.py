@@ -266,11 +266,10 @@ def probabilistic_projection_params(
     Beta(n_below + 1/2, n_above + 1/2), the Jeffreys-prior posterior.
     """
     stats = make_extended_order_stats(data, interval)
-    raw = np.concatenate(
-        ([PRIOR_WEIGHT / 2.0], np.ones(stats.n_obs), [PRIOR_WEIGHT / 2.0])
-    )
-    points, inverse = np.unique(stats.points, return_inverse=True)
-    params = np.bincount(inverse.reshape(-1), weights=raw)
+    points, counts = np.unique(stats.points, return_counts=True)
+    params = counts.astype(float)
+    # each endpoint's run holds half the prior weight in place of a unit one
+    params[[0, -1]] -= 1.0 - PRIOR_WEIGHT / 2.0
     points.setflags(write=False)
     params.setflags(write=False)
     return points, params

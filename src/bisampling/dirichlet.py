@@ -157,18 +157,13 @@ def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]
 
     Relies on ``stats.points`` being sorted, as ``make_extended_order_stats``
     leaves them: runs are found in one linear pass, without a second sort.
+    That function reads -0.0 as 0.0, so a run of tied zeros is +0.0 bits
+    in whatever order the sort left them.
     """
     points = stats.points
     starts = np.flatnonzero(np.concatenate(([True], points[1:] != points[:-1])))
     counts = np.diff(starts, append=points.size)
     values = points[starts]
-    z = int(np.searchsorted(values, 0.0))
-    if z < values.size and values[z] == 0:
-        signs = np.signbit(points[starts[z] : starts[z] + counts[z]])
-        if signs.any() and not signs.all():
-            # a tie of -0.0 and 0.0 keeps the zero np.unique keeps, the one
-            # a fresh sort puts first, so seeded outputs keep their bytes
-            values[z] = np.sort(points)[starts[z]]
     kept = np.minimum(counts, 2)
     reduced = np.repeat(values, kept)
     left_counts = np.repeat(counts, kept)[:-1]

@@ -77,6 +77,7 @@ def make_extended_order_stats(data, interval: BoundingInterval) -> ExtendedOrder
             f"observations must lie within [{interval.lo}, {interval.hi}]"
         )
     points = np.concatenate(([interval.lo], np.sort(arr), [interval.hi]))
+    points += 0.0  # -0.0 reads as 0.0, so tied zeros are equal bits in any sort
     points.setflags(write=False)
     return ExtendedOrderStats(points=points, n_obs=int(arr.size))
 
@@ -104,6 +105,7 @@ class WeightedStepCdf:
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
+        s += 0.0  # -0.0 reads as 0.0, so tied zeros merge to equal bits
         if s.size > 1:
             # sorts and merges tied supports in one pass; safe for repeated infs
             uniq, inverse = np.unique(s, return_inverse=True)

@@ -651,7 +651,7 @@ def test_python_m_bisampling_prints_what_main_does(capsys, sample_file):
     assert (done.returncode, done.stdout, done.stderr) == (*run(capsys, argv)[:2], "")
 
 
-@pytest.mark.parametrize("module", ["bisampling", "bisampling.cli"])
+@pytest.mark.parametrize("module", ["bisampling"])
 def test_a_failing_command_exits_2_from_the_entry_point(tmp_path, module):
     done = run_module(module, ["infer", "no-such-file", "--param", "mean", "--bounds", "0", "1"],
                       tmp_path)

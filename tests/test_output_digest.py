@@ -102,6 +102,12 @@ def inputs_sha1(tool) -> str:
                                  for size in tool.SIZES for seed in tool.SEEDS)).hexdigest()
 
 
+def test_zeros_size_is_the_n_200_data_with_signed_zeros_first():
+    x, base = digest.data("200-zeros", 1), digest.data("200", 1)
+    assert (x[:120] == 0).all() and np.signbit(x[:120]).tolist() == [True, False] * 60
+    assert x[120:].tobytes() == base[120:].tobytes()
+
+
 @pytest.mark.skipif(digest.host()["log"] != "X86_V4",
                     reason="float64 log does not dispatch to X86_V4 here")
 def test_inputs_do_not_depend_on_the_dispatch():

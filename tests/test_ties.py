@@ -1,0 +1,161 @@
+"""Tied observations: one tie rule for signed zeros, and an exact oracle on
+data made of two tied values.
+
+Every place that sorts or merges values reads -0.0 as 0.0, so tied zeros
+are equal bits whatever order a sort leaves them in, and no output depends
+on the sort NumPy dispatches to.  On k ones and n - k zeros every cell
+endpoint is 0 or 1, so the mean's q-samples have exact Beta laws and its
+interval is Clopper-Pearson.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import stats as sps
+
+from bisampling import dirichlet
+from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
+from bisampling.bis import (
+    BisConfig,
+    bis_run,
+    interval_estimate,
+    probabilistic_projection_params,
+)
+from bisampling.dirichlet import merge_duplicates
+from bisampling.functionals import Functional
+from bisampling.pbox import BoundingInterval, WeightedStepCdf, make_extended_order_stats
+
+INF = float("inf")
+BOOTSTRAPS = {"bootstrap": bootstrap_interval, "bayesian_bootstrap": bayesian_bootstrap_interval}
+
+
+def positive_zero_bytes(*arrays) -> bool:
+    """Whether no zero in ``arrays`` carries a sign bit."""
+    return not any(np.signbit(a[a == 0]).any() for a in map(np.asarray, arrays))
+
+
+def signed_zero_digests() -> dict:
+    """One sha1 per output family over seeded data drawn from signed zeros
+    and a few other values on [-5, 5]."""
+    interval = BoundingInterval(-5.0, 5.0)
+    pool = np.array([-0.0, 0.0, -1.0, 1.5, 2.5, 3.0])
+    sha = {}
+
+    def update(family, *arrays):
+        sha.setdefault(family, hashlib.sha1()).update(
+            b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays))
+
+    for seed in range(5):
+        for n in (40, 300):
+            x = np.random.default_rng(seed).choice(pool, n)
+            update("merge_duplicates", *merge_duplicates(make_extended_order_stats(x, interval)))
+            update("projection", *probabilistic_projection_params(x, interval))
+            update("step_cdf", WeightedStepCdf(x, np.full(n, 1.0 / n)).supports)
+            for name in ("median", "quantile:0.3"):
+                f = Functional.parse(name)
+                qs = bis_run(x, interval, BisConfig(f, 0.5, 200, seed))
+                update(f"bis_run {name}", qs.q_min, qs.q_max)
+                for method, run in BOOTSTRAPS.items():
+                    est = run(x, f, 0.5, 200, np.random.default_rng(seed))
+                    update(f"{method} {name}", [est.lo, est.hi])
+    return {family: h.hexdigest() for family, h in sha.items()}
+
+
+class TestSignedZeros:
+    @pytest.mark.parametrize("interval", [(-0.0, 1.0), (-1.0, -0.0), (-0.0, INF), (-INF, 0.0)])
+    def test_extended_order_stats_hold_no_negative_zero(self, interval):
+        lo, hi = interval
+        data = [x for x in (-0.0, 0.0, -0.0, -1.0, 0.5, 0.0) if lo <= x <= hi]
+        points = make_extended_order_stats(data, BoundingInterval(lo, hi)).points
+        assert (points == 0).sum() == 5  # four observations and one bound
+        assert positive_zero_bytes(points)
+
+    def test_a_signed_zero_tie_merges_to_positive_zero(self):
+        interval = BoundingInterval(-0.0, 1.0)
+        reduced, params = merge_duplicates(
+            make_extended_order_stats([0.0, -0.0, -0.0, 1.0], interval))
+        assert reduced.tolist() == [0.0, 0.0, 1.0, 1.0] and positive_zero_bytes(reduced)
+        assert params.tolist() == [3.0, 1.0, 1.0]
+        points, params = probabilistic_projection_params([-0.0, 0.0, 1.0], interval)
+        assert points.tolist() == [0.0, 1.0] and positive_zero_bytes(points)
+        assert params.tolist() == [2.5, 1.5]
+        for supports in ([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0]):
+            cdf = WeightedStepCdf(supports, np.full(len(supports), 1.0 / len(supports)))
+            assert cdf.supports[0] == 0.0 and positive_zero_bytes(cdf.supports)
+
+    @pytest.mark.parametrize("f", ["median", "quantile:0.3", "mean"])
+    def test_negative_zeros_give_what_positive_zeros_give(self, f):
+        functional = Functional.parse(f)
+        x = np.random.default_rng(3).choice([-0.0, 0.0, -1.0, 1.5, 2.5], 60)
+        kept = x.copy()
+        interval = BoundingInterval(-5.0, 5.0)
+        cfg = BisConfig(functional, 0.5, 200, 3)
+        got, want = bis_run(x, interval, cfg), bis_run(x + 0.0, interval, cfg)
+        assert got.q_min.tobytes() == want.q_min.tobytes()
+        assert got.q_max.tobytes() == want.q_max.tobytes()
+        for run in BOOTSTRAPS.values():
+            got = run(x, functional, 0.5, 200, np.random.default_rng(3))
+            want = run(x + 0.0, functional, 0.5, 200, np.random.default_rng(3))
+            assert np.array([got.lo, got.hi]).tobytes() == np.array([want.lo, want.hi]).tobytes()
+        # the caller's array keeps its signs
+        assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.skipif(dirichlet._log_kernel() != "X86_V4",
+                        reason="float64 log does not dispatch to X86_V4 here")
+    def test_outputs_do_not_depend_on_the_dispatch(self):
+        # a fresh interpreter whose NumPy may not dispatch to AVX-512 sorts
+        # with another kernel, which orders tied -0.0 and 0.0 its own way
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                "import json, test_ties\nprint(json.dumps(test_ties.signed_zero_digests()))\n")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert json.loads(out) == signed_zero_digests()
+
+
+class TestTwoPointOracle:
+    """k ones and n - k zeros on [0, 1].  The mean's q_min is the weight of
+    the k cells whose left endpoint is 1, and q_max that of the k + 1 cells
+    whose right endpoint is 1: Beta(k, n - k + 1) and Beta(k + 1, n - k),
+    so the mean interval is the Clopper-Pearson interval (Clopper & Pearson
+    1934)."""
+
+    N = 40_000
+    Z = 5.0
+    UNIT = BoundingInterval(0.0, 1.0)
+
+    def q_samples(self, n, k, c=0.9, seed=5):
+        data = np.r_[np.ones(k), np.zeros(n - k)]
+        return bis_run(data, self.UNIT, BisConfig(Functional("mean"), c, self.N, seed))
+
+    @pytest.mark.parametrize("n, k", [(10, 3), (30, 7), (200, 150)])
+    def test_q_samples_follow_their_beta_laws(self, n, k):
+        qs = self.q_samples(n, k)
+        assert sps.kstest(qs.q_min, "beta", args=(k, n - k + 1)).pvalue > 1e-3
+        assert sps.kstest(qs.q_max, "beta", args=(k + 1, n - k)).pvalue > 1e-3
+
+    def test_no_ones_or_all_ones_pin_one_bound(self):
+        none, every = self.q_samples(10, 0), self.q_samples(10, 10)
+        assert (none.q_min == 0.0).all() and (every.q_max == 1.0).all()
+        # the other bound keeps its law: one cell, or all but one, on 1
+        assert sps.kstest(none.q_max, "beta", args=(1, 10)).pvalue > 1e-3
+        assert sps.kstest(every.q_min, "beta", args=(10, 1)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("c", [0.8, 0.95])
+    @pytest.mark.parametrize("n, k", [(10, 3), (30, 7), (200, 150)])
+    def test_interval_is_clopper_pearson(self, n, k, c):
+        est = interval_estimate(self.q_samples(n, k, c), c)
+        # each endpoint within the z-sigma rank band of its exact quantile
+        for got, a, law in ((est.lo, (1.0 - c) / 2.0, (k, n - k + 1)),
+                            (est.hi, (1.0 + c) / 2.0, (k + 1, n - k))):
+            d = self.Z * np.sqrt(a * (1.0 - a) / self.N)
+            band = sps.beta.ppf([a - d, a + d], *law)
+            assert band[0] <= got <= band[1]

@@ -3,8 +3,9 @@
 Families:
 
 - ``bis_run``: q-samples (q_min then q_max) of every functional below, for
-  seeds 1-3, n = 15, 200, 1000, 1000 rounded to 0.1 (ties) and 10^5, on
-  [0, 60], [0, inf), (-inf, 60] and (-inf, inf); N = 2000, or 200 at 10^5.
+  seeds 1-3, n = 15, 200, 200 with its first 120 values -0.0 and 0.0 in
+  turn (zeros), 1000, 1000 rounded to 0.1 (ties) and 10^5, on [0, 60],
+  [0, inf), (-inf, 60] and (-inf, inf); N = 2000, or 200 at 10^5.
 - ``bayesian_bootstrap`` and ``bootstrap``: the interval endpoints of the
   same functionals on the same data, n <= 1000, N = 2000, credibility 0.9;
   then on the same data with its three largest values set to +inf, and with
@@ -62,7 +63,7 @@ import numpy as np
 FUNCTIONALS = ("mean", "median", "quantile:0.99", "trunc-mean:0.5", "trunc-mean:0.9",
                "trunc-mean:0.99", "cvar:0.5", "cvar:0.9", "cvar:0.99")
 SEEDS = (1, 2, 3)
-SIZES = ("15", "200", "1000", "1000-ties", "100000")
+SIZES = ("15", "200", "200-zeros", "1000", "1000-ties", "100000")
 INTERVALS = ((0.0, 60.0), (0.0, np.inf), (-np.inf, 60.0), (-np.inf, np.inf))
 FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate_rows", "cli")
 # (name, argv) of each ``bis`` command line of the ``cli`` family, run on obs.txt
@@ -85,7 +86,10 @@ HOST = "host|"  # prefix of the saved host facts, apart from the cases
 
 
 def data(size: str, seed: int) -> np.ndarray:
-    """Unit lognormal observations capped at 59, inside every interval.
+    """Unit lognormal observations capped at 59, inside every interval;
+    ``-ties`` rounds them to 0.1, and ``-zeros`` sets the first 120 to -0.0
+    and 0.0 in turn, so medians and half-sample means read a tie of signed
+    zeros (on the lower bound of [0, 60] and [0, inf)).
 
     The generator's own lognormal takes libm's ``exp``, not NumPy's
     dispatched one, so the inputs are the same bytes on every CPU feature
@@ -93,6 +97,8 @@ def data(size: str, seed: int) -> np.ndarray:
     """
     n = int(size.split("-")[0])
     x = np.minimum(np.random.default_rng(seed).lognormal(0.0, 1.0, n), 59.0)
+    if size.endswith("zeros"):
+        x[:120:2], x[1:120:2] = -0.0, 0.0
     return np.round(x, 1) if size.endswith("ties") else x
 
 
