@@ -45,7 +45,6 @@ from .functionals import (
 )
 from .pbox import (
     BoundingInterval,
-    ExtendedOrderStats,
     IntervalEstimate,
     ProbabilityBox,
     WeightedStepCdf,
@@ -59,7 +58,6 @@ __all__ = [
     "BisConfig",
     "BoundingInterval",
     "CoverageReport",
-    "ExtendedOrderStats",
     "ExtremeMixture",
     "Functional",
     "ImpreciseRealization",

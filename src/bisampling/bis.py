@@ -100,7 +100,7 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
+        if not (self.a >= 0 and self.b >= 0 and self.a + self.b > 0):
             raise ValueError(f"invalid beta parameters ({self.a}, {self.b})")
 
 
@@ -147,8 +147,7 @@ def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:
     and otherwise streams unnormalised weight rows in chunks; memory is
     O(n) beyond the q-samples.
     """
-    stats = make_extended_order_stats(data, interval)
-    reduced, params = merge_duplicates(stats)
+    reduced, params = merge_duplicates(data, interval)
     if cfg.n_resample < default_n_resample(cfg.credibility):
         warnings.warn(
             "n_resample is below the 100/(1-c) rule of thumb; "
@@ -245,7 +244,7 @@ def point_condition_betas(
     the lower bound value follows Beta(n_below, n_above + 1) and the upper
     bound value Beta(n_below + 1, n_above).
     """
-    arr = make_extended_order_stats(data, interval).points[1:-1]
+    arr = make_extended_order_stats(data, interval)[1:-1]
     if not interval.lo < x < interval.hi:
         raise OutOfBoundsError(f"x must lie strictly inside the interval, got {x!r}")
     if (arr == x).any():
@@ -265,8 +264,7 @@ def probabilistic_projection_params(
     yields a precise random CDF whose value at an off-data point x follows
     Beta(n_below + 1/2, n_above + 1/2), the Jeffreys-prior posterior.
     """
-    stats = make_extended_order_stats(data, interval)
-    points, counts = np.unique(stats.points, return_counts=True)
+    points, counts = np.unique(make_extended_order_stats(data, interval), return_counts=True)
     params = counts.astype(float)
     # each endpoint's run holds half the prior weight in place of a unit one
     params[[0, -1]] -= 1.0 - PRIOR_WEIGHT / 2.0

@@ -35,7 +35,7 @@ from .bis import (
 from .dirichlet import merge_duplicates, sample_unit_dp_grid, sample_unit_dp_stick
 from .errors import BisamplingError, IndeterminateSumError
 from .functionals import Functional
-from .pbox import BoundingInterval, expected_pbox, make_extended_order_stats
+from .pbox import BoundingInterval, expected_pbox
 
 
 def _parse_bound(token: str) -> float:
@@ -190,13 +190,12 @@ def cmd_pbox(args) -> int:
         raise BisamplingError("--realisations must not be negative")
     data = read_observations(args.input, args.column)
     interval = BoundingInterval(args.bounds[0], args.bounds[1])
-    stats = make_extended_order_stats(data, interval)
-    box = expected_pbox(stats)
+    box = expected_pbox(data, interval)
     grid = np.union1d(box.lower.supports, box.upper.supports)
     header = ["x", "F_lower", "F_upper"]
     columns = [grid, box.lower.cdf(grid), box.upper.cdf(grid)]
     if args.realisations:
-        reduced, params = merge_duplicates(stats)
+        reduced, params = merge_duplicates(data, interval)
         for i in range(args.realisations):
             real = sample_realization(reduced, params, rngmod.substream(args.seed, i))
             header += [f"r{i + 1}_lower", f"r{i + 1}_upper"]

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import _check_n_resample, _check_open_unit
-from .pbox import ExtendedOrderStats, WeightedStepCdf
+from .pbox import BoundingInterval, WeightedStepCdf, make_extended_order_stats
 
 
 def _positive_params(params) -> np.ndarray:
@@ -145,22 +145,21 @@ def _unit_split(params, p: float, rng: np.random.Generator, size: int) -> tuple:
     return head, units, np.searchsorted(head, units, side="right")
 
 
-def merge_duplicates(stats: ExtendedOrderStats) -> tuple[np.ndarray, np.ndarray]:
+def merge_duplicates(data, interval: BoundingInterval) -> tuple[np.ndarray, np.ndarray]:
     """Collapse runs of tied points into degenerate cells with merged weight.
 
-    Returns ``(reduced_points, params)`` where every value appears at most
-    twice in ``reduced_points`` and ``params`` holds one Dirichlet parameter
-    per cell between consecutive reduced points: 1 for ordinary cells and
-    ``run_length - 1`` for the degenerate cell kept at a tied value.  With
-    all points distinct this is the identity: the original points and a
-    vector of ones.  Ties are exact float equality.
-
-    Relies on ``stats.points`` being sorted, as ``make_extended_order_stats``
-    leaves them: runs are found in one linear pass, without a second sort.
-    That function reads -0.0 as 0.0, so a run of tied zeros is +0.0 bits
-    in whatever order the sort left them.
+    The points are the extended order statistics of ``data`` in
+    ``interval``, from ``make_extended_order_stats``, so they are sorted
+    and read -0.0 as 0.0 whatever was passed, and runs are found in one
+    linear pass.  Returns ``(reduced_points, params)`` where every value
+    appears at most twice in ``reduced_points`` and ``params`` holds one
+    Dirichlet parameter per cell between consecutive reduced points: 1 for
+    ordinary cells and ``run_length - 1`` for the degenerate cell kept at a
+    tied value.  With all points distinct this is the identity: the
+    extended order statistics and a vector of ones.  Ties are exact float
+    equality.
     """
-    points = stats.points
+    points = make_extended_order_stats(data, interval)
     starts = np.flatnonzero(np.concatenate(([True], points[1:] != points[:-1])))
     counts = np.diff(starts, append=points.size)
     values = points[starts]

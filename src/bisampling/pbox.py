@@ -50,20 +50,14 @@ class BoundingInterval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True, eq=False)
-class ExtendedOrderStats:
-    """Sorted observations with the interval endpoints prepended/appended.
+def make_extended_order_stats(data, interval: BoundingInterval) -> np.ndarray:
+    """The extended order statistics lo = x_(0) <= x_(1) <= ... <= x_(n+1) = hi.
 
-    ``points`` has length ``n_obs + 2``: the bounding interval's lower
-    endpoint, the sorted observations, then the upper endpoint.
-    """
-
-    points: np.ndarray
-    n_obs: int
-
-
-def make_extended_order_stats(data, interval: BoundingInterval) -> ExtendedOrderStats:
-    """Sort ``data`` and extend it with the endpoints of ``interval``.
+    The one maker of the extended sample: every public entry that reads it
+    (``bis_run``, ``merge_duplicates``, ``expected_pbox`` and the point
+    laws) takes ``(data, interval)`` and calls this.  Returns a read-only
+    array of ``n + 2`` points: the interval's lower endpoint, the sorted
+    observations with -0.0 read as 0.0, then the upper endpoint.
 
     Raises NonFiniteError for NaN or infinite observations and
     OutOfBoundsError for observations outside the interval.  Empty data is
@@ -79,7 +73,7 @@ def make_extended_order_stats(data, interval: BoundingInterval) -> ExtendedOrder
     points = np.concatenate(([interval.lo], np.sort(arr), [interval.hi]))
     points += 0.0  # -0.0 reads as 0.0, so tied zeros are equal bits in any sort
     points.setflags(write=False)
-    return ExtendedOrderStats(points=points, n_obs=int(arr.size))
+    return points
 
 
 class WeightedStepCdf:
@@ -209,16 +203,17 @@ def interval_probability(box: ProbabilityBox, a: float, b: float) -> tuple[float
     return lower_p, upper_p
 
 
-def expected_pbox(stats: ExtendedOrderStats) -> ProbabilityBox:
+def expected_pbox(data, interval: BoundingInterval) -> ProbabilityBox:
     """Expected probability box spanned by the extended order statistics.
 
-    Both bounds carry ``n_obs + 1`` equal steps of height ``1/(n_obs + 1)``:
-    the lower bound steps at the upper cell endpoints, the upper bound at
-    the lower cell endpoints.  With no observations this is the vacuous box
-    (unit steps at the two interval endpoints).
+    Both bounds carry ``n + 1`` equal steps of height ``1/(n + 1)`` for n
+    observations: the lower bound steps at the upper cell endpoints, the
+    upper bound at the lower cell endpoints.  With no observations this is
+    the vacuous box (unit steps at the two interval endpoints).
     """
-    n = stats.n_obs + 1
-    w = np.full(n, 1.0 / n)
-    lower = WeightedStepCdf(stats.points[1:], w)
-    upper = WeightedStepCdf(stats.points[:-1], w)
+    points = make_extended_order_stats(data, interval)
+    cells = points.size - 1
+    w = np.full(cells, 1.0 / cells)
+    lower = WeightedStepCdf(points[1:], w)
+    upper = WeightedStepCdf(points[:-1], w)
     return ProbabilityBox(lower=lower, upper=upper)

@@ -115,8 +115,7 @@ def test_criterion_4_extreme_event_coverage():
 
 def test_criterion_5_point_law_beta_marginals():
     """Realisation CDF values at x=1.0 follow Beta(6,10) / Beta(7,9)."""
-    stats = make_extended_order_stats(SMALL_SAMPLE, POSITIVE)
-    reduced, params = merge_duplicates(stats)
+    reduced, params = merge_duplicates(SMALL_SAMPLE, POSITIVE)
     rng = stream(7)
     lo = np.empty(10_000)
     hi = np.empty(10_000)
@@ -143,14 +142,14 @@ def test_criterion_6_property_suite():
     # duplicate merging leaves the resampled law unchanged (KS on q_mean)
     data = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
     interval = BoundingInterval(0.0, 10.0)
-    stats = make_extended_order_stats(data, interval)
+    points = make_extended_order_stats(data, interval)
     merged = bis_run(data, interval,
                      BisConfig(Functional("mean"), 0.5, 10_000, 21))
     rng = stream(22)
     full = np.empty(10_000)
     for i in range(full.size):
         w = sample_dirichlet(np.ones(len(data) + 1), rng)
-        full[i] = evaluate_rows(Functional("mean"), stats.points[1:], w[None])[0]
+        full[i] = evaluate_rows(Functional("mean"), points[1:], w[None])[0]
     ks_p = sps.ks_2samp(merged.q_max, full).pvalue
     assert ks_p > 0.01
 

@@ -43,10 +43,6 @@ INF = float("inf")
 POSITIVE = BoundingInterval(0.0, INF)
 
 
-def reduced_for(data, interval):
-    return merge_duplicates(make_extended_order_stats(data, interval))
-
-
 class TestDefaultNResample:
     @pytest.mark.parametrize("c,n", [(0.9, 1000), (0.99, 10_000), (0.5, 200)])
     def test_rule_of_thumb(self, c, n):
@@ -62,7 +58,7 @@ class TestDefaultNResample:
 
 class TestSampleRealization:
     def test_shared_weights_and_shapes(self, small_sample):
-        reduced, params = reduced_for(small_sample, POSITIVE)
+        reduced, params = merge_duplicates(small_sample, POSITIVE)
         real = sample_realization(reduced, params, stream(1))
         assert real.weights.size == 16
         assert abs(real.weights.sum() - 1.0) <= 1e-12
@@ -70,14 +66,14 @@ class TestSampleRealization:
         assert real.upper.supports[0] == 0.0
 
     def test_vacuous_prior_is_degenerate(self):
-        reduced, params = reduced_for([], BoundingInterval(0.0, 1.0))
+        reduced, params = merge_duplicates([], BoundingInterval(0.0, 1.0))
         for seed in range(5):
             real = sample_realization(reduced, params, stream(seed))
             assert real.lower.supports.tolist() == [1.0]
             assert real.upper.supports.tolist() == [0.0]
 
     def test_bounds_touch_at_observations(self, small_sample):
-        reduced, params = reduced_for(small_sample, POSITIVE)
+        reduced, params = merge_duplicates(small_sample, POSITIVE)
         rng = stream(2)
         interior = np.sort(small_sample)
         for _ in range(20):
@@ -86,7 +82,7 @@ class TestSampleRealization:
             assert np.abs(touch).max() <= 1e-12
 
     def test_lower_below_upper_everywhere(self, small_sample):
-        reduced, params = reduced_for(small_sample, POSITIVE)
+        reduced, params = merge_duplicates(small_sample, POSITIVE)
         rng = stream(3)
         grid = np.linspace(0.0, 10.0, 300)
         for _ in range(20):
@@ -95,7 +91,7 @@ class TestSampleRealization:
 
     def test_marginal_beta_laws_at_point(self, small_sample):
         # lower/upper CDF values at x=1.0 follow Beta(6,10) and Beta(7,9)
-        reduced, params = reduced_for(small_sample, POSITIVE)
+        reduced, params = merge_duplicates(small_sample, POSITIVE)
         rng = stream(7)
         lo = np.empty(10_000)
         hi = np.empty(10_000)
@@ -204,8 +200,7 @@ class TestBisRun:
         # resampling with merged tied cells matches the full simplex draw
         data = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
         interval = BoundingInterval(0.0, 10.0)
-        stats = make_extended_order_stats(data, interval)
-        reduced, params = merge_duplicates(stats)
+        points = make_extended_order_stats(data, interval)
         f = Functional("mean")
         cfg = BisConfig(f, 0.5, 10_000, 21)
         merged = bis_run(data, interval, cfg)
@@ -213,7 +208,7 @@ class TestBisRun:
         full = np.empty(10_000)
         for i in range(full.size):
             w = sample_dirichlet(np.ones(len(data) + 1), rng)
-            full[i] = evaluate_rows(f, stats.points[1:], w[None])[0]
+            full[i] = evaluate_rows(f, points[1:], w[None])[0]
         assert sps.ks_2samp(merged.q_max, full).pvalue > 0.01
 
 
@@ -232,7 +227,7 @@ class TestChunkedPath:
     @pytest.mark.parametrize("case", range(len(CHUNK_CASES)))
     def test_results_do_not_depend_on_chunk_size(self, monkeypatch, case, n_resample):
         data, interval = CHUNK_CASES[case]
-        n_cells = reduced_for(data, interval)[1].size
+        n_cells = merge_duplicates(data, interval)[1].size
         runs = []
         # one-row chunks, 7-row chunks (7 does not divide 50), the default
         for chunk_bytes in (1, 7 * 8 * n_cells, bis._CHUNK_BYTES):
@@ -303,7 +298,7 @@ class TestConditionalSplit:
             data = np.round(data, 1)
         functional, n_resample, seed = Functional.parse(f), 50, 5
         draws = [
-            (reduced_for(data, POSITIVE)[1], lambda: bis_run(
+            (merge_duplicates(data, POSITIVE)[1], lambda: bis_run(
                 data, POSITIVE, BisConfig(functional, 0.5, n_resample, seed))),
             # the Bayesian bootstrap's q-samples, of the engine's draw
             (np.ones(data.size), lambda: bis._dirichlet_resample(
@@ -462,11 +457,11 @@ class TestExactSplitLaw:
         n_draws, z = self.N, self.Z
         f = Functional("quantile", p)
         qs = bis_run(data, interval, BisConfig(f, c, n_draws, seed))
-        reduced, params = reduced_for(data, interval)
+        reduced, params = merge_duplicates(data, interval)
         # unnormalised rows: every functional is scale invariant
         (w,) = weight_chunks(params, substream(seed, 1), n_draws, n_draws)
         mc_min, mc_max = evaluate_rows(f, cell_endpoints(reduced), w).T
-        points = make_extended_order_stats(data, interval).points
+        points = make_extended_order_stats(data, interval)
         cdf = exact_split_cdf(points, p)
         # P(q_min <= v) and P(q_max <= v) at every distinct point v
         for ends, samples in ((points[:-1], (qs.q_min, mc_min)),
@@ -504,7 +499,7 @@ class TestExactSplitLaw:
                                                  seed):
         f = Functional(kind, p)
         qs = bis_run(data * copies, interval, BisConfig(f, 0.5, self.N, seed))
-        reduced, params = reduced_for(data * copies, interval)
+        reduced, params = merge_duplicates(data * copies, interval)
         want = full_rows(f, params, cell_endpoints(reduced), substream(seed, 1), self.N)
         # a two-sample KS test at the two-sided level of z = 5
         for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, 1])):
@@ -674,8 +669,11 @@ class TestProbabilisticProjection:
     (lambda: QSamples(q_min=np.zeros(2), q_max=np.zeros(3)), "equal length"),
     (lambda: QSamples(q_min=np.ones(2), q_max=np.zeros(2)), "exceed"),
     (lambda: bis.BetaParams(-1.0, 1.0), "beta"),
+    (lambda: bis.BetaParams(float("nan"), 1.0), "beta"),
+    (lambda: bis.BetaParams(1.0, float("nan")), "beta"),
     (lambda: sample_realization([0.0, 1.0, 2.0], [1.0], stream(1)), "one more point"),
-], ids=["unequal-qsamples", "crossed-qsamples", "beta", "realization"])
+], ids=["unequal-qsamples", "crossed-qsamples", "beta", "beta-nan-a", "beta-nan-b",
+        "realization"])
 def test_invalid_arguments_raise(make, word):
     with pytest.raises(ValueError, match=word):
         make()

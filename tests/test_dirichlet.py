@@ -18,7 +18,7 @@ from bisampling.dirichlet import (
     weight_chunks,
 )
 from bisampling.errors import InvalidProbabilityError
-from bisampling.pbox import BoundingInterval, make_extended_order_stats
+from bisampling.pbox import BoundingInterval, expected_pbox, make_extended_order_stats
 from bisampling.rng import stream, substream
 
 INF = float("inf")
@@ -268,8 +268,7 @@ class TestSampleSplitIndex:
             params = split_params(int(size), True)
         elif name == "tied":
             data = np.round(stream(9).lognormal(size=500), 1)
-            stats = make_extended_order_stats(data, BoundingInterval(0.0, 50.0))
-            params = merge_duplicates(stats)[1]
+            params = merge_duplicates(data, BoundingInterval(0.0, 50.0))[1]
         else:
             params = np.ones(int(size))
         cdf = full_split_law(params, p)
@@ -335,26 +334,23 @@ class TestSampleSplitIndex:
 
 class TestMergeDuplicates:
     def test_distinct_sample_untouched(self, small_sample):
-        stats = make_extended_order_stats(small_sample, BoundingInterval(0.0, INF))
-        reduced, params = merge_duplicates(stats)
-        assert np.array_equal(reduced, stats.points)
+        interval = BoundingInterval(0.0, INF)
+        reduced, params = merge_duplicates(small_sample, interval)
+        assert np.array_equal(reduced, make_extended_order_stats(small_sample, interval))
         assert params.tolist() == [1.0] * 16
 
     def test_triple_tie(self):
-        stats = make_extended_order_stats([1, 1, 1], BoundingInterval(0.0, 2.0))
-        reduced, params = merge_duplicates(stats)
+        reduced, params = merge_duplicates([1, 1, 1], BoundingInterval(0.0, 2.0))
         assert reduced.tolist() == [0.0, 1.0, 1.0, 2.0]
         assert params.tolist() == [1.0, 2.0, 1.0]
 
     def test_double_tie_keeps_unit_param(self):
-        stats = make_extended_order_stats([1, 1], BoundingInterval(0.0, 2.0))
-        reduced, params = merge_duplicates(stats)
+        reduced, params = merge_duplicates([1, 1], BoundingInterval(0.0, 2.0))
         assert reduced.tolist() == [0.0, 1.0, 1.0, 2.0]
         assert params.tolist() == [1.0, 1.0, 1.0]
 
     def test_tie_at_boundary(self):
-        stats = make_extended_order_stats([0.0, 0.0, 1.0], BoundingInterval(0.0, 2.0))
-        reduced, params = merge_duplicates(stats)
+        reduced, params = merge_duplicates([0.0, 0.0, 1.0], BoundingInterval(0.0, 2.0))
         assert reduced.tolist() == [0.0, 0.0, 1.0, 2.0]
         assert params.tolist() == [2.0, 1.0, 1.0]
 
@@ -368,8 +364,7 @@ class TestMergeDuplicates:
         ],
     )
     def test_parameter_mass_conserved(self, data, interval):
-        stats = make_extended_order_stats(data, BoundingInterval(*interval))
-        _, params = merge_duplicates(stats)
+        _, params = merge_duplicates(data, BoundingInterval(*interval))
         assert params.sum() == pytest.approx(len(data) + 1, abs=1e-12)
 
     @staticmethod
@@ -383,23 +378,32 @@ class TestMergeDuplicates:
         return reduced, params
 
     @pytest.mark.parametrize(
-        "interval", [(-INF, INF), (-2.5, 7.0), (-0.0, INF), (0.0, 7.0), (-INF, 0.0)]
+        "interval",
+        [(-INF, INF), (-2.5, 7.0), (-0.0, INF), (0.0, 7.0), (-INF, 0.0), (-0.0, 7.0)],
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_unique_on_tied_data(self, seed, interval):
         rng = np.random.default_rng(seed)
-        lo, hi = interval
+        interval = BoundingInterval(*interval)
         # both signed zeros tie, and so does every point on a bound
         pool = np.array([-0.0, 0.0, 0.0, -0.0, 1e-300, 1.0, 3.0, 7.0, -2.5])
-        pool = pool[(pool >= lo) & (pool <= hi)]
+        pool = pool[(pool >= interval.lo) & (pool <= interval.hi)]
         for n in (0, 1, 2, 5, 40, 600):
             data = rng.choice(pool, size=n)
-            stats = make_extended_order_stats(data, BoundingInterval(lo, hi))
-            reduced, params = merge_duplicates(stats)
-            ref_reduced, ref_params = self._merge_by_unique(stats.points)
+            reduced, params = merge_duplicates(data, interval)
+            ref_reduced, ref_params = self._merge_by_unique(
+                make_extended_order_stats(data, interval))
             assert reduced.tobytes() == ref_reduced.tobytes()
             assert params.dtype == ref_params.dtype
             assert params.tobytes() == ref_params.tobytes()
+            # shuffled data with -0.0 gives the bytes of its sorted +0.0 copy
+            tidy = np.sort(data) + 0.0
+            for got, want in zip((reduced, params), merge_duplicates(tidy, interval)):
+                assert got.tobytes() == want.tobytes()
+            box, tidy_box = expected_pbox(data, interval), expected_pbox(tidy, interval)
+            for got, want in ((box.lower, tidy_box.lower), (box.upper, tidy_box.upper)):
+                assert got.supports.tobytes() == want.supports.tobytes()
+                assert got.weights.tobytes() == want.weights.tobytes()
 
 
 class TestUnitDpGrid:

@@ -445,7 +445,7 @@ class TestSplitWindow:
     @pytest.mark.parametrize("case", list(WINDOW_CASES))
     def test_any_window_matches_full_path(self, case, p):
         data, interval = WINDOW_CASES[case]
-        reduced, params = merge_duplicates(make_extended_order_stats(data, interval))
+        reduced, params = merge_duplicates(data, interval)
         sup = prepare_supports(cell_endpoints(reduced))
         s, k = sup.values, params.size
         (w,) = weight_chunks(params, stream(9), 300, 300)

@@ -5,7 +5,8 @@ Every place that sorts or merges values reads -0.0 as 0.0, so tied zeros
 are equal bits whatever order a sort leaves them in, and no output depends
 on the sort NumPy dispatches to.  On k ones and n - k zeros every cell
 endpoint is 0 or 1, so the mean's q-samples have exact Beta laws and its
-interval is Clopper-Pearson.
+interval is Clopper-Pearson, and the truncated mean, CVaR and quantile are
+nondecreasing functions of those Beta variables.
 """
 
 import hashlib
@@ -54,7 +55,7 @@ def signed_zero_digests() -> dict:
     for seed in range(5):
         for n in (40, 300):
             x = np.random.default_rng(seed).choice(pool, n)
-            update("merge_duplicates", *merge_duplicates(make_extended_order_stats(x, interval)))
+            update("merge_duplicates", *merge_duplicates(x, interval))
             update("projection", *probabilistic_projection_params(x, interval))
             update("step_cdf", WeightedStepCdf(x, np.full(n, 1.0 / n)).supports)
             for name in ("median", "quantile:0.3"):
@@ -72,14 +73,13 @@ class TestSignedZeros:
     def test_extended_order_stats_hold_no_negative_zero(self, interval):
         lo, hi = interval
         data = [x for x in (-0.0, 0.0, -0.0, -1.0, 0.5, 0.0) if lo <= x <= hi]
-        points = make_extended_order_stats(data, BoundingInterval(lo, hi)).points
+        points = make_extended_order_stats(data, BoundingInterval(lo, hi))
         assert (points == 0).sum() == 5  # four observations and one bound
         assert positive_zero_bytes(points)
 
     def test_a_signed_zero_tie_merges_to_positive_zero(self):
         interval = BoundingInterval(-0.0, 1.0)
-        reduced, params = merge_duplicates(
-            make_extended_order_stats([0.0, -0.0, -0.0, 1.0], interval))
+        reduced, params = merge_duplicates([0.0, -0.0, -0.0, 1.0], interval)
         assert reduced.tolist() == [0.0, 0.0, 1.0, 1.0] and positive_zero_bytes(reduced)
         assert params.tolist() == [3.0, 1.0, 1.0]
         points, params = probabilistic_projection_params([-0.0, 0.0, 1.0], interval)
@@ -122,19 +122,32 @@ class TestSignedZeros:
 
 
 class TestTwoPointOracle:
-    """k ones and n - k zeros on [0, 1].  The mean's q_min is the weight of
-    the k cells whose left endpoint is 1, and q_max that of the k + 1 cells
-    whose right endpoint is 1: Beta(k, n - k + 1) and Beta(k + 1, n - k),
-    so the mean interval is the Clopper-Pearson interval (Clopper & Pearson
-    1934)."""
+    """k ones and n - k zeros on [0, 1].  The mean's q_min is the weight W
+    of the k cells whose left endpoint is 1, and q_max that of the k + 1
+    cells whose right endpoint is 1: Beta(k, n - k + 1) and
+    Beta(k + 1, n - k), so the mean interval is the Clopper-Pearson interval
+    (Clopper & Pearson 1934).  Every other functional is h(W) for an h
+    that does not decrease (``h``)."""
 
     N = 40_000
     Z = 5.0
     UNIT = BoundingInterval(0.0, 1.0)
+    SPLITS = ("trunc-mean:0.5", "trunc-mean:0.9", "cvar:0.5", "cvar:0.9",
+              "quantile:0.5", "quantile:0.8")
 
-    def q_samples(self, n, k, c=0.9, seed=5):
+    def q_samples(self, n, k, c=0.9, seed=5, name="mean"):
         data = np.r_[np.ones(k), np.zeros(n - k)]
-        return bis_run(data, self.UNIT, BisConfig(Functional("mean"), c, self.N, seed))
+        return bis_run(data, self.UNIT, BisConfig(Functional.parse(name), c, self.N, seed))
+
+    @staticmethod
+    def h(f, w):
+        """The functional of the law with mass w on 1 and 1 - w on 0."""
+        w, p = np.asarray(w, dtype=float), f.p
+        if f.kind == "trunc_mean":
+            return np.maximum(w - (1.0 - p), 0.0) / p
+        if f.kind == "cvar":
+            return np.minimum(w, 1.0 - p) / (1.0 - p)
+        return (w > 1.0 - p).astype(float)
 
     @pytest.mark.parametrize("n, k", [(10, 3), (30, 7), (200, 150)])
     def test_q_samples_follow_their_beta_laws(self, n, k):
@@ -158,4 +171,37 @@ class TestTwoPointOracle:
                             (est.hi, (1.0 + c) / 2.0, (k + 1, n - k))):
             d = self.Z * np.sqrt(a * (1.0 - a) / self.N)
             band = sps.beta.ppf([a - d, a + d], *law)
+            assert band[0] <= got <= band[1]
+
+    @pytest.mark.parametrize("name", SPLITS)
+    @pytest.mark.parametrize("n, k", [(10, 3), (30, 20), (200, 150)])
+    def test_split_q_samples_are_h_of_their_beta_laws(self, n, k, name):
+        f = Functional.parse(name)
+        qs = self.q_samples(n, k, name=name)
+        for q, law in ((qs.q_min, sps.beta(k, n - k + 1)), (qs.q_max, sps.beta(k + 1, n - k))):
+            # h is flat on one side of W = 1 - p: an atom of known mass
+            cut = law.cdf(1.0 - f.p)
+            atom, mass = (0.0, cut) if f.kind == "trunc_mean" else (1.0, 1.0 - cut)
+            assert abs((q == atom).mean() - mass) <= self.Z * np.sqrt(mass * (1 - mass) / self.N)
+            rest = q[q != atom]
+            if f.kind == "quantile":
+                assert (rest == 0.0).all()
+            elif rest.size:
+                # h is one to one off the atom: W given that side of the cut
+                if f.kind == "trunc_mean":
+                    pit = (law.cdf(1.0 - f.p + f.p * rest) - cut) / (1.0 - cut)
+                else:
+                    pit = law.cdf((1.0 - f.p) * rest) / cut
+                assert sps.kstest(pit, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("c", [0.8, 0.95])
+    @pytest.mark.parametrize("name", SPLITS)
+    @pytest.mark.parametrize("n, k", [(10, 3), (30, 20), (200, 150)])
+    def test_split_interval_is_h_of_the_beta_band(self, n, k, name, c):
+        est = interval_estimate(self.q_samples(n, k, c, name=name), c)
+        # h does not decrease, so ranks of h(W) are h of the ranks of W
+        for got, a, law in ((est.lo, (1.0 - c) / 2.0, (k, n - k + 1)),
+                            (est.hi, (1.0 + c) / 2.0, (k + 1, n - k))):
+            d = self.Z * np.sqrt(a * (1.0 - a) / self.N)
+            band = self.h(Functional.parse(name), sps.beta.ppf([a - d, a + d], *law))
             assert band[0] <= got <= band[1]

@@ -20,14 +20,18 @@ The functionals are mean, median, quantile:0.99, and trunc-mean and cvar at
 0.5, 0.9 and 0.99.  Two checkouts that print the same line for a family
 produce the same bytes for every case of it.  To see which cases moved and
 by how many ulps (a ``cli`` case is text, so it reports none), save the
-outputs of one checkout and compare the other:
+outputs of one checkout with that checkout's own copy of this tool, which
+calls the library by its own signatures, then compare the other:
 
-    python tools/output_digest.py --src PARENT/src --save parent.npz
+    git worktree add ../parent HEAD
+    python ../parent/tools/output_digest.py --save parent.npz
     python tools/output_digest.py --against parent.npz
 
 ``--against`` exits 1 when any case moved and 0 when none did, so it can
-gate a change that claims to keep its bytes.  ``--src`` names the library
-source to digest (default: this checkout's).
+gate a change that claims to keep its bytes; the case keys stay the same
+across checkouts.  ``--src`` names the library source to digest (default:
+this checkout's); it serves only a library whose public signatures match
+this tool's.
 
 The bytes also depend on the host: the BLAS build rounds the products of
 the mean and the split means, and the kernel NumPy dispatches float64
@@ -136,8 +140,7 @@ def outputs(bis):
                         est = method(y, f, 0.9, n_resample, np.random.default_rng(seed))
                         yield family, (name, size, seed) + end, np.array([est.lo, est.hi])
             for lo, hi in INTERVALS:
-                stats = bis.make_extended_order_stats(x, bis.BoundingInterval(lo, hi))
-                reduced, _ = bis.merge_duplicates(stats)
+                reduced, _ = bis.merge_duplicates(x, bis.BoundingInterval(lo, hi))
                 cells = cell_endpoints(reduced)
                 rows = np.random.default_rng(seed).dirichlet(np.ones(len(cells)), size=200)
                 for name, f in fs:
