@@ -202,6 +202,8 @@ def coverage_experiment(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "student_t" and f.kind != "mean":
+        raise ValueError(f"student_t gives an interval for the mean, not the {f.kind}")
     _check_n_resample(n_trials, name="n_trials")
     if math.isnan(true_q):
         raise ValueError("true_q must not be NaN")

@@ -129,6 +129,8 @@ def sample_realization(
     pr = np.asarray(params, dtype=float).reshape(-1)
     if pr.size + 1 != pts.size:
         raise ValueError("need one more point than parameters")
+    if (pts[1:] < pts[:-1]).any():
+        raise ValueError("reduced_points must be sorted")
     w = sample_dirichlet(pr, rng)
     lower = WeightedStepCdf(pts[1:], w)
     upper = WeightedStepCdf(pts[:-1], w)

@@ -210,14 +210,13 @@ def cmd_compare(args) -> int:
     n_resample = config["n_resample"] if args.resamples is None else args.resamples
     credibility = config["credibility"] if args.credibility is None else args.credibility
     n_sample = config["n_sample"] if args.n_sample is None else args.n_sample
-    true_q = config["true_q"] if args.true_q is None else args.true_q
     manifest = _manifest("compare", args, config["functional"].kind, credibility, n_resample,
-                         preset=args.preset, n_trials=args.trials, true_q=true_q)
+                         preset=args.preset, n_trials=args.trials, true_q=config["true_q"])
     rows = []
     for method in methods:
         report = coverage_experiment(
             gen=config["gen"],
-            true_q=true_q,
+            true_q=config["true_q"],
             method=method,
             f=config["functional"],
             n_sample=n_sample,
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--resamples", type=int, default=None)
     compare.add_argument("--credibility", type=float, default=None)
     compare.add_argument("--n-sample", type=int, default=None)
-    compare.add_argument("--true-q", type=float, default=None)
     compare.set_defaults(func=cmd_compare)
 
     udp = sub.add_parser("udp-sample", parents=[run], help="unit Dirichlet process realisations")

@@ -150,24 +150,20 @@ def merge_duplicates(data, interval: BoundingInterval) -> tuple[np.ndarray, np.n
 
     The points are the extended order statistics of ``data`` in
     ``interval``, from ``make_extended_order_stats``, so they are sorted
-    and read -0.0 as 0.0 whatever was passed, and runs are found in one
-    linear pass.  Returns ``(reduced_points, params)`` where every value
-    appears at most twice in ``reduced_points`` and ``params`` holds one
-    Dirichlet parameter per cell between consecutive reduced points: 1 for
-    ordinary cells and ``run_length - 1`` for the degenerate cell kept at a
-    tied value.  With all points distinct this is the identity: the
-    extended order statistics and a vector of ones.  Ties are exact float
-    equality.
+    and read -0.0 as 0.0 whatever was passed; between consecutive points
+    lie unit cells, each Dirichlet(1).  Only the first and last point of
+    each run of ties are kept, and by Dirichlet aggregation the unit cells
+    between consecutive kept points form one cell whose parameter is their
+    number: 1 between runs and ``run_length - 1`` inside a run.  Returns
+    ``(reduced_points, params)``, where every value appears at most twice
+    in ``reduced_points``.  With all points distinct this is the identity:
+    the extended order statistics and a vector of ones.  Ties are exact
+    float equality.
     """
     points = make_extended_order_stats(data, interval)
-    starts = np.flatnonzero(np.concatenate(([True], points[1:] != points[:-1])))
-    counts = np.diff(starts, append=points.size)
-    values = points[starts]
-    kept = np.minimum(counts, 2)
-    reduced = np.repeat(values, kept)
-    left_counts = np.repeat(counts, kept)[:-1]
-    degenerate = reduced[:-1] == reduced[1:]
-    params = np.where(degenerate, left_counts - 1.0, 1.0)
+    step = np.concatenate(([True], points[1:] != points[:-1], [True]))
+    ends = np.flatnonzero(step[:-1] | step[1:])  # the first and last point of each run
+    reduced, params = points[ends], np.diff(ends).astype(float)
     reduced.setflags(write=False)
     params.setflags(write=False)
     return reduced, params

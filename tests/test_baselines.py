@@ -305,7 +305,44 @@ class TestBayesianBootstrap:
         assert a.hi == pytest.approx(b.hi, abs=0.02)
 
 
+def bayesian_index_cdf(n, p):
+    """P(index <= j), j = 0..n-1, of the sorted observation that is the
+    Bayesian bootstrap's p-quantile: the index is Binomial(n - 1, p)."""
+    return sps.binom.cdf(np.arange(n), n - 1, p)
+
+
+def percentile_index_cdf(n, p):
+    """P(index <= j), j = 0..n-1, of the sorted observation that is the
+    percentile bootstrap's p-quantile: the r-th smallest of n uniform
+    positions, r = ceil(p n), is at or below j when at least r of the
+    positions are, a Binomial(n, (j + 1) / n) count."""
+    return sps.binom.sf(math.ceil(p * n) - 1, n, np.arange(1, n + 1) / n)
+
+
 class TestBootstrapsShared:
+    @pytest.mark.parametrize("method, index_cdf", [
+        (bayesian_bootstrap_interval, bayesian_index_cdf),
+        (bootstrap_interval, percentile_index_cdf),
+    ], ids=["bayesian_bootstrap", "bootstrap"])
+    @pytest.mark.parametrize("n, p, c", [(20, 0.5, 0.9), (37, 0.9, 0.95), (12, 0.25, 0.8)])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_quantile_endpoints_follow_the_exact_index_law(self, method, index_cdf, n, p, c,
+                                                           tied):
+        n_draws, z = 20_000, 5.0
+        x = np.arange(n, dtype=float)
+        if tied:
+            x = np.floor(x / 3.0)  # runs of three tied observations
+        data = stream(n).permutation(x)
+        cdf = index_cdf(n, p)
+        for seed in (1, 2, 3):
+            est = method(data, Functional("quantile", p), c, n_draws, stream(seed))
+            # each endpoint within a z-sigma rank band of the exact endpoint
+            for got, a in ((est.lo, (1.0 - c) / 2.0), (est.hi, (1.0 + c) / 2.0)):
+                d = z * math.sqrt(a * (1.0 - a) / n_draws)
+                band = [x[np.searchsorted(cdf, level, side="left")]
+                        for level in (max(a - d, 0.0), min(a + d, 1.0))]
+                assert band[0] <= got <= band[1]
+
     @pytest.mark.parametrize("method", BOOTSTRAPS)
     def test_mean_of_one_repeated_value_is_that_value(self, method):
         # the sums of ten 0.1s round, so their ratio lands an ulp off 0.1
@@ -453,7 +490,9 @@ BASE = TruncatedLognormal(0.0, 1.0, 0.0, 50.0)
     (lambda: baselines.CoverageReport("bis", 0.9, 10, 1.5, 0.0, 1.0), ValueError, "fraction"),
     (lambda: coverage_experiment(BASE, 1.0, "jackknife", MEAN, 15, 0.9, 1, 200,
                                  BoundingInterval(0.0, 50.0), 1), ValueError, "unknown method"),
-], ids=["atom_prob", "generator", "hit_rate", "method"])
+    (lambda: coverage_experiment(BASE, 1.0, "student_t", Functional("quantile", 0.5), 15, 0.9,
+                                 1, 200, BoundingInterval(0.0, 50.0), 1), ValueError, "mean"),
+], ids=["atom_prob", "generator", "hit_rate", "method", "student_t-median"])
 def test_invalid_arguments_raise(make, error, word):
     with pytest.raises(error, match=word):
         make()

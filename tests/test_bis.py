@@ -672,8 +672,9 @@ class TestProbabilisticProjection:
     (lambda: bis.BetaParams(float("nan"), 1.0), "beta"),
     (lambda: bis.BetaParams(1.0, float("nan")), "beta"),
     (lambda: sample_realization([0.0, 1.0, 2.0], [1.0], stream(1)), "one more point"),
+    (lambda: sample_realization([0.0, 2.0, 1.0, 3.0], [1.0] * 3, stream(1)), "sorted"),
 ], ids=["unequal-qsamples", "crossed-qsamples", "beta", "beta-nan-a", "beta-nan-b",
-        "realization"])
+        "realization", "realization-unsorted"])
 def test_invalid_arguments_raise(make, word):
     with pytest.raises(ValueError, match=word):
         make()

@@ -404,6 +404,13 @@ class TestCompare:
         assert trials == []
         assert "bogus" in capsys.readouterr().err
 
+    def test_target_is_the_presets_own(self, capsys):
+        # the preset's generator fixes the target, so no option sets another
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--preset", "table3", "--trials", "2", "--true-q", "1"])
+        assert exc.value.code == 2
+        assert "--true-q" in capsys.readouterr().err
+
 
 class TestZeroOrNegativeOption:
     @pytest.mark.parametrize(
@@ -415,7 +422,6 @@ class TestZeroOrNegativeOption:
             ["compare", "--resamples", "0"],
             ["compare", "--credibility", "0"],
             ["compare", "--n-sample", "0"],
-            ["compare", "--true-q", "nan"],
             # NumPy refuses the 7 PiB of q-samples at once, allocating nothing
             ["infer", "--resamples", "1000000000000000"],
             ["udp-sample", "--alpha", "inf"],

@@ -64,6 +64,40 @@ def test_against_exits_one_when_a_case_moved(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.endswith("moved bis_run mean: 1 of 1 cases, worst 1 ulps\n")
 
 
+def test_one_sided_cases_are_listed_and_only_missing_ones_count(capsys):
+    saved = {"bis_run|mean|15|1": np.ones(2), "bis_run|mean|15|2": np.ones(2),
+             digest.HOST + "numpy": np.array("2.4.6")}
+    current = {"bis_run|mean|15|1": np.ones(2), "bis_run|median|15|3": np.ones(2)}
+    assert digest.compare(saved, current) == 1
+    assert capsys.readouterr().out == ("missing bis_run mean: 1 of 2 cases\n"
+                                       "new bis_run median: 1 of 1 cases\n")
+
+
+@pytest.mark.parametrize("seeds, code, line", [
+    ((1,), 1, "missing bis_run mean: 1 of 2 cases\n"),
+    ((1, 2, 3), 0, "new bis_run mean: 1 of 3 cases\n"),
+], ids=["missing", "new"])
+def test_against_fails_on_a_missing_case_only(monkeypatch, tmp_path, capsys, seeds, code, line):
+    def mean_cases(*run):
+        return lambda bis: iter([("bis_run", ("mean", "15", seed), np.ones(2)) for seed in run])
+
+    saved = tmp_path / "parent.npz"
+    monkeypatch.setattr(digest, "outputs", mean_cases(1, 2))
+    digest.main(["--save", str(saved)])
+    monkeypatch.setattr(digest, "outputs", mean_cases(*seeds))
+    with pytest.raises(SystemExit) as gate:
+        digest.main(["--against", str(saved)])
+    assert gate.value.code == code
+    assert capsys.readouterr().out.endswith(line)
+
+
+def test_src_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        digest.main(["--src", "x"])
+    assert exc.value.code == 2
+    assert "--src" in capsys.readouterr().err
+
+
 def one_case(bis):
     return iter([("bis_run", ("mean", "15", 1), np.ones(2))])
 

@@ -27,11 +27,11 @@ calls the library by its own signatures, then compare the other:
     python ../parent/tools/output_digest.py --save parent.npz
     python tools/output_digest.py --against parent.npz
 
-``--against`` exits 1 when any case moved and 0 when none did, so it can
-gate a change that claims to keep its bytes; the case keys stay the same
-across checkouts.  ``--src`` names the library source to digest (default:
-this checkout's); it serves only a library whose public signatures match
-this tool's.
+The tool digests the library of its own checkout.  ``--against`` also
+reports the cases only one side has, as when the grids differ: a case
+missing from this run counts as moved, and a case new to it is listed
+without counting.  It exits 1 when any case moved and 0 when none did, so
+it can gate a change that claims to keep its bytes.
 
 The bytes also depend on the host: the BLAS build rounds the products of
 the mean and the split means, and the kernel NumPy dispatches float64
@@ -41,9 +41,9 @@ last bits.  Medians, quantiles, the percentile bootstrap and the given
 rows of ``evaluate_rows`` keep their bytes across the dispatch (the
 inputs are drawn so that they do too).  ``--save`` records the NumPy
 version, the BLAS name and version, the CPU features NumPy dispatches to,
-and that ``log`` kernel and the unit draw as the digested library reads
-them (``dirichlet._log_kernel`` and ``dirichlet.UNIT_DRAW``), and
-``--against`` prints each of them that differs before the cases that
+and that ``log`` kernel and the unit draw as the library reads them
+(``dirichlet._log_kernel`` and ``dirichlet.UNIT_DRAW``), and ``--against``
+prints each of them that differs before the cases that
 moved, so a digest taken on another host reads as such: ``host unit_draw
 differs: inversion -> ziggurat`` names the fact that moves the bytes of
 the mean and the split means.
@@ -177,8 +177,8 @@ def cli_outputs(cli) -> list:
 
 def host() -> dict:
     """The NumPy version, its BLAS build, the CPU features it dispatches to,
-    and, as the digested library reads them, the kernel of its float64
-    ``log`` and the unit draw that kernel picks."""
+    and, as the library reads them, the kernel of its float64 ``log`` and
+    the unit draw that kernel picks."""
     from bisampling import dirichlet
 
     try:
@@ -186,13 +186,12 @@ def host() -> dict:
     except ImportError:  # NumPy 1.x
         from numpy.core import _multiarray_umath as umath
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    log = dirichlet._log_kernel() if hasattr(dirichlet, "_log_kernel") else ""
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "cpu": " ".join(f for f in umath.__cpu_dispatch__
                             if umath.__cpu_features__.get(f)),
-            "log": log or "not reported",
-            "unit_draw": getattr(dirichlet, "UNIT_DRAW", "not present")}
+            "log": dirichlet._log_kernel() or "not reported",
+            "unit_draw": dirichlet.UNIT_DRAW}
 
 
 def compare_host(saved, current: dict) -> None:
@@ -220,31 +219,41 @@ def _ulps(got: np.ndarray, want: np.ndarray):
     return int(np.abs(_ordered(got) - _ordered(want)).max())
 
 
+def _group(key: str) -> tuple:
+    """A case's family and functional (command line for ``cli``)."""
+    return tuple(key.split("|")[:2])
+
+
 def compare(saved, current) -> int:
     """Print, per family and functional (command line for ``cli``), the
-    cases that moved and their worst ulps; return how many moved.  A case
-    moves when any of its bytes do."""
-    cases = Counter(tuple(key.split("|")[:2]) for key in current)
+    cases that moved and their worst ulps, then the cases missing from
+    ``current`` and those new to it; return how many moved or went missing.
+    A case moves when any of its bytes do."""
+    was = [key for key in saved if not key.startswith(HOST)]
+    cases, saved_cases = Counter(map(_group, current)), Counter(map(_group, was))
+    missing = Counter(_group(key) for key in was if key not in current)
+    new = Counter(_group(key) for key in current if key not in saved)
     moved = {}
     for key, got in current.items():
-        want = saved[key]
-        if got.tobytes() != want.tobytes():
-            moved.setdefault(tuple(key.split("|")[:2]), []).append(_ulps(got, want))
+        if key in saved and got.tobytes() != saved[key].tobytes():
+            moved.setdefault(_group(key), []).append(_ulps(got, saved[key]))
     for (family, name), ulps in moved.items():
         why = [u for u in ulps if isinstance(u, str)]
         spread = why[0] if why else f"worst {max(ulps)} ulps"
         print(f"moved {family} {name}: {len(ulps)} of {cases[family, name]} cases, {spread}")
-    return sum(map(len, moved.values()))
+    for (family, name), k in missing.items():
+        print(f"missing {family} {name}: {k} of {saved_cases[family, name]} cases")
+    for (family, name), k in new.items():
+        print(f"new {family} {name}: {k} of {cases[family, name]} cases")
+    return sum(map(len, moved.values())) + sum(missing.values())
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
-                        help="library source directory to digest")
     parser.add_argument("--save", type=Path, help="write every output to this .npz file")
     parser.add_argument("--against", type=Path, help="compare with a file written by --save")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import bisampling as bis
 
     sha = {family: hashlib.sha1() for family in FAMILIES}
