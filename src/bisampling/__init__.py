@@ -20,7 +20,6 @@ from .baselines import (
 from .bis import (
     BetaParams,
     BisConfig,
-    ImpreciseRealization,
     QSamples,
     bis_run,
     default_n_resample,
@@ -60,7 +59,6 @@ __all__ = [
     "CoverageReport",
     "ExtremeMixture",
     "Functional",
-    "ImpreciseRealization",
     "IntervalEstimate",
     "ProbabilityBox",
     "QSamples",

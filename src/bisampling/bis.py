@@ -25,17 +25,13 @@ from .errors import (
     _check_n_resample,
     _check_open_unit,
 )
-from .functionals import (
-    Functional,
-    _cut_mean,
-    _mean_rows,
-    cell_endpoints,
-    prepare_supports,
-)
+from .functionals import Functional, _cut_mean, _mean_rows, prepare_supports
 from .pbox import (
     BoundingInterval,
     IntervalEstimate,
-    WeightedStepCdf,
+    ProbabilityBox,
+    cell_box,
+    cell_endpoints,
     make_extended_order_stats,
 )
 
@@ -83,15 +79,6 @@ class QSamples:
             raise ValueError("q_min must not exceed q_max")
 
 
-@dataclass(frozen=True, eq=False)
-class ImpreciseRealization:
-    """One draw: shared cell weights and the step CDF pair they induce."""
-
-    weights: np.ndarray
-    lower: WeightedStepCdf
-    upper: WeightedStepCdf
-
-
 @dataclass(frozen=True)
 class BetaParams:
     """Parameters of a beta law; a or b may be zero (degenerate cases)."""
@@ -116,25 +103,12 @@ def _ceil(x: float) -> int:
     return int(math.ceil(x * (1.0 - 1e-12)))
 
 
-def sample_realization(
-    reduced_points, params, rng: np.random.Generator
-) -> ImpreciseRealization:
-    """Draw one imprecise realisation from merged points and cell parameters.
-
-    A single weight vector is shared by both bounds: the lower CDF puts the
-    weights on cell right endpoints, the upper CDF on cell left endpoints,
-    so the bounds touch at every distinct interior point.
+def sample_realization(reduced_points, params, rng: np.random.Generator) -> ProbabilityBox:
+    """Draw one imprecise realisation, a probability box, from merged points
+    and cell parameters: the ``cell_box`` of one Dirichlet weight vector,
+    which both bounds share.
     """
-    pts = np.asarray(reduced_points, dtype=float).reshape(-1)
-    pr = np.asarray(params, dtype=float).reshape(-1)
-    if pr.size + 1 != pts.size:
-        raise ValueError("need one more point than parameters")
-    if (pts[1:] < pts[:-1]).any():
-        raise ValueError("reduced_points must be sorted")
-    w = sample_dirichlet(pr, rng)
-    lower = WeightedStepCdf(pts[1:], w)
-    upper = WeightedStepCdf(pts[:-1], w)
-    return ImpreciseRealization(weights=w, lower=lower, upper=upper)
+    return cell_box(reduced_points, sample_dirichlet(params, rng))
 
 
 def bis_run(data, interval: BoundingInterval, cfg: BisConfig) -> QSamples:

@@ -71,7 +71,7 @@ def _parse_numbers(lines, comments: str | None) -> np.ndarray:
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        table = np.loadtxt(lines, comments=comments, ndmin=2, encoding="utf-8")
+        table = np.loadtxt(lines, comments=comments, ndmin=2, encoding="utf-8-sig")
     if table.shape[1] > 1:
         raise BisamplingError(f"expected one number per line, found {table.shape[1]}")
     return table[:, 0]
@@ -85,10 +85,11 @@ def read_observations(path: str, column: str | None = None) -> np.ndarray:
     with whitespace; ``#`` starts a comment, blank lines are skipped, and
     ``\n``, ``\r\n`` and ``\r`` end lines.  CSV mode looks the column up by
     header and skips empty cells; every other cell must hold one number in
-    the same syntax.  Anything else raises ValueError: BisamplingError, or
+    the same syntax.  A UTF-8 byte-order mark at the start of the file is
+    skipped.  Anything else raises ValueError: BisamplingError, or
     UnicodeDecodeError for a file that is not UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         if column is None:
             # loadtxt reads a path name in large chunks, twice as fast as an
             # open file, but would try compressed siblings and URLs of a

@@ -2,8 +2,8 @@
 
 All functionals implemented here are monotonic with respect to first-order
 stochastic dominance, so their extremes over a probability box are attained
-at the box's own bounds; ``cell_endpoints`` is the one place that pairs
-each extreme with its bound.  Functionals are total on finite-support
+at the box's own bounds; ``pbox.cell_endpoints`` is the one place that
+pairs each extreme with its bound.  Functionals are total on finite-support
 distributions and return signed infinities where a result is unbounded
 rather than raising; only a sum that weighs both -inf and +inf raises
 ``IndeterminateSumError``.
@@ -262,15 +262,3 @@ def q_truncated_mean(dist: WeightedStepCdf, p: float) -> float:
 def q_cvar(dist: WeightedStepCdf, p: float) -> float:
     """Mean of the upper (1-p) tail with the same atom-splitting rule."""
     return Functional("cvar", p).evaluate(dist)
-
-
-def cell_endpoints(reduced_points) -> np.ndarray:
-    """The cells between consecutive points as a ``(k, 2)`` view, no copy.
-
-    A monotonic functional is smallest on the upper bound CDF, whose
-    weights sit on cell left endpoints, and largest on the lower bound CDF,
-    whose weights sit on cell right endpoints: column 0, the left
-    endpoints, gives ``q_min`` and column 1, the right ones, ``q_max``.
-    """
-    pts = np.asarray(reduced_points, dtype=float).reshape(-1)
-    return np.lib.stride_tricks.sliding_window_view(pts, 2)

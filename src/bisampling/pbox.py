@@ -3,6 +3,9 @@
 Points live on the extended real line; plain floats are used throughout,
 with ``math.inf`` standing in for unbounded interval endpoints.  All types
 are immutable after construction and every operation is a pure function.
+Every box over the cells between sorted points, the expected box and each
+posterior draw, is made by ``cell_box``, and ``cell_endpoints`` is the one
+place that pairs each bound with a cell endpoint.
 """
 
 from __future__ import annotations
@@ -154,16 +157,18 @@ class WeightedStepCdf:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityBox:
-    """Pair of step CDFs with ``lower.cdf(x) <= upper.cdf(x)`` everywhere."""
+    """Pair of step CDFs with ``lower.cdf(x) <= upper.cdf(x)`` everywhere.
+
+    Checked at the lower bound's own atoms alone: between them the lower
+    CDF is flat while the upper one can only rise.
+    """
 
     lower: WeightedStepCdf
     upper: WeightedStepCdf
 
     def __post_init__(self):
-        grid = np.union1d(self.lower.supports, self.upper.supports)
-        lo = self.lower.cdf(grid)
-        hi = self.upper.cdf(grid)
-        if (lo > hi + _DOMINANCE_TOL).any():
+        hi = self.upper.cdf(self.lower.supports)
+        if (self.lower._cum > hi + _DOMINANCE_TOL).any():
             raise ValueError("lower CDF exceeds upper CDF; not a probability box")
 
 
@@ -203,17 +208,45 @@ def interval_probability(box: ProbabilityBox, a: float, b: float) -> tuple[float
     return lower_p, upper_p
 
 
+def cell_endpoints(points) -> np.ndarray:
+    """The cells between consecutive points as a ``(k, 2)`` view, no copy.
+
+    A monotonic functional is smallest on the upper bound CDF and largest
+    on the lower one.  Column 0, the left endpoints, carries the upper
+    bound's atoms and gives ``q_min``; column 1, the right endpoints,
+    carries the lower bound's atoms and gives ``q_max``.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    return np.lib.stride_tricks.sliding_window_view(pts, 2)
+
+
+def cell_box(points, weights) -> ProbabilityBox:
+    """The box that puts ``weights[i]`` on the cell between ``points[i]``
+    and ``points[i + 1]``: the lower bound at its right endpoint, the upper
+    bound at its left one, read from ``cell_endpoints``.  The bounds touch
+    at every distinct interior point.
+
+    Raises ValueError unless there is one more point than weights and the
+    points are sorted.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.size + 1 != pts.size:
+        raise ValueError("need one more point than weights")
+    if (pts[1:] < pts[:-1]).any():
+        raise ValueError("points must be sorted")
+    cells = cell_endpoints(pts)
+    return ProbabilityBox(lower=WeightedStepCdf(cells[:, 1], w),
+                          upper=WeightedStepCdf(cells[:, 0], w))
+
+
 def expected_pbox(data, interval: BoundingInterval) -> ProbabilityBox:
     """Expected probability box spanned by the extended order statistics.
 
-    Both bounds carry ``n + 1`` equal steps of height ``1/(n + 1)`` for n
-    observations: the lower bound steps at the upper cell endpoints, the
-    upper bound at the lower cell endpoints.  With no observations this is
-    the vacuous box (unit steps at the two interval endpoints).
+    The ``cell_box`` of the ``n + 1`` cells between them, each weighing
+    ``1/(n + 1)``.  With no observations this is the vacuous box (unit
+    steps at the two interval endpoints).
     """
     points = make_extended_order_stats(data, interval)
-    cells = points.size - 1
-    w = np.full(cells, 1.0 / cells)
-    lower = WeightedStepCdf(points[1:], w)
-    upper = WeightedStepCdf(points[:-1], w)
-    return ProbabilityBox(lower=lower, upper=upper)
+    k = points.size - 1
+    return cell_box(points, np.full(k, 1.0 / k))

@@ -1,6 +1,9 @@
-"""Shared test data and independent oracles."""
+"""Shared test data, independent oracles and the environment of a fresh
+interpreter."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,15 @@ SMALL_SAMPLE = (
 @pytest.fixture(scope="session")
 def small_sample():
     return np.array(SMALL_SAMPLE)
+
+
+def child_env(**extra):
+    """Environment for a fresh interpreter that imports this checkout's
+    library: this process's variables with ``extra`` set and this
+    checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 def oracle_split_mean(supports, weights, p, tail):

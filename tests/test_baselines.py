@@ -1,17 +1,15 @@
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import oracle_split_mean
+from conftest import child_env, oracle_split_mean
 
 from bisampling import baselines, bis
 from bisampling.baselines import (
@@ -128,14 +126,11 @@ class TestStudentT:
         # a fresh interpreter: importing the package and its command line
         # loads no scipy.stats, and the t interval still loads it and gives
         # the interval this process gives
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("import sys, bisampling, bisampling.cli\n"
                 "print('scipy.stats' in sys.modules)\n"
                 "est = bisampling.student_t_interval([1.0, 2.5, 3.0, 7.0], 0.9)\n"
                 "print('scipy.stats' in sys.modules, repr(est.lo), repr(est.hi))\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                              text=True, check=True, timeout=120).stdout.split("\n")
         est = student_t_interval([1.0, 2.5, 3.0, 7.0], 0.9)
         assert out[:2] == ["False", f"True {est.lo!r} {est.hi!r}"]

@@ -31,12 +31,8 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
-from bisampling.functionals import (
-    Functional,
-    cell_endpoints,
-    evaluate_rows,
-)
-from bisampling.pbox import BoundingInterval, make_extended_order_stats
+from bisampling.functionals import Functional, evaluate_rows
+from bisampling.pbox import BoundingInterval, cell_endpoints, make_extended_order_stats
 from bisampling.rng import stream, substream
 
 INF = float("inf")
@@ -60,8 +56,9 @@ class TestSampleRealization:
     def test_shared_weights_and_shapes(self, small_sample):
         reduced, params = merge_duplicates(small_sample, POSITIVE)
         real = sample_realization(reduced, params, stream(1))
-        assert real.weights.size == 16
-        assert abs(real.weights.sum() - 1.0) <= 1e-12
+        assert real.lower.weights.tobytes() == real.upper.weights.tobytes()
+        assert real.lower.weights.size == 16
+        assert abs(real.lower.weights.sum() - 1.0) <= 1e-12
         assert real.lower.supports[-1] == INF
         assert real.upper.supports[0] == 0.0
 
@@ -505,6 +502,48 @@ class TestExactSplitLaw:
         for got, ref in ((qs.q_min, want[:, 0]), (qs.q_max, want[:, 1])):
             assert not np.isnan(got).any()
             assert sps.ks_2samp(got, ref).pvalue > 2.0 * sps.norm.sf(self.Z)
+
+
+class TestExactQuantileCoverage:
+    """bis's quantile interval covers with probability at least c, exactly.
+
+    Its split cell follows the law ``exact_split_cdf`` gives, Binomial(n, p),
+    so the interval is [x_(i_lo), x_(i_hi + 1)] with i_lo and i_hi the first
+    ranks whose law reaches (1 - c)/2 and (1 + c)/2.  For the p-quantile of
+    a continuous law, [x_(s), x_(t)] covers it with probability
+    P(s <= B <= t - 1), B ~ Binomial(n, p).
+    """
+
+    GRID = [(n, p, c) for n in range(5, 201) for p in (0.1, 0.25, 0.5, 0.75, 0.9)
+            for c in (0.9, 0.95)]
+
+    @staticmethod
+    def ranks(law, c):
+        return np.searchsorted(law, [(1.0 - c) / 2.0, (1.0 + c) / 2.0], side="left")
+
+    @staticmethod
+    def coverage(n, p, s, t):
+        """P(s <= B <= t - 1) for B ~ Binomial(n, p)."""
+        return sps.binom.cdf(t - 1, n, p) - sps.binom.cdf(s - 1, n, p)
+
+    def test_bis_covers_at_least_c(self):
+        worst = min(
+            (self.coverage(n, p, i_lo, i_hi + 1) - c, n, p, c)
+            for n, p, c in self.GRID
+            for i_lo, i_hi in [self.ranks(exact_split_cdf(np.zeros(n + 2), p), c)]
+        )
+        assert len(self.GRID) == 1960 and worst[0] >= 0.0, worst
+
+    def test_the_bayesian_bootstrap_index_law_falls_short(self):
+        # the same check fails the Bayesian bootstrap: its index into the
+        # sorted data follows Binomial(n - 1, p), so its interval is
+        # [x_(j_lo + 1), x_(j_hi + 1)]
+        short = [
+            (n, p, c) for n, p, c in self.GRID
+            for j_lo, j_hi in [self.ranks(sps.binom.cdf(np.arange(n), n - 1, p), c)]
+            if self.coverage(n, p, j_lo + 1, j_hi + 1) < c
+        ]
+        assert len(short) == 1318
 
 
 class TestIntervalEstimate:

@@ -1,7 +1,6 @@
 import gzip
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SMALL_SAMPLE
+from conftest import SMALL_SAMPLE, child_env
 
 from bisampling import __version__, bis, cli
 from bisampling.baselines import preset
@@ -155,6 +154,37 @@ class TestInputSyntax:
         code, _, err = run(
             capsys, ["infer", str(path), "--param", "median", "--bounds", "0", "inf"] + extra
         )
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("body,column", [
+        (b"1.5\n2.5\n3.0\n", None),
+        (b"x,y\n1.5,2\n2.5,4\n3.0,8\n", "x"),
+    ], ids=["plain", "column"])
+    def test_a_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, body, column):
+        # Excel's "CSV UTF-8" export starts the file with one
+        bom, plain = tmp_path / "bom.txt", tmp_path / "plain.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + body)
+        plain.write_bytes(body)
+        got = read_observations(str(bom), column)
+        assert got.tobytes() == read_observations(str(plain), column).tobytes()
+        assert got.tolist() == [1.5, 2.5, 3.0]
+        argv = ["--param", "median", "--bounds", "0", "inf", "--seed", "1"]
+        if column is not None:
+            argv += ["--column", column]
+        outs = [run(capsys, ["infer", str(path)] + argv) for path in (bom, plain)]
+        assert [code for code, _, _ in outs] == [0, 0]
+        assert json.loads(outs[0][1])["interval"] == json.loads(outs[1][1])["interval"]
+
+    @pytest.mark.parametrize("raw,extra", [
+        (b"1.5\n\xef\xbb\xbf2.5\n", []),
+        (b"x\n1.5\n\xef\xbb\xbf2.5\n", ["--column", "x"]),
+        (b"\xef\xbb\xbf\xef\xbb\xbf1.5\n", []),
+    ], ids=["plain", "column", "twice"])
+    def test_a_byte_order_mark_elsewhere_exits_2(self, capsys, tmp_path, raw, extra):
+        path = tmp_path / "d.txt"
+        path.write_bytes(raw)
+        code, _, err = run(capsys, ["infer", str(path), "--param", "median",
+                                    "--bounds", "0", "inf"] + extra)
         assert code == 2 and err.startswith("error:")
 
     def test_whitespace_only_cell_is_no_number(self, tmp_path):
@@ -644,10 +674,7 @@ def test_unparsable_functional_exits_2_naming_it(capsys, sample_file):
 
 def run_module(module, argv, cwd):
     """``python -m module argv`` in ``cwd`` with this checkout's library."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=120)
 
 

@@ -1,12 +1,12 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 from scipy.special import betaincc
+
+from conftest import child_env
 
 from bisampling import dirichlet
 from bisampling.dirichlet import (
@@ -185,14 +185,12 @@ class TestUnitDraw:
     def test_a_log_kept_off_avx512_keeps_the_ziggurat(self):
         # a fresh interpreter whose NumPy may not dispatch to AVX-512 draws
         # the ziggurat's bytes
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("import numpy as np\n"
                 "from bisampling import dirichlet, rng\n"
                 "rows, = dirichlet.weight_chunks(np.ones(10), rng.stream(14), 100, 100)\n"
                 "zig = rng.stream(14).standard_exponential((100, 10))\n"
                 "print(dirichlet._log_kernel(), dirichlet.UNIT_DRAW, rows.tobytes() == zig.tobytes())\n")
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = child_env(NPY_DISABLE_CPU_FEATURES="X86_V4")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.split() == ["X86_V3", "ziggurat", "True"]

@@ -10,7 +10,6 @@ from bisampling.dirichlet import merge_duplicates, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
-    cell_endpoints,
     evaluate_rows,
     prepare_supports,
     q_cvar,
@@ -18,7 +17,12 @@ from bisampling.functionals import (
     q_quantile,
     q_truncated_mean,
 )
-from bisampling.pbox import BoundingInterval, WeightedStepCdf, make_extended_order_stats
+from bisampling.pbox import (
+    BoundingInterval,
+    WeightedStepCdf,
+    cell_endpoints,
+    make_extended_order_stats,
+)
 from bisampling.rng import stream
 
 INF = float("inf")

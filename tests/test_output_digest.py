@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
+
 from bisampling import dirichlet
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
@@ -149,7 +151,7 @@ def test_inputs_do_not_depend_on_the_dispatch():
     # same observations, so only the library's own outputs can move
     code = (f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "import test_output_digest as t\nprint(t.inputs_sha1(t.digest))\n")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    env = child_env(NPY_DISABLE_CPU_FEATURES="X86_V4")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == inputs_sha1(digest)

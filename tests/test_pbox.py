@@ -11,6 +11,7 @@ from bisampling.errors import (
 )
 from bisampling.functionals import q_quantile
 from bisampling.pbox import (
+    _DOMINANCE_TOL,
     BoundingInterval,
     IntervalEstimate,
     ProbabilityBox,
@@ -151,6 +152,41 @@ class TestProbabilityBox:
         # lo steps earlier than hi, so lo.cdf >= hi.cdf: invalid as a box
         with pytest.raises(ValueError):
             ProbabilityBox(lower=lo, upper=hi)
+
+    def test_checks_what_the_union_grid_checks(self):
+        # the check at the lower bound's atoms raises exactly when the lower
+        # CDF exceeds the upper one somewhere on the union of both supports
+        rng = np.random.default_rng(28)
+        pool = np.array([-INF, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, INF])
+
+        def step_cdf():
+            n = int(rng.integers(1, 6))
+            return rng.choice(pool, size=n), rng.dirichlet(np.ones(n))
+
+        decisions = []
+        for i in range(2000):
+            s, w = step_cdf()
+            if i % 3 == 0:
+                # near-equal: move a mass about the tolerance between two atoms
+                t = w.copy()
+                a, b = rng.integers(0, w.size, size=2)
+                delta = min(t[a], rng.uniform(0.0, 3.0 * _DOMINANCE_TOL))
+                t[a] -= delta
+                t[b] += delta
+                lower, upper = WeightedStepCdf(s, w), WeightedStepCdf(s, t)
+            else:
+                lower, upper = WeightedStepCdf(s, w), WeightedStepCdf(*step_cdf())
+            grid = np.union1d(lower.supports, upper.supports)
+            want = bool((lower.cdf(grid) > upper.cdf(grid) + _DOMINANCE_TOL).any())
+            try:
+                ProbabilityBox(lower=lower, upper=upper)
+                got = False
+            except ValueError:
+                got = True
+            assert got == want, (lower.supports, lower.weights, upper.supports, upper.weights)
+            decisions.append((i % 3 == 0, got))
+        # both decisions are taken, among the near-equal pairs too
+        assert {(near, got) for near in (False, True) for got in (False, True)} == set(decisions)
 
     def test_dominance_on_dense_grid(self, small_sample):
         box = expected_pbox(small_sample, BoundingInterval(0.0, INF))

@@ -11,7 +11,6 @@ nondecreasing functions of those Beta variables.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats as sps
+
+from conftest import child_env
 
 from bisampling import dirichlet
 from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
@@ -111,11 +112,9 @@ class TestSignedZeros:
     def test_outputs_do_not_depend_on_the_dispatch(self):
         # a fresh interpreter whose NumPy may not dispatch to AVX-512 sorts
         # with another kernel, which orders tied -0.0 and 0.0 its own way
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = (f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
                 "import json, test_ties\nprint(json.dumps(test_ties.signed_zero_digests()))\n")
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4", "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = child_env(NPY_DISABLE_CPU_FEATURES="X86_V4")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert json.loads(out) == signed_zero_digests()

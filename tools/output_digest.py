@@ -117,7 +117,8 @@ def infinite_ends(x: np.ndarray, sign: int) -> np.ndarray:
 
 def outputs(bis):
     """Yield ``(family, case, array)`` over the grid, in a fixed order."""
-    from bisampling.functionals import cell_endpoints, evaluate_rows
+    from bisampling.functionals import evaluate_rows
+    from bisampling.pbox import cell_endpoints
 
     fs = [(name, bis.Functional.parse(name)) for name in FUNCTIONALS]
     for size in SIZES:
