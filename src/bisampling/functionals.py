@@ -223,11 +223,13 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     matrix, k being the number of weight rows, zero included.  A row need
     not sum to 1: every functional is taken of the row divided by its
     total.  A negative, infinite or NaN weight, or a row with no positive
-    total, raises ValueError.  This serves given rows (count rows, one
-    step CDF): it searches each row for its split and takes a truncated
-    mean or CVaR as the mean of the row cut there (``_cut_mean``).  The
-    engine's Dirichlet draw, which draws its splits first, calls
-    ``_mean_rows`` and ``_cut_mean`` directly.
+    total, raises ValueError.  This serves given rows (one step CDF
+    through ``Functional.evaluate``): it searches each row for its split
+    and takes a truncated mean or CVaR as the mean of the row cut there
+    (``_cut_mean``).  The engine's Dirichlet draw, which draws its splits
+    first, calls ``_mean_rows`` and ``_cut_mean`` directly, and the
+    percentile bootstrap reads its resamples from their drawn positions
+    (``baselines._resample_values``) without weight rows.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))

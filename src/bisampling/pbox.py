@@ -67,13 +67,18 @@ def make_extended_order_stats(data, interval: BoundingInterval) -> np.ndarray:
     allowed and yields the two endpoints alone.
     """
     arr = np.asarray(data, dtype=float).reshape(-1)
-    if arr.size and not np.isfinite(arr).all():
+    points = np.empty(arr.size + 2)
+    points[0], points[-1] = interval.lo, interval.hi
+    inner = points[1:-1]
+    inner[:] = arr
+    inner.sort()
+    # the sorted ends are checked alone: NaN sorts last and -inf first
+    if arr.size and not (math.isfinite(inner[0]) and math.isfinite(inner[-1])):
         raise NonFiniteError("observations must be finite")
-    if arr.size and ((arr < interval.lo) | (arr > interval.hi)).any():
+    if arr.size and (inner[0] < interval.lo or inner[-1] > interval.hi):
         raise OutOfBoundsError(
             f"observations must lie within [{interval.lo}, {interval.hi}]"
         )
-    points = np.concatenate(([interval.lo], np.sort(arr), [interval.hi]))
     points += 0.0  # -0.0 reads as 0.0, so tied zeros are equal bits in any sort
     points.setflags(write=False)
     return points
@@ -103,12 +108,10 @@ class WeightedStepCdf:
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         s += 0.0  # -0.0 reads as 0.0, so tied zeros merge to equal bits
-        if s.size > 1:
+        if not (s[1:] > s[:-1]).all():
             # sorts and merges tied supports in one pass; safe for repeated infs
-            uniq, inverse = np.unique(s, return_inverse=True)
-            if uniq.size != s.size or (uniq != s).any():
-                w = np.bincount(inverse.reshape(-1), weights=w)
-                s = uniq
+            s, inverse = np.unique(s, return_inverse=True)
+            w = np.bincount(inverse.reshape(-1), weights=w)
         keep = w > 0
         if not keep.all():
             s, w = s[keep], w[keep]

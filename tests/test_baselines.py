@@ -213,6 +213,42 @@ class TestBootstrap:
         with pytest.raises(IndeterminateSumError):
             bootstrap_interval([-inf, 1.0, inf], MEAN, 0.9, 200, stream(1))
 
+    @pytest.mark.parametrize("data, names", [
+        (stream(9).lognormal(size=40).tolist(), ("mean", "median", "trunc-mean:0.3", "cvar:0.9")),
+        (np.floor(stream(9).uniform(1.0, 6.0, size=30)).tolist(),  # tied
+         ("mean", "quantile:0.7", "trunc-mean:0.5", "cvar:0.5")),
+        ([-math.inf, -math.inf, 1.0, 2.0, 2.0, 5.0], ("mean", "trunc-mean:0.9", "cvar:0.5")),
+        ([1.0, 3.0, 3.0, 4.0, math.inf, math.inf], ("quantile:0.9", "trunc-mean:0.5", "cvar:0.1")),
+        # (1 - p) n and p n are integral: a zero share of the split atom
+        # weighs nothing, even where that atom is infinite
+        ([-math.inf, 1.0, 2.0], ("cvar:0.3333333333333333",)),
+        ([1.0, 2.0, math.inf], ("trunc-mean:0.6666666666666666",)),
+        ([-math.inf, 1.0, 2.0, 4.0], ("cvar:0.5",)),
+        ([1.0, 2.0, 4.0, math.inf], ("trunc-mean:0.5",)),
+        # some resamples weigh both infinities
+        ([-math.inf, 1.0, math.inf], ("mean", "trunc-mean:0.9", "cvar:0.1")),
+    ])
+    def test_endpoints_match_count_rows_of_the_same_draws(self, data, names):
+        # oracle: count the same positions into rows over the sorted data and
+        # evaluate them with evaluate_rows, at levels reading the middle ranks
+        n, n_resample = len(data), 301
+        draws = stream(10).integers(0, n, size=(n_resample, n))
+        counts = np.stack([np.bincount(row, minlength=n) for row in draws])
+        for f in map(Functional.parse, names):
+            try:
+                q = evaluate_rows(f, np.sort(data), counts)
+            except IndeterminateSumError:
+                with pytest.raises(IndeterminateSumError):
+                    bootstrap_interval(data, f, 0.9, n_resample, stream(10))
+                continue
+            assert not np.isnan(q).any()
+            for credibility in (0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
+                want = interval_estimate(QSamples(q, q), credibility)
+                got = bootstrap_interval(data, f, credibility, n_resample, stream(10))
+                if f.kind == "quantile":
+                    assert (got.lo, got.hi) == (want.lo, want.hi), (f, credibility)
+                else:
+                    assert (got.lo, got.hi) == pytest.approx((want.lo, want.hi), rel=1e-12)
 
     @pytest.mark.parametrize("n", [7, 50, 1000])
     def test_chunked_draws_equal_one_shot_draw(self, n):
@@ -234,7 +270,7 @@ class TestBootstrap:
             stream(9).lognormal(size=50).tolist(),
         ]
         for data in datasets:
-            row_bytes = 24 * len(data)  # three (rows, n) arrays of 8 bytes
+            row_bytes = 16 * len(data)  # two (rows, n) arrays of 8 bytes
             for f in functionals:
                 runs = []
                 # one-row chunks, 3-row chunks (3 does not divide 101), the default
@@ -243,11 +279,8 @@ class TestBootstrap:
                     est = bootstrap_interval(data, f, 0.9, 101, stream(10))
                     runs.append((est.lo, est.hi))
                 monkeypatch.undo()
-                if f.kind == "quantile":
-                    assert runs[0] == runs[1] == runs[2], (data, f)
-                else:
-                    # a matrix product may round differently for other row counts
-                    np.testing.assert_allclose(runs[:2], [runs[2]] * 2, rtol=1e-13)
+                # each row is summed on its own, so every functional keeps its bytes
+                assert runs[0] == runs[1] == runs[2], (data, f)
 
 
 class TestBayesianBootstrap:

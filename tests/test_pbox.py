@@ -68,6 +68,21 @@ class TestExtendedOrderStatistics:
         with pytest.raises(NonFiniteError):
             make_extended_order_stats([0.5, float("nan")], BoundingInterval(0.0, 3.0))
 
+    @pytest.mark.parametrize("data", [
+        [0.5, float("nan"), 4.0, -INF, INF, -1.0],
+        [4.0, float("nan"), -1.0],
+        [-1.0, INF, 0.5],
+        [-INF, 4.0],
+        [INF],
+    ])
+    def test_non_finite_precedes_out_of_bounds(self, data):
+        # only the sorted ends are read; whichever of them is out, a
+        # non-finite observation anywhere is the error reported
+        with pytest.raises(NonFiniteError):
+            make_extended_order_stats(data, BoundingInterval(0.0, 3.0))
+        with pytest.raises(NonFiniteError):
+            make_extended_order_stats(data, BoundingInterval(-INF, INF))
+
 
 class TestWeightedStepCdf:
     def test_cdf_partial_sum(self):
@@ -115,6 +130,26 @@ class TestWeightedStepCdf:
         d = WeightedStepCdf([INF, INF, 1.0], [0.25, 0.25, 0.5])
         assert d.supports.tolist() == [1.0, INF]
         assert d.weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("supports", [
+        [-2.0, 0.0, 1.5, 7.0, 9.0],  # strictly increasing
+        [-2.0, 0.0, 0.0, 7.0, 7.0],  # sorted, with ties
+        [7.0, -2.0, 9.0, 0.0, 1.5],  # unsorted
+        [INF, -0.0, 1.5, 0.0, -INF],  # infinite and signed-zero atoms
+        [-INF, -INF, 1.0, INF, INF],  # repeated infinite atoms
+    ])
+    def test_canonical_arrays_do_not_depend_on_the_fast_path(self, supports):
+        # a strictly increasing support skips the merge; every support gives
+        # the bytes of merging it through np.unique
+        w = np.array([0.25, 0.0, 0.125, 0.5, 0.125])
+        s = np.array(supports) + 0.0
+        uniq, inverse = np.unique(s, return_inverse=True)
+        merged = np.bincount(inverse, weights=w)
+        keep = merged > 0
+        d = WeightedStepCdf(supports, w)
+        assert d.supports.tobytes() == uniq[keep].tobytes()
+        assert d.weights.tobytes() == merged[keep].tobytes()
+        assert d._cum.tobytes() == np.cumsum(merged[keep]).tobytes()
 
     def test_mass_must_be_one(self):
         with pytest.raises(ValueError):

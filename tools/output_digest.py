@@ -10,7 +10,7 @@ Families:
   same functionals on the same data, n <= 1000, N = 2000, credibility 0.9;
   then on the same data with its three largest values set to +inf, and with
   its three smallest set to -inf (cases ending ``+inf`` and ``-inf``), so
-  that count rows of the percentile bootstrap skip some infinite atoms.
+  that resamples of the percentile bootstrap skip some infinite atoms.
 - ``evaluate_rows``: every functional on 200 fixed Dirichlet rows over the
   cell endpoints of the same data and intervals, n <= 1000.
 - ``cli``: the bytes that fixed ``bis`` command lines write to stdout and to
@@ -34,8 +34,10 @@ without counting.  It exits 1 when any case moved and 0 when none did, so
 it can gate a change that claims to keep its bytes.
 
 The bytes also depend on the host: the BLAS build rounds the products of
-the mean and the split means, and the kernel NumPy dispatches float64
-``log`` to decides how unit Dirichlet weights are drawn (by inversion on
+the mean and the split means of ``bis_run``, the Bayesian bootstrap and
+``evaluate_rows`` (the percentile bootstrap sums each resample's drawn
+values row by row and takes no product), and the kernel NumPy dispatches
+float64 ``log`` to decides how unit Dirichlet weights are drawn (by inversion on
 an AVX-512 kernel, by the ziggurat elsewhere) and, with inversion, their
 last bits.  Medians, quantiles, the percentile bootstrap and the given
 rows of ``evaluate_rows`` keep their bytes across the dispatch (the
