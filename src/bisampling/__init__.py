@@ -35,13 +35,7 @@ from .dirichlet import (
     sample_unit_dp_grid,
     sample_unit_dp_stick,
 )
-from .functionals import (
-    Functional,
-    q_cvar,
-    q_mean,
-    q_quantile,
-    q_truncated_mean,
-)
+from .functionals import Functional
 from .pbox import (
     BoundingInterval,
     IntervalEstimate,
@@ -77,10 +71,6 @@ __all__ = [
     "merge_duplicates",
     "point_condition_betas",
     "probabilistic_projection_params",
-    "q_cvar",
-    "q_mean",
-    "q_quantile",
-    "q_truncated_mean",
     "sample_dirichlet",
     "sample_realization",
     "sample_split_index",

@@ -2,8 +2,10 @@
 
 A percentile bootstrap resample is a row of n positions drawn in the sorted
 data, a chunk of rows at a time, and each functional is read from the drawn
-values of its row.  The Bayesian bootstrap is the engine's own Dirichlet draw
-with unit parameters (``bis._dirichlet_resample``).
+values of its row by ``functionals._resample_values``.  The Bayesian
+bootstrap is the engine's own Dirichlet draw with unit parameters
+(``bis._dirichlet_resample``).  Both only draw: ``functionals`` reads every
+functional.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from .bis import (
     interval_estimate,
 )
 from .errors import (
-    IndeterminateSumError,
     NonFiniteError,
     TooFewSamplesError,
     _check_n_resample,
     _check_open_unit,
 )
-from .functionals import Functional
+from .functionals import Functional, _resample_values, prepare_supports
 from .pbox import BoundingInterval, IntervalEstimate
 
 # mean of the unit lognormal truncated to [0, 50]; equals
@@ -135,74 +136,22 @@ def bootstrap_interval(
 
     A resample is exchangeable, so positions are drawn in the sorted data
     directly, in chunks filled in order from ``rng``: the draws equal one
-    ``(n_resample, n)`` draw.  Each functional is read from a chunk's
-    positions by ``_resample_values``.
+    ``(n_resample, n)`` draw.  The sorted data are prepared once, and each
+    functional is read from a chunk's positions by
+    ``functionals._resample_values``.
     """
     arr = _observations(data, 1)
     _check_n_resample(n_resample, least=0)
     _check_open_unit(credibility, "credibility")
-    x = np.sort(arr)
-    n = x.size
+    sup = prepare_supports(np.sort(arr))
+    n = arr.size
     # a chunk's positions and their drawn values are two (rows, n) arrays of 8 bytes
     chunk_rows = _chunk_rows(16 * n)
     q = np.empty(n_resample)
     for start in range(0, n_resample, chunk_rows):
         rows = min(chunk_rows, n_resample - start)
-        q[start : start + rows] = _resample_values(f, x, rng.integers(0, n, size=(rows, n)))
+        q[start : start + rows] = _resample_values(f, sup, rng.integers(0, n, size=(rows, n)))
     return interval_estimate(QSamples(q, q), credibility)
-
-
-def _resample_values(f: Functional, x: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``f`` of each resample, a row of ``pos`` (positions in the sorted data
-    ``x``), by the rules of weight rows on ``x``; ``pos`` is partitioned in
-    place.
-
-    A row splits at its r-th smallest position c, r being the first count
-    that reaches p n (``cum >= p * total``): one partition finds c for every
-    row, and a quantile is x_c.  A truncated mean (CVaR) weighs the r - 1
-    smallest (n - r largest) drawn values by one and x_c by the rest of the
-    side's mass p n ((1 - p) n); a mean weighs every drawn value by one.
-    Each row is summed on its own with infinities zeroed, so a value does
-    not depend on the rows beside it.  A row whose weighed positions reach
-    the -inf (+inf) values of ``x`` is -inf (+inf), one reaching both raises
-    ``IndeterminateSumError``, and a zero share weighs nothing.  A ratio of
-    rounded sums can land an ulp outside its side, so each value is clipped
-    to [x_0, x_c], [x_c, x_last] or, for the mean, [x_0, x_last].
-    """
-    n = x.size
-    c, share = None, 0.0
-    if f.kind == "mean":
-        side, low, high = pos, x[0], x[-1]
-    else:
-        r = math.ceil(f.p * n)
-        pos.partition(r - 1, axis=1)
-        c = pos[:, r - 1]
-        if f.kind == "quantile":
-            return x[c]
-        if f.kind == "cvar":
-            side, share, low, high = pos[:, r:], (1.0 - f.p) * n - (n - r), x[c], x[-1]
-        else:
-            side, share, low, high = pos[:, : r - 1], f.p * n - (r - 1), x[0], x[c]
-        share = max(share, 0.0)
-    # sorted data holds its infinities at its ends, -inf in x[:neg_end] and
-    # +inf in x[pos_start:]; they are summed as zeros
-    bounded = math.isfinite(x[0]) and math.isfinite(x[-1])
-    finite = x if bounded else np.where(np.isinf(x), 0.0, x)
-    sums = finite[side].sum(axis=1)
-    if share:
-        sums += share * finite[c]
-    out = sums / (side.shape[1] + share)
-    if not bounded:
-        neg_end = np.searchsorted(x, -np.inf, "right")
-        pos_start = np.searchsorted(x, np.inf, "left")
-        first, last = side.min(axis=1, initial=n), side.max(axis=1, initial=-1)
-        if share:
-            first, last = np.minimum(first, c), np.maximum(last, c)
-        to_neg, to_pos = first < neg_end, last >= pos_start
-        if np.any(to_neg & to_pos):
-            raise IndeterminateSumError("positive weight at both -inf and +inf")
-        out[to_neg], out[to_pos] = -np.inf, np.inf
-    return np.clip(out, low, high, out=out)
 
 
 def bayesian_bootstrap_interval(

@@ -35,9 +35,6 @@ from .pbox import (
     make_extended_order_stats,
 )
 
-# pseudo-observation weight carried by the bounding interval itself
-PRIOR_WEIGHT = 1.0
-
 # bytes of weights per chunk of realisations, so that a chunk and its
 # temporaries stay in a 2 MiB L2 cache.  Each chunk holds at least one
 # row, so the working set is O(n), whatever the number of resamples.  The
@@ -235,15 +232,17 @@ def probabilistic_projection_params(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and Dirichlet parameters of the precise (imprecision-free) law.
 
-    Each interval endpoint carries half the prior weight next to the unit
-    weights of the observations; sampling Dir[params] over these atoms
-    yields a precise random CDF whose value at an off-data point x follows
-    Beta(n_below + 1/2, n_above + 1/2), the Jeffreys-prior posterior.
+    Each interval endpoint carries half of the interval's unit
+    pseudo-observation next to the unit weights of the observations;
+    sampling Dir[params] over these atoms yields a precise random CDF whose
+    value at an off-data point x follows Beta(n_below + 1/2, n_above + 1/2),
+    the Jeffreys-prior posterior.
     """
     points, counts = np.unique(make_extended_order_stats(data, interval), return_counts=True)
     params = counts.astype(float)
-    # each endpoint's run holds half the prior weight in place of a unit one
-    params[[0, -1]] -= 1.0 - PRIOR_WEIGHT / 2.0
+    # each endpoint's run holds half of the interval's unit pseudo-observation
+    # (Jeffreys) in place of a unit weight
+    params[[0, -1]] -= 0.5
     points.setflags(write=False)
     params.setflags(write=False)
     return points, params

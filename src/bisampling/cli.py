@@ -33,7 +33,7 @@ from .bis import (
     sample_realization,
 )
 from .dirichlet import merge_duplicates, sample_unit_dp_grid, sample_unit_dp_stick
-from .errors import BisamplingError, IndeterminateSumError
+from .errors import BisamplingError
 from .functionals import Functional
 from .pbox import BoundingInterval, expected_pbox
 
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         # MemoryError is a request too large to allocate, such as
         # --resamples 10**15
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (ArithmeticError, IndeterminateSumError)) else 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 def entrypoint():

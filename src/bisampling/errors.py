@@ -23,8 +23,8 @@ class BadIntervalError(BisamplingError):
     """Interval endpoints are not properly ordered."""
 
 
-class IndeterminateSumError(BisamplingError):
-    """A weighted sum mixes positive mass at both -inf and +inf."""
+class IndeterminateSumError(BisamplingError, ArithmeticError):
+    """A weighted sum mixes positive mass at both -inf and +inf, an arithmetic failure."""
 
 
 class AtObservationError(BisamplingError):

@@ -6,11 +6,17 @@ at the box's own bounds; ``pbox.cell_endpoints`` is the one place that
 pairs each extreme with its bound.  Functionals are total on finite-support
 distributions and return signed infinities where a result is unbounded
 rather than raising; only a sum that weighs both -inf and +inf raises
-``IndeterminateSumError``.
+``IndeterminateSumError``, in ``_place_infinities``.
+
+Every kernel that reads a functional is here, so every method reads it by
+the same rules: ``evaluate_rows`` for given weight rows, ``_mean_rows`` and
+``_cut_mean`` for the Dirichlet rows of ``bis`` and the Bayesian bootstrap,
+and ``_resample_values`` for the positions the percentile bootstrap draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,13 @@ _KINDS = ("mean", "quantile", "trunc_mean", "cvar")
 class Functional:
     """A population parameter: mean, quantile(p), trunc_mean(p) or cvar(p).
 
-    The median is quantile(0.5).  ``p`` must lie strictly inside (0, 1)
-    for the parametrised kinds and must be None for the mean.
+    The median is quantile(0.5), the p-quantile (value at risk) under the
+    generalized-inverse convention.  The truncated mean is the mean of the
+    lowest p of the mass and CVaR that of the upper 1 - p, the atom at the
+    p-quantile being split so that only the mass needed to reach exactly p
+    counts on either side; so ``mean = p * trunc_mean + (1 - p) * cvar``
+    holds exactly.  ``p`` must lie strictly inside (0, 1) for the
+    parametrised kinds and must be None for the mean.
     """
 
     kind: str
@@ -146,10 +157,17 @@ def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
         if col[0] == -np.inf or col[-1] == np.inf:
             neg = w[:, : np.searchsorted(col, -np.inf, "right")].any(axis=1)
             pos = w[:, np.searchsorted(col, np.inf, "left") :].any(axis=1)
-            if np.any(neg & pos):
-                raise IndeterminateSumError("positive weight at both -inf and +inf")
-            out[neg, j], out[pos, j] = -np.inf, np.inf
+            _place_infinities(out[:, j], neg, pos)
     return np.clip(out, s[:1] if low is None else low, s[-1:] if high is None else high, out=out)
+
+
+def _place_infinities(out: np.ndarray, neg: np.ndarray, pos: np.ndarray) -> None:
+    """Set ``out`` to -inf where a row weighs -inf atoms (``neg``) and to
+    +inf where it weighs +inf atoms (``pos``); a row weighing both has no
+    mean and raises ``IndeterminateSumError``."""
+    if np.any(neg & pos):
+        raise IndeterminateSumError("positive weight at both -inf and +inf")
+    out[neg], out[pos] = -np.inf, np.inf
 
 
 def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
@@ -179,6 +197,49 @@ def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
     s = sup.values
     low, high = (s[c], s[-1]) if tail else (s[0], s[c])
     return _mean_rows(sup.atoms(start, stop), w[:, start:stop], low, high)
+
+
+def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarray:
+    """``f`` of each resample, a row of ``pos`` (positions in the sorted
+    data, the one column of ``sup``), by the rules of weight rows on that
+    column; ``pos`` is partitioned in place.
+
+    A row of n positions splits at its r-th smallest position c, r being
+    the first count that reaches p n (``cum >= p * total``), found for every
+    row by one partition; a quantile is x_c.  A truncated mean (CVaR) weighs
+    the r - 1 smallest (n - r largest) drawn values by one and x_c by the
+    rest of the side's mass, p n ((1 - p) n); a mean weighs every drawn
+    value by one.  Each row is summed on its own, from ``terms``, so a value
+    does not depend on the rows beside it.  A zero share weighs nothing;
+    infinite atoms and the clip to the side follow ``_mean_rows``.
+    """
+    x, finite, n = sup.values[:, 0], sup.terms[:, 0], pos.shape[1]
+    c, share = None, 0.0
+    if f.kind == "mean":
+        side, low, high = pos, x[0], x[-1]
+    else:
+        r = math.ceil(f.p * n)
+        pos.partition(r - 1, axis=1)
+        c = pos[:, r - 1]
+        if f.kind == "quantile":
+            return x[c]
+        if f.kind == "cvar":
+            side, share, low, high = pos[:, r:], (1.0 - f.p) * n - (n - r), x[c], x[-1]
+        else:
+            side, share, low, high = pos[:, : r - 1], f.p * n - (r - 1), x[0], x[c]
+        share = max(share, 0.0)
+    sums = finite[side].sum(axis=1)
+    if share:
+        sums += share * finite[c]
+    out = sums / (side.shape[1] + share)
+    if x[0] == -np.inf or x[-1] == np.inf:
+        # the initial values lie past the data's ends, so an empty side reaches no atom
+        first, last = side.min(axis=1, initial=x.size), side.max(axis=1, initial=-1)
+        if share:
+            first, last = np.minimum(first, c), np.maximum(last, c)
+        _place_infinities(out, first < np.searchsorted(x, -np.inf, "right"),
+                          last >= np.searchsorted(x, np.inf, "left"))
+    return np.clip(out, low, high, out=out)
 
 
 def _split_rows(sup: Supports, w: np.ndarray, f: Functional) -> np.ndarray:
@@ -229,7 +290,7 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
     (``_cut_mean``).  The engine's Dirichlet draw, which draws its splits
     first, calls ``_mean_rows`` and ``_cut_mean`` directly, and the
     percentile bootstrap reads its resamples from their drawn positions
-    (``baselines._resample_values``) without weight rows.
+    (``_resample_values``) without weight rows.
     """
     sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
     w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
@@ -239,28 +300,3 @@ def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
         raise ValueError(_BAD_ROWS)
     out = _mean_rows(sup, w) if f.kind == "mean" else _split_rows(sup, w, f)
     return out[:, 0] if sup.vector else out
-
-
-def q_mean(dist: WeightedStepCdf) -> float:
-    """Mean of a step distribution; +/-inf when an extreme atom has mass."""
-    return Functional("mean").evaluate(dist)
-
-
-def q_quantile(dist: WeightedStepCdf, p: float) -> float:
-    """p-quantile (value at risk) under the generalized-inverse convention."""
-    return Functional("quantile", p).evaluate(dist)
-
-
-def q_truncated_mean(dist: WeightedStepCdf, p: float) -> float:
-    """Mean of the lowest-p conditional part of the distribution.
-
-    The atom at the p-quantile is split: only the mass needed to reach
-    exactly p contributes.  This makes the decomposition
-    ``mean = p * trunc_mean + (1 - p) * cvar`` exact.
-    """
-    return Functional("trunc_mean", p).evaluate(dist)
-
-
-def q_cvar(dist: WeightedStepCdf, p: float) -> float:
-    """Mean of the upper (1-p) tail with the same atom-splitting rule."""
-    return Functional("cvar", p).evaluate(dist)

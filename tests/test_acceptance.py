@@ -18,13 +18,7 @@ from conftest import SMALL_SAMPLE, oracle_split_mean, random_fraction_instance
 from bisampling.baselines import coverage_experiment, preset
 from bisampling.bis import BisConfig, bis_run, interval_estimate, sample_realization
 from bisampling.dirichlet import merge_duplicates, sample_dirichlet
-from bisampling.functionals import (
-    Functional,
-    evaluate_rows,
-    q_cvar,
-    q_mean,
-    q_truncated_mean,
-)
+from bisampling.functionals import Functional, evaluate_rows
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
 from bisampling.rng import derive_seed, stream, substream
 
@@ -139,7 +133,7 @@ def test_criterion_6_property_suite():
     assert np.abs(draws.sum(axis=1) - 1.0).max() <= 1e-12
     assert sps.kstest(draws[:, 0], "beta", args=(1, 15)).pvalue > 0.01
 
-    # duplicate merging leaves the resampled law unchanged (KS on q_mean)
+    # duplicate merging leaves the resampled law unchanged (KS on the mean)
     data = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
     interval = BoundingInterval(0.0, 10.0)
     points = make_extended_order_stats(data, interval)
@@ -185,8 +179,8 @@ def test_criterion_6_property_suite():
 
         d = WeightedStepCdf(s, w)
         p = float(rng.uniform(0.05, 0.95))
-        lhs = p * q_truncated_mean(d, p) + (1 - p) * q_cvar(d, p)
-        assert abs(lhs - q_mean(d)) <= 1e-10
+        tm, cv = Functional("trunc_mean", p).evaluate(d), Functional("cvar", p).evaluate(d)
+        assert abs(p * tm + (1 - p) * cv - Functional("mean").evaluate(d)) <= 1e-10
 
     # interval nesting in credibility
     qs = bis_run(SMALL_SAMPLE, POSITIVE,
@@ -216,8 +210,8 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(10_000):
         supports, weights, p = random_fraction_instance(rng)
         d = WeightedStepCdf([float(s) for s in supports], [float(w) for w in weights])
-        tm = q_truncated_mean(d, float(p))
-        cv = q_cvar(d, float(p))
+        tm = Functional("trunc_mean", float(p)).evaluate(d)
+        cv = Functional("cvar", float(p)).evaluate(d)
         want_tm = float(oracle_split_mean(supports, weights, p, tail=False))
         want_cv = float(oracle_split_mean(supports, weights, p, tail=True))
         assert abs(tm - want_tm) <= 1e-12

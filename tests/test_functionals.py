@@ -10,12 +10,9 @@ from bisampling.dirichlet import merge_duplicates, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
+    _resample_values,
     evaluate_rows,
     prepare_supports,
-    q_cvar,
-    q_mean,
-    q_quantile,
-    q_truncated_mean,
 )
 from bisampling.pbox import (
     BoundingInterval,
@@ -65,18 +62,18 @@ class TestFunctionalParsing:
 
 class TestMean:
     def test_hand_value(self):
-        assert q_mean(step([1, 2, 3], [0.5, 0.3, 0.2])) == pytest.approx(1.7)
+        assert Functional("mean").evaluate(step([1, 2, 3], [0.5, 0.3, 0.2])) == pytest.approx(1.7)
 
     def test_single_atom(self):
-        assert q_mean(step([5.0], [1.0])) == 5.0
+        assert Functional("mean").evaluate(step([5.0], [1.0])) == 5.0
 
     def test_mass_at_infinity(self):
-        assert q_mean(step([1.0, INF], [0.9, 0.1])) == INF
-        assert q_mean(step([-INF, 1.0], [0.1, 0.9])) == -INF
+        assert Functional("mean").evaluate(step([1.0, INF], [0.9, 0.1])) == INF
+        assert Functional("mean").evaluate(step([-INF, 1.0], [0.1, 0.9])) == -INF
 
     def test_both_infinities_is_indeterminate(self):
         with pytest.raises(IndeterminateSumError):
-            q_mean(step([-INF, 0.0, INF], [0.1, 0.8, 0.1]))
+            Functional("mean").evaluate(step([-INF, 0.0, INF], [0.1, 0.8, 0.1]))
 
     def test_one_repeated_atom_is_its_own_mean(self):
         # a ratio of rounded sums of 0.1s lands an ulp off 0.1, unclipped
@@ -89,18 +86,18 @@ class TestMean:
             n = int(rng.integers(1, 7))
             s = np.sort(rng.normal(size=n) * 5)
             d = step(s, rng.dirichlet(np.ones(n)))
-            m = q_mean(d)
+            m = Functional("mean").evaluate(d)
             assert s[0] - 1e-12 <= m <= s[-1] + 1e-12
 
 
 class TestQuantile:
     def test_hand_values(self):
         d = step([1, 2, 3], [0.5, 0.3, 0.2])
-        assert q_quantile(d, 0.6) == 2.0
+        assert Functional("quantile", 0.6).evaluate(d) == 2.0
 
     def test_inf_convention_at_half(self):
         d = step([0.0, 1.0], [0.5, 0.5])
-        assert q_quantile(d, 0.5) == 0.0
+        assert Functional("quantile", 0.5).evaluate(d) == 0.0
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(32)
@@ -108,13 +105,13 @@ class TestQuantile:
             n = int(rng.integers(1, 7))
             d = step(np.sort(rng.normal(size=n)), rng.dirichlet(np.ones(n)))
             ps = np.sort(rng.uniform(0.01, 0.99, size=6))
-            qs = [q_quantile(d, p) for p in ps]
+            qs = [Functional("quantile", p).evaluate(d) for p in ps]
             assert all(a <= b for a, b in zip(qs, qs[1:]))
 
     def test_domain(self):
         d = step([1.0], [1.0])
         with pytest.raises(InvalidProbabilityError):
-            q_quantile(d, 1.0)
+            Functional("quantile", 1.0).evaluate(d)
         with pytest.raises(InvalidProbabilityError):
             Functional("quantile", "0.5")
 
@@ -122,13 +119,14 @@ class TestQuantile:
 class TestTruncatedMeanAndCvar:
     def test_hand_split(self):
         d = step([1, 2, 3], [0.5, 0.3, 0.2])
-        assert q_truncated_mean(d, 0.8) == pytest.approx((0.5 * 1 + 0.3 * 2) / 0.8)
-        assert q_cvar(d, 0.8) == pytest.approx(3.0)
+        want = (0.5 * 1 + 0.3 * 2) / 0.8
+        assert Functional("trunc_mean", 0.8).evaluate(d) == pytest.approx(want)
+        assert Functional("cvar", 0.8).evaluate(d) == pytest.approx(3.0)
 
     def test_single_atom(self):
         d = step([4.0], [1.0])
-        assert q_truncated_mean(d, 0.3) == 4.0
-        assert q_cvar(d, 0.3) == 4.0
+        assert Functional("trunc_mean", 0.3).evaluate(d) == 4.0
+        assert Functional("cvar", 0.3).evaluate(d) == 4.0
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(33)
@@ -136,26 +134,27 @@ class TestTruncatedMeanAndCvar:
             n = int(rng.integers(1, 7))
             d = step(np.sort(rng.normal(size=n) * 10), rng.dirichlet(np.ones(n)))
             p = float(rng.uniform(0.05, 0.95))
-            lhs = p * q_truncated_mean(d, p) + (1 - p) * q_cvar(d, p)
-            assert lhs == pytest.approx(q_mean(d), abs=1e-10)
+            tm, cv = Functional("trunc_mean", p).evaluate(d), Functional("cvar", p).evaluate(d)
+            lhs = p * tm + (1 - p) * cv
+            assert lhs == pytest.approx(Functional("mean").evaluate(d), abs=1e-10)
 
     def test_cvar_with_tail_at_infinity(self):
         d = step([1.0, INF], [0.95, 0.05])
-        assert q_cvar(d, 0.9) == INF
-        assert q_truncated_mean(d, 0.9) == pytest.approx(1.0)
+        assert Functional("cvar", 0.9).evaluate(d) == INF
+        assert Functional("trunc_mean", 0.9).evaluate(d) == pytest.approx(1.0)
 
     def test_trunc_mean_with_mass_at_minus_infinity(self):
         d = step([-INF, 1.0], [0.05, 0.95])
-        assert q_truncated_mean(d, 0.5) == -INF
-        assert q_cvar(d, 0.5) == pytest.approx(1.0)
+        assert Functional("trunc_mean", 0.5).evaluate(d) == -INF
+        assert Functional("cvar", 0.5).evaluate(d) == pytest.approx(1.0)
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(34)
         for _ in range(2_000):
             supports, weights, p = random_fraction_instance(rng)
             d = step([float(s) for s in supports], [float(w) for w in weights])
-            got_tm = q_truncated_mean(d, float(p))
-            got_cv = q_cvar(d, float(p))
+            got_tm = Functional("trunc_mean", float(p)).evaluate(d)
+            got_cv = Functional("cvar", float(p)).evaluate(d)
             want_tm = float(oracle_split_mean(supports, weights, p, tail=False))
             want_cv = float(oracle_split_mean(supports, weights, p, tail=True))
             assert got_tm == pytest.approx(want_tm, abs=1e-12)
@@ -514,6 +513,13 @@ def limit_oracle(column, row, f):
     return -INF if down else INF if up else float(base)
 
 
+def resampled(f, column, row):
+    """``f`` of the integer weight ``row`` on ``column`` read as one resample
+    by the percentile bootstrap's kernel: ``row[i]`` draws of position i."""
+    pos = np.repeat(np.arange(len(row)), row)[None]
+    return _resample_values(f, prepare_supports(column), pos)[0]
+
+
 INFINITE_RUN_CASES = [
     # knots on infinite atoms: the cumulative weight reaches p exactly there
     ([[-INF, -INF, 1.0, 2.0]], [[1, 1, 0, 2], [2, 1, 0, 1], [0, 2, 0, 2], [1, 1, 2, 0]], 0.5),
@@ -596,8 +602,12 @@ class TestInfiniteAtoms:
                     if want is None:
                         with pytest.raises(IndeterminateSumError):
                             evaluate_rows(mean, column, np.array(row, dtype=float))
+                        with pytest.raises(IndeterminateSumError):
+                            resampled(mean, column, row)
                         continue
                     got = evaluate_rows(mean, column, np.array(row, dtype=float))[0]
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    got = resampled(mean, column, row)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert seen == {"None", "inf", "-inf", "finite"}
 
@@ -611,6 +621,14 @@ class TestInfiniteAtoms:
             want = np.array([[limit_oracle(c, row, f) for c in columns] for row in rows],
                             dtype=object)
             for i, row in enumerate(w):
+                # each column on its own as one resample of the percentile bootstrap
+                for c, column in enumerate(columns):
+                    if want[i, c] is None:
+                        with pytest.raises(IndeterminateSumError):
+                            resampled(f, column, rows[i])
+                    else:
+                        got = resampled(f, column, rows[i])
+                        assert got == pytest.approx(want[i, c], rel=1e-12, abs=1e-12)
                 if None in want[i]:
                     # both ways at once: the side sums -inf and +inf
                     with pytest.raises(IndeterminateSumError):
@@ -633,3 +651,14 @@ class TestInfiniteAtoms:
 def test_invalid_functionals_raise(kind, p, word):
     with pytest.raises(ValueError, match=word):
         Functional(kind, p)
+
+
+def test_star_import_binds_every_public_name_and_no_q_alias():
+    # a stale __all__ entry breaks ``import *``; no q_* name respells
+    # Functional(kind, p).evaluate
+    import bisampling
+
+    namespace = {}
+    exec("from bisampling import *", namespace)
+    assert set(bisampling.__all__) <= namespace.keys()
+    assert [name for name in namespace if name.startswith("q_")] == []

@@ -9,7 +9,7 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
-from bisampling.functionals import q_quantile
+from bisampling.functionals import Functional
 from bisampling.pbox import (
     _DOMINANCE_TOL,
     BoundingInterval,
@@ -109,7 +109,7 @@ class TestWeightedStepCdf:
         # the generalized inverse still ends at the last atom
         d = WeightedStepCdf([1.0, 2.0], [0.5, 0.5 - 1e-13])
         assert d.quantile(1.0 - 1e-16) == 2.0
-        assert q_quantile(d, 1.0 - 1e-16) == 2.0
+        assert Functional("quantile", 1.0 - 1e-16).evaluate(d) == 2.0
 
     def test_quantile_domain(self):
         d = WeightedStepCdf([1.0], [1.0])
