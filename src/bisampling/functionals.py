@@ -9,9 +9,10 @@ rather than raising; only a sum that weighs both -inf and +inf raises
 ``IndeterminateSumError``, in ``_place_infinities``.
 
 Every kernel that reads a functional is here, so every method reads it by
-the same rules: ``evaluate_rows`` for given weight rows, ``_mean_rows`` and
-``_cut_mean`` for the Dirichlet rows of ``bis`` and the Bayesian bootstrap,
-and ``_resample_values`` for the positions the percentile bootstrap draws.
+the same rules: ``Functional.evaluate`` for one step CDF, ``_mean_rows``
+and ``_cut_mean`` for it and for the Dirichlet rows of ``bis`` and the
+Bayesian bootstrap, and ``_resample_values`` for the positions the
+percentile bootstrap draws.
 """
 
 from __future__ import annotations
@@ -67,15 +68,33 @@ class Functional:
         return cls(kind, p)
 
     def evaluate(self, dist: WeightedStepCdf) -> float:
-        """The functional of one step distribution.
+        """The functional of one step distribution, read from its CDF.
 
         A quantile is the CDF's own generalized inverse, so it agrees with
-        ``dist.cdf`` where p sits on a cumulative weight; the other kinds
-        are ``evaluate_rows`` of the one weight row.
+        ``dist.cdf`` where p sits on a cumulative weight.  A truncated mean
+        or CVaR splits at the first atom c whose cumulative weight reaches
+        p of the total, and c takes the rest of the side's mass: p of the
+        total less the weight strictly below c, or 1 - p of it less the
+        weight strictly above.  That strict weight is summed from the
+        side's own atoms, masked over the whole row, because a difference
+        of cumulative sums near the total loses the small tail masses of p
+        near 1.  The mean, and the mean of the row cut at c, are
+        ``_mean_rows`` and ``_cut_mean`` of the one weight row.
         """
         if self.kind == "quantile":
             return dist.quantile(self.p)
-        return float(evaluate_rows(self, dist.supports, dist.weights)[0])
+        sup, w = prepare_supports(dist.supports), dist.weights[None]
+        if self.kind == "mean":
+            return float(_mean_rows(sup, w)[0, 0])
+        p, cum, n = self.p, dist._cum, dist.n_atoms
+        total = cum[-1]
+        c = np.searchsorted(cum, p * total, "left")
+        tail = self.kind == "cvar"
+        if tail:
+            share = (1.0 - p) * total - np.where(np.arange(1, n) > c, w[:, 1:], 0.0).sum(axis=1)
+        else:
+            share = p * total - np.where(np.arange(n) < c, w, 0.0).sum(axis=1)
+        return float(_cut_mean(sup, w.copy(), c[None], tail, np.maximum(share, 0.0))[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,27 +107,26 @@ class Supports:
     same product, whatever the supports hold.  ``terms`` is column-major,
     so a run of atoms (``atoms``) is a contiguous piece of every column:
     the split means of ``_cut_mean`` read only the atoms their cut rows
-    reach.
+    reach.  The kernels return ``(k, m)``, one result per row and column.
     """
 
     values: np.ndarray  # (n, m) sorted columns
     terms: np.ndarray  # (n, m + 1), column-major
-    vector: bool  # made from one vector: results are (k,), not (k, 1)
 
     def atoms(self, start: int, stop: int) -> "Supports":
         """The atoms ``start..stop-1``, a row slice with no copy."""
-        return Supports(self.values[start:stop], self.terms[start:stop], self.vector)
+        return Supports(self.values[start:stop], self.terms[start:stop])
 
 
 def prepare_supports(supports) -> Supports:
-    """Prepare one sorted support vector, or an ``(n, m)`` matrix of columns.
+    """Prepare one sorted support vector, as one column, or an ``(n, m)``
+    matrix of columns.
 
     Supports the kernels cannot read raise ValueError: no atoms, a NaN, or
     a column out of order (its infinite atoms would be misplaced).
     """
     s = np.asarray(supports, dtype=float)
-    vector = s.ndim < 2
-    if vector:
+    if s.ndim < 2:
         s = s.reshape(-1, 1)
     n, m = s.shape
     if n == 0:
@@ -123,16 +141,7 @@ def prepare_supports(supports) -> Supports:
     terms = np.empty((n, m + 1), order="F")
     terms.T[:m] = np.where(np.isfinite(cols), cols, 0.0)
     terms[:, m] = 1.0
-    return Supports(s, terms, vector)
-
-
-_BAD_ROWS = "every weight row must be nonnegative, with a positive total"
-
-
-def _positive_totals(total: np.ndarray) -> None:
-    """Reject rows whose totals are not positive and finite: nothing is their mean."""
-    if not ((total > 0) & (total < np.inf)).all():
-        raise ValueError(_BAD_ROWS)
+    return Supports(s, terms)
 
 
 def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
@@ -150,7 +159,9 @@ def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
     """
     s, m = sup.values, sup.values.shape[1]
     sums = w @ sup.terms
-    _positive_totals(sums[:, m])
+    total = sums[:, m]
+    if not ((total > 0) & (total < np.inf)).all():
+        raise ValueError("every weight row must have a positive, finite total")
     out = sums[:, :m] / sums[:, m:]
     for j in range(m):
         col = s[:, j]
@@ -240,63 +251,3 @@ def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarra
         _place_infinities(out, first < np.searchsorted(x, -np.inf, "right"),
                           last >= np.searchsorted(x, np.inf, "left"))
     return np.clip(out, low, high, out=out)
-
-
-def _split_rows(sup: Supports, w: np.ndarray, f: Functional) -> np.ndarray:
-    """A quantile, or the atom-split mean of the mass below p (truncated
-    mean) or above it (CVaR), of each row.
-
-    A row splits at its first atom where the cumulative weight reaches p of
-    the row's total; every column of supports shares that split atom.  A
-    split mean is ``_cut_mean`` of a copy of the rows: the atoms strictly
-    on the chosen side keep their weight and the split atom takes the rest
-    of that side's mass (p of the total below, 1 - p of it above).  That
-    strict mass is summed from the side's own atoms because a difference
-    of cumulative sums near the total loses the small tail masses of p
-    near 1.
-    """
-    p = f.p
-    cum = np.cumsum(w, axis=1)
-    total = cum[:, -1]
-    _positive_totals(total)
-    reached = cum >= p * total[:, None]
-    idx = reached.argmax(axis=1)
-    if f.kind == "quantile":
-        return sup.values[idx]
-    tail = f.kind == "cvar"
-    if tail:
-        # the atoms after the split atom follow an atom that has reached p
-        share = (1.0 - p) * total - np.where(reached[:, :-1], w[:, 1:], 0.0).sum(axis=1)
-    else:
-        # the atoms before the split atom have not reached p
-        share = p * total - np.where(reached, 0.0, w).sum(axis=1)
-    return _cut_mean(sup, w.copy(), idx, tail, np.maximum(share, 0.0))
-
-
-def evaluate_rows(f: Functional, supports, weight_rows) -> np.ndarray:
-    """Apply ``f`` to each row of ``weight_rows`` as weights on ``supports``.
-
-    ``supports`` is one sorted vector, or an ``(n, m)`` matrix of m sorted
-    columns sharing the weights (ties allowed; tied atoms behave as one
-    merged atom), or either of them made once by ``prepare_supports``,
-    which raises ValueError for supports with no atoms, a NaN or an
-    unsorted column.  Returns ``(k,)`` for a vector and ``(k, m)`` for a
-    matrix, k being the number of weight rows, zero included.  A row need
-    not sum to 1: every functional is taken of the row divided by its
-    total.  A negative, infinite or NaN weight, or a row with no positive
-    total, raises ValueError.  This serves given rows (one step CDF
-    through ``Functional.evaluate``): it searches each row for its split
-    and takes a truncated mean or CVaR as the mean of the row cut there
-    (``_cut_mean``).  The engine's Dirichlet draw, which draws its splits
-    first, calls ``_mean_rows`` and ``_cut_mean`` directly, and the
-    percentile bootstrap reads its resamples from their drawn positions
-    (``_resample_values``) without weight rows.
-    """
-    sup = supports if isinstance(supports, Supports) else prepare_supports(supports)
-    w = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    if w.shape[1] != sup.values.shape[0]:
-        raise ValueError("weight rows must match the number of supports")
-    if not w.min(initial=0.0) >= 0:
-        raise ValueError(_BAD_ROWS)
-    out = _mean_rows(sup, w) if f.kind == "mean" else _split_rows(sup, w, f)
-    return out[:, 0] if sup.vector else out

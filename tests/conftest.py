@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bisampling.functionals import _cut_mean, _mean_rows, prepare_supports
+
 # 15 observations drawn from a unit lognormal; fixed reference sample used
 # across the suite
 SMALL_SAMPLE = (
@@ -29,6 +31,44 @@ def child_env(**extra):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, **extra, "PYTHONPATH": path}
+
+
+def whole_rows(f, supports, rows):
+    """``f`` of each weight row on ``supports``, every row searched whole for
+    its split: the reference that the engine's split-first draw, the
+    bootstraps and ``Functional.evaluate`` are checked against.
+
+    ``supports`` is one sorted vector (results ``(k,)``) or an ``(n, m)``
+    matrix of sorted columns sharing the rows (results ``(k, m)``); tied
+    atoms act as one merged atom and a row need not sum to 1.  A row splits
+    at its first atom whose cumulative weight reaches p of its total.  A
+    truncated mean (CVaR) is ``_cut_mean`` of the row cut there, the split
+    atom taking p (1 - p) of the total less the weight strictly below
+    (above) it, that strict weight summed from the side's own atoms with
+    the far ones masked; the mean is ``_mean_rows`` of the whole row.
+    """
+    sup = prepare_supports(supports)
+    w = np.atleast_2d(np.asarray(rows, dtype=float))
+    if f.kind == "mean":
+        out = _mean_rows(sup, w)
+    else:
+        p = f.p
+        cum = np.cumsum(w, axis=1)
+        total = cum[:, -1]
+        reached = cum >= p * total[:, None]
+        c = reached.argmax(axis=1)
+        if f.kind == "quantile":
+            out = sup.values[c]
+        else:
+            tail = f.kind == "cvar"
+            if tail:
+                # the atoms after the split atom follow an atom that has reached p
+                share = (1.0 - p) * total - np.where(reached[:, :-1], w[:, 1:], 0.0).sum(axis=1)
+            else:
+                # the atoms before the split atom have not reached p
+                share = p * total - np.where(reached, 0.0, w).sum(axis=1)
+            out = _cut_mean(sup, w.copy(), c, tail, np.maximum(share, 0.0))
+    return out[:, 0] if np.ndim(supports) < 2 else out
 
 
 def oracle_split_mean(supports, weights, p, tail):

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import SMALL_SAMPLE, oracle_split_mean, random_fraction_instance
+from conftest import SMALL_SAMPLE, oracle_split_mean, random_fraction_instance, whole_rows
 
 from bisampling.baselines import coverage_experiment, preset
 from bisampling.bis import BisConfig, bis_run, interval_estimate, sample_realization
 from bisampling.dirichlet import merge_duplicates, sample_dirichlet
-from bisampling.functionals import Functional, evaluate_rows
+from bisampling.functionals import Functional
 from bisampling.pbox import BoundingInterval, make_extended_order_stats
 from bisampling.rng import derive_seed, stream, substream
 
@@ -143,7 +143,7 @@ def test_criterion_6_property_suite():
     full = np.empty(10_000)
     for i in range(full.size):
         w = sample_dirichlet(np.ones(len(data) + 1), rng)
-        full[i] = evaluate_rows(Functional("mean"), points[1:], w[None])[0]
+        full[i] = whole_rows(Functional("mean"), points[1:], w)[0]
     ks_p = sps.ks_2samp(merged.q_max, full).pvalue
     assert ks_p > 0.01
 
@@ -160,8 +160,8 @@ def test_criterion_6_property_suite():
         w_y = np.diff(np.concatenate(([0.0], np.minimum(cum_a, cum_b), [1.0])))
         w_z = np.diff(np.concatenate(([0.0], np.maximum(cum_a, cum_b), [1.0])))
         for f in functionals:
-            y = evaluate_rows(f, s, w_y[None])[0]
-            z = evaluate_rows(f, s, w_z[None])[0]
+            y = whole_rows(f, s, w_y)[0]
+            z = whole_rows(f, s, w_z)[0]
             assert y >= z - 1e-12
 
     # per-realisation ordering on a real run

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import child_env, oracle_split_mean
+from conftest import child_env, oracle_split_mean, whole_rows
 
 from bisampling import baselines, bis
 from bisampling.baselines import (
@@ -32,7 +32,7 @@ from bisampling.errors import (
     NonFiniteError,
     TooFewSamplesError,
 )
-from bisampling.functionals import Functional, evaluate_rows, prepare_supports
+from bisampling.functionals import Functional
 from bisampling.pbox import BoundingInterval
 from bisampling.rng import stream
 
@@ -230,13 +230,13 @@ class TestBootstrap:
     ])
     def test_endpoints_match_count_rows_of_the_same_draws(self, data, names):
         # oracle: count the same positions into rows over the sorted data and
-        # evaluate them with evaluate_rows, at levels reading the middle ranks
+        # evaluate them as whole rows, at levels reading the middle ranks
         n, n_resample = len(data), 301
         draws = stream(10).integers(0, n, size=(n_resample, n))
         counts = np.stack([np.bincount(row, minlength=n) for row in draws])
         for f in map(Functional.parse, names):
             try:
-                q = evaluate_rows(f, np.sort(data), counts)
+                q = whole_rows(f, np.sort(data), counts)
             except IndeterminateSumError:
                 with pytest.raises(IndeterminateSumError):
                     bootstrap_interval(data, f, 0.9, n_resample, stream(10))
@@ -298,10 +298,10 @@ class TestBayesianBootstrap:
         # Dirichlet(1, ..., 1) rows from the engine's draw, column j on the
         # j-th sorted value, evaluated as whole rows
         data = stream(20).lognormal(size=40)
-        n, ones, supports = data.size, np.ones(data.size), prepare_supports(np.sort(data))
+        n, ones = data.size, np.ones(data.size)
         rows = bis._chunk_rows(8 * n)
         w = np.concatenate([chunk.copy() for chunk in weight_chunks(ones, stream(21), 999, rows)])
-        q = evaluate_rows(MEAN, supports, w)
+        q = whole_rows(MEAN, np.sort(data), w)
         want = interval_estimate(QSamples(q, q), 0.9)
         assert bayesian_bootstrap_interval(data, MEAN, 0.9, 999, stream(21)) == want
         # a quantile is the sorted value at the split index, drawn from its law
@@ -320,7 +320,7 @@ class TestBayesianBootstrap:
         got = bis._dirichlet_resample(f, np.ones(n), data[:, None], stream(25), n_resample)
         chunks = weight_chunks(np.ones(n), stream(26), n_resample, bis._chunk_rows(8 * n))
         w = np.concatenate([chunk.copy() for chunk in chunks])
-        want = evaluate_rows(f, prepare_supports(data), w)
+        want = whole_rows(f, data, w)
         assert np.array_equal(got.q_min, got.q_max)
         assert sps.ks_2samp(got.q_min, want).pvalue > 0.01
 

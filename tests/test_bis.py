@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from conftest import whole_rows
+
 from bisampling import bis
 from bisampling.baselines import bayesian_bootstrap_interval
 from bisampling.bis import (
@@ -31,7 +33,7 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
-from bisampling.functionals import Functional, evaluate_rows
+from bisampling.functionals import Functional
 from bisampling.pbox import BoundingInterval, cell_endpoints, make_extended_order_stats
 from bisampling.rng import stream, substream
 
@@ -205,7 +207,7 @@ class TestBisRun:
         full = np.empty(10_000)
         for i in range(full.size):
             w = sample_dirichlet(np.ones(len(data) + 1), rng)
-            full[i] = evaluate_rows(f, points[1:], w[None])[0]
+            full[i] = whole_rows(f, points[1:], w)[0]
         assert sps.ks_2samp(merged.q_max, full).pvalue > 0.01
 
 
@@ -272,7 +274,7 @@ def full_rows(f, params, supports, rng, n_resample):
     """The q-samples of ``f`` on whole Dirichlet rows, every split searched
     for in every cell."""
     (w,) = weight_chunks(params, rng, n_resample, n_resample)
-    return evaluate_rows(f, supports, w).reshape(n_resample, -1)
+    return whole_rows(f, supports, w).reshape(n_resample, -1)
 
 
 def split_span(params, f, rng, n_resample):
@@ -346,7 +348,7 @@ class TestConditionalSplit:
         w[np.arange(n_resample), cell - first] = shares
         span = np.arange(first, stop)
         w[span < cell[:, None] if tail else span > cell[:, None]] = 0.0
-        want = evaluate_rows(Functional("mean"), data[first:stop], w)
+        want = whole_rows(Functional("mean"), data[first:stop], w)
         want = np.clip(want, data[cell], data[-1]) if tail else np.clip(want, data[0], data[cell])
         assert np.array_equal(got.q_min, want) and np.array_equal(got.q_max, want)
 
@@ -457,7 +459,7 @@ class TestExactSplitLaw:
         reduced, params = merge_duplicates(data, interval)
         # unnormalised rows: every functional is scale invariant
         (w,) = weight_chunks(params, substream(seed, 1), n_draws, n_draws)
-        mc_min, mc_max = evaluate_rows(f, cell_endpoints(reduced), w).T
+        mc_min, mc_max = whole_rows(f, cell_endpoints(reduced), w).T
         points = make_extended_order_stats(data, interval)
         cdf = exact_split_cdf(points, p)
         # P(q_min <= v) and P(q_max <= v) at every distinct point v

@@ -3,20 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import oracle_split_mean, random_fraction_instance
+from conftest import oracle_split_mean, random_fraction_instance, whole_rows
 
 from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
 from bisampling.dirichlet import merge_duplicates, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
     Functional,
+    _cut_mean,
+    _mean_rows,
     _resample_values,
-    evaluate_rows,
     prepare_supports,
 )
 from bisampling.pbox import (
     BoundingInterval,
     WeightedStepCdf,
+    cell_box,
     cell_endpoints,
     make_extended_order_stats,
 )
@@ -78,7 +80,7 @@ class TestMean:
     def test_one_repeated_atom_is_its_own_mean(self):
         # a ratio of rounded sums of 0.1s lands an ulp off 0.1, unclipped
         rows = np.random.default_rng(32).random((500, 7))
-        assert (evaluate_rows(Functional("mean"), np.full(7, 0.1), rows) == 0.1).all()
+        assert (_mean_rows(prepare_supports(np.full(7, 0.1)), rows) == 0.1).all()
 
     def test_within_support_range(self):
         rng = np.random.default_rng(31)
@@ -161,42 +163,32 @@ class TestTruncatedMeanAndCvar:
             assert got_cv == pytest.approx(want_cv, abs=1e-12)
 
 
+def extremes(f, points, weights):
+    """``(q_min, q_max)``: ``f`` of the upper and of the lower bound of the
+    ``cell_box`` that puts ``weights`` on the cells between ``points``."""
+    box = cell_box(points, weights)
+    return f.evaluate(box.upper), f.evaluate(box.lower)
+
+
 class TestBoundsForMonotonic:
-    """Extremes of a monotonic functional: ``evaluate_rows`` on cell endpoints."""
+    """Extremes of a monotonic functional: ``Functional.evaluate`` of the
+    bounds of a cell box."""
 
     def test_hand_mean(self):
-        ((q_min, q_max),) = evaluate_rows(
-            Functional("mean"), cell_endpoints([0, 1, 2, 3]), [0.5, 0.3, 0.2]
-        )
+        q_min, q_max = extremes(Functional("mean"), [0, 1, 2, 3], [0.5, 0.3, 0.2])
         assert (q_min, q_max) == (pytest.approx(0.7), pytest.approx(1.7))
 
     def test_hand_quantile(self):
-        ((q_min, q_max),) = evaluate_rows(
-            Functional("quantile", 0.6), cell_endpoints([0, 1, 2, 3]), [0.5, 0.3, 0.2]
-        )
+        q_min, q_max = extremes(Functional("quantile", 0.6), [0, 1, 2, 3], [0.5, 0.3, 0.2])
         assert (q_min, q_max) == (1.0, 2.0)
 
     def test_infinite_endpoint(self):
-        ((q_min, q_max),) = evaluate_rows(
-            Functional("mean"), cell_endpoints([0.0, 1.0, INF]), [0.5, 0.5]
-        )
+        q_min, q_max = extremes(Functional("mean"), [0.0, 1.0, INF], [0.5, 0.5])
         assert q_max == INF and q_min == pytest.approx(0.5)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate_rows(Functional("mean"), cell_endpoints([0.0, 1.0]), [0.5, 0.5])
-
-    def test_block_matches_single_rows(self):
-        rng = np.random.default_rng(37)
-        pts = np.array([0.0, 0.5, 0.5, 2.0, 3.5, INF])
-        block = rng.dirichlet(np.ones(5), size=40)
-        for f in (Functional("mean"), Functional("quantile", 0.4), Functional("cvar", 0.6)):
-            q_min, q_max = evaluate_rows(f, cell_endpoints(pts), block).T
-            assert q_min.shape == q_max.shape == (40,)
-            singles = np.array([evaluate_rows(f, cell_endpoints(pts), w)[0] for w in block])
-            # a block's mean is one matrix product, so it may differ in the last bits
-            np.testing.assert_allclose(q_min, singles[:, 0], rtol=1e-13)
-            np.testing.assert_allclose(q_max, singles[:, 1], rtol=1e-13)
+            extremes(Functional("mean"), [0.0, 1.0], [0.5, 0.5])
 
     def test_ordering_over_random_instances(self):
         rng = np.random.default_rng(35)
@@ -211,7 +203,7 @@ class TestBoundsForMonotonic:
             pts = np.sort(rng.normal(size=n + 1) * 5)
             w = rng.dirichlet(np.ones(n))
             for f in functionals:
-                ((q_min, q_max),) = evaluate_rows(f, cell_endpoints(pts), w)
+                q_min, q_max = extremes(f, pts, w)
                 assert q_min <= q_max
 
 
@@ -241,7 +233,43 @@ class TestMonotonicityUnderDominance:
                 assert f.evaluate(d_y) >= f.evaluate(d_z) - 1e-12
 
 
-class TestEvaluateRows:
+def pinned_cases(n_cases):
+    """Seeded step CDFs with tied atoms, an end at -inf or +inf in some, and
+    Dirichlet(0.05) weights, so most of the mass sits on a few atoms."""
+    rng = np.random.default_rng(61)
+    for _ in range(n_cases):
+        n = int(rng.integers(1, 60))
+        s = np.sort(np.round(rng.normal(size=n) * 3))
+        s[0] = -INF if rng.random() < 0.3 else s[0]
+        s[-1] = INF if rng.random() < 0.3 else s[-1]
+        yield step(s, rng.dirichlet(np.full(n, 0.05)))
+
+
+@pytest.mark.parametrize("f", [Functional("mean")] + [
+    Functional(kind, p) for kind in ("trunc_mean", "cvar") for p in (0.01, 0.5, 0.99)],
+    ids=lambda f: f"{f.kind}-{f.p}")
+def test_evaluate_keeps_the_bytes_of_the_whole_row_search(f):
+    # the split read from the CDF's own cumulative weights gives what the
+    # search of the whole row gives, bit for bit, raises included
+    seen = set()
+    for d in pinned_cases(400):
+        try:
+            want = whole_rows(f, d.supports, d.weights)[0]
+        except IndeterminateSumError:
+            with pytest.raises(IndeterminateSumError):
+                f.evaluate(d)
+            seen.add("raises")
+            continue
+        got = f.evaluate(d)
+        assert np.float64(got).tobytes() == want.tobytes(), (d, got, want)
+        seen.add("finite" if np.isfinite(got) else "infinite")
+    assert seen == {"raises", "finite", "infinite"}
+
+
+class TestWeightRows:
+    """The row kernels on given weight rows: ``whole_rows`` searches each
+    row for its split, then takes ``_mean_rows`` or ``_cut_mean``."""
+
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(37)
         fs = [
@@ -253,7 +281,7 @@ class TestEvaluateRows:
         s = np.sort(rng.normal(size=5))
         w = rng.dirichlet(np.ones(5), size=50)
         for f in fs:
-            rows = evaluate_rows(f, s, w)
+            rows = whole_rows(f, s, w)
             for i in range(50):
                 d = step(s, w[i])
                 assert rows[i] == pytest.approx(f.evaluate(d), abs=1e-12)
@@ -267,7 +295,7 @@ class TestEvaluateRows:
             s = np.sort(rng.choice(grid, size=int(rng.integers(1, 8)), replace=False))
             w = rng.dirichlet(np.ones(s.size), size=32)
             for f in (Functional("trunc_mean", p), Functional("cvar", p)):
-                out = evaluate_rows(f, s, w)
+                out = whole_rows(f, s, w)
                 assert ((out >= s[0]) & (out <= s[-1])).all()
 
     def test_duplicate_supports_behave_as_merged(self):
@@ -276,66 +304,9 @@ class TestEvaluateRows:
         merged = step([1.0, 2.0], [0.5, 0.5])
         for f in (Functional("mean"), Functional("quantile", 0.5),
                   Functional("trunc_mean", 0.75), Functional("cvar", 0.75)):
-            assert evaluate_rows(f, s, w)[0] == pytest.approx(
+            assert whole_rows(f, s, w)[0] == pytest.approx(
                 f.evaluate(merged), abs=1e-12
             )
-
-    @pytest.mark.parametrize(
-        "left,right",
-        [
-            ([1.0, 1.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0, 4.0]),
-            ([-INF, 1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 2.0, 4.0, 5.0]),
-            ([0.0, 1.0, 1.0, 3.0, 4.0], [1.0, 1.0, 3.0, 4.0, INF]),
-            ([-INF, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, INF]),
-            ([-INF, -INF, 1.0, 2.0, 4.0], [-INF, 1.0, 2.0, 4.0, 5.0]),
-            ([0.0, 1.0, 2.0, INF, INF], [1.0, 2.0, 3.0, 4.0, INF]),
-        ],
-        ids=["ties", "neg-inf-first", "pos-inf-last", "both-sides",
-             "neg-inf-counts", "pos-inf-counts"],
-    )
-    def test_support_matrix_matches_single_columns(self, left, right):
-        rng = np.random.default_rng(41)
-        w = rng.dirichlet(np.ones(5), size=40)
-        # rows without mass on an extreme atom, and rows whose split atom
-        # is the first or the last one
-        w[10:20, 0] = 0.0
-        w[20:30, -1] = 0.0
-        w[30:35] = [0.7, 0.1, 0.1, 0.05, 0.05]
-        w[35:] = [0.05, 0.05, 0.1, 0.1, 0.7]
-        w /= w.sum(axis=1, keepdims=True)
-        s = np.column_stack((left, right))
-        seen_inf = seen_finite = False
-        for f in (Functional("mean"), Functional("quantile", 0.5),
-                  Functional("trunc_mean", 0.6), Functional("cvar", 0.4)):
-            got = evaluate_rows(f, s, w)
-            assert got.shape == (40, 2)
-            for j in range(2):
-                want = evaluate_rows(f, s[:, j], w)
-                if f.kind == "quantile":
-                    assert np.array_equal(got[:, j], want)
-                else:
-                    np.testing.assert_allclose(got[:, j], want, rtol=1e-13)
-                    if np.isinf(s[:, j]).any():
-                        seen_inf |= np.isinf(want).any()
-                        seen_finite |= np.isfinite(want).any()
-        # with an infinite atom, forced and finite results both occur
-        assert seen_inf == seen_finite == (not np.isfinite(s).all())
-
-    def test_rows_need_not_sum_to_one(self):
-        # every functional is taken of the row divided by its total
-        rng = np.random.default_rng(47)
-        s = np.column_stack(([-INF, 1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 2.0, 4.0, INF]))
-        w = rng.dirichlet(np.ones(5), size=60)
-        w[:20, 0] = w[20:40, -1] = 0.0
-        w /= w.sum(axis=1, keepdims=True)
-        scaled = w * np.geomspace(1e-6, 1e6, 60)[:, None]
-        for f in (Functional("mean"), Functional("quantile", 0.3),
-                  Functional("trunc_mean", 0.3), Functional("cvar", 0.3),
-                  Functional("trunc_mean", 1 - 1e-12), Functional("cvar", 1 - 1e-12)):
-            want = evaluate_rows(f, s, w)
-            got = evaluate_rows(f, s, scaled)
-            assert np.array_equal(np.isinf(got), np.isinf(want))
-            np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_cvar_keeps_small_tail_masses_near_one(self):
         # the atoms after the split carry 1e-11 to 1e-9 of the mass and p
@@ -352,65 +323,44 @@ class TestEvaluateRows:
             exact = [Fraction(x) for x in w]
             want = oracle_split_mean([Fraction(x) for x in s], [x / sum(exact) for x in exact],
                                      Fraction(p), tail=True)
-            got = evaluate_rows(Functional("cvar", p), s, w)[0]
+            got = Functional("cvar", p).evaluate(step(s, w))
             assert abs(got - float(want)) <= 1e-12 * np.abs(s).max()
 
-    def test_no_rows_give_no_results(self):
-        s = np.array([-INF, 1.0, 2.0, INF])
-        for f in (Functional("mean"), Functional("quantile", 0.5),
-                  Functional("trunc_mean", 0.5), Functional("cvar", 0.5)):
-            assert evaluate_rows(f, s, np.empty((0, 4))).shape == (0,)
-            assert evaluate_rows(f, np.column_stack((s, s + 1)), np.empty((0, 4))).shape == (0, 2)
-
     @pytest.mark.parametrize("total", [0.0, -1.0, np.nan,
-                                       pytest.param(1.0, id="a-negative-weight"),
                                        pytest.param(np.inf, id="an-infinite-weight")])
     def test_rows_without_a_positive_total_raise(self, total):
-        # a zero row once gave NaN with a RuntimeWarning, or the first atom
-        # for a quantile, and a negative total gave a number; so did a
-        # negative weight under a positive total, and an infinite weight
-        # gave NaN
+        # a zero row once gave NaN with a RuntimeWarning, a negative total
+        # gave a number and an infinite weight gave NaN
         s = np.array([1.0, 2.0, 4.0])
         bad = [0.0, 0.0, 0.0] if total == 0.0 else [1.0, 0.5, total - 1.5]
         rows = np.array([[0.2, 0.3, 0.5], bad])
-        for f in (Functional("mean"), Functional("quantile", 0.5),
-                  Functional("trunc_mean", 0.5), Functional("cvar", 0.5)):
-            for supports in (s, np.column_stack((s, s + 1))):
-                evaluate_rows(f, supports, rows[:1])
-                with pytest.raises(ValueError, match="positive total"):
-                    evaluate_rows(f, supports, rows)
+        for supports in (s, np.column_stack((s, s + 1))):
+            sup = prepare_supports(supports)
+            _mean_rows(sup, rows[:1])
+            with pytest.raises(ValueError, match="positive, finite total"):
+                _mean_rows(sup, rows)
 
-    @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("f", [Functional("mean"), Functional("quantile", 0.5),
-                                   Functional("trunc_mean", 0.5), Functional("cvar", 0.5)],
-                             ids=lambda f: f.kind)
-    def test_supports_the_kernels_cannot_read_raise(self, f, k):
+    @pytest.mark.parametrize("supports", [
+        pytest.param([], id="no-atoms"),
+        pytest.param([INF, 1.0, 2.0], id="inf-first"),
+        pytest.param(np.column_stack(([1.0, 2.0, INF], [INF, 1.0, 2.0])), id="unsorted-column"),
+        pytest.param([1.0, np.nan, 2.0], id="nan"),
+    ])
+    def test_supports_the_kernels_cannot_read_raise(self, supports):
         # no atoms once raised a bare IndexError (the mean returned []), an
         # unsorted column misplaced its infinite atoms (the mean of inf, 1, 2
         # under 0, 1/2, 1/2 gave 2) and a NaN read as 0 was clipped away
-        cases = {
-            "no atoms": [],
-            "+inf first": [INF, 1.0, 2.0],
-            "unsorted second column": np.column_stack(([1.0, 2.0, INF], [INF, 1.0, 2.0])),
-            "NaN": [1.0, np.nan, 2.0],
-        }
-        for name, supports in cases.items():
-            n = np.shape(supports)[0]
-            rows = np.full((k, n), 1.0 / max(n, 1))
-            with pytest.raises(ValueError, match="atom|NaN|sorted"):
-                evaluate_rows(f, supports, rows)
-            with pytest.raises(ValueError, match="atom|NaN|sorted"):
-                prepare_supports(supports)
+        with pytest.raises(ValueError, match="atom|NaN|sorted"):
+            prepare_supports(supports)
 
     def test_support_matrix_indeterminate_column(self):
         s = np.column_stack(([-INF, 1.0, 2.0, INF], [1.0, 2.0, 3.0, 4.0]))
         w = np.full((3, 4), 0.25)
-        mean = Functional("mean")
-        assert np.isfinite(evaluate_rows(mean, s[:, 1], w)).all()
+        assert np.isfinite(_mean_rows(prepare_supports(s[:, 1]), w)).all()
         with pytest.raises(IndeterminateSumError):
-            evaluate_rows(mean, s, w)
+            _mean_rows(prepare_supports(s), w)
         with pytest.raises(IndeterminateSumError):
-            evaluate_rows(mean, s[:, 0], w)
+            _mean_rows(prepare_supports(s[:, 0]), w)
 
 
 WINDOW_CASES = {
@@ -457,7 +407,6 @@ class TestSplitWindow:
             w[:30, 0] = 0.0
             w[30:60, -1] = 0.0
         scale = np.abs(reduced[np.isfinite(reduced)]).max(initial=1.0)
-        mean = Functional("mean")
 
         def assert_same(got, want):
             assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -470,8 +419,8 @@ class TestSplitWindow:
             rows = w[w[:, lo : hi + 1].any(axis=1)]
             inside = np.zeros_like(rows)
             inside[:, lo : hi + 1] = rows[:, lo : hi + 1]
-            assert_same(evaluate_rows(mean, sup.atoms(lo, hi + 1), rows[:, lo : hi + 1]),
-                        evaluate_rows(mean, sup, inside))
+            assert_same(_mean_rows(sup.atoms(lo, hi + 1), rows[:, lo : hi + 1]),
+                        _mean_rows(sup, inside))
         for kind in ("trunc_mean", "cvar"):
             tail = kind == "cvar"
             cut, split = cut_at_split(w, p, tail)
@@ -479,9 +428,10 @@ class TestSplitWindow:
             for c in np.unique(split):
                 rows = split == c
                 lo, hi = (c, k - 1) if tail else (0, c)
-                block = evaluate_rows(mean, sup.atoms(lo, hi + 1), cut[rows, lo : hi + 1])
+                block = _mean_rows(sup.atoms(lo, hi + 1), cut[rows, lo : hi + 1])
                 got[rows] = np.clip(block, s[c], s[-1]) if tail else np.clip(block, s[0], s[c])
-            assert_same(got, evaluate_rows(Functional(kind, p), sup, w))
+            share = cut[np.arange(len(w)), split]
+            assert_same(got, _cut_mean(sup, w.copy(), split, tail, share))
 
 
 def limit_oracle(column, row, f):
@@ -554,7 +504,6 @@ class TestInfiniteAtoms:
     def test_atom_slices_count_their_own_infinities(self):
         # the mean of a row slice of the supports is that of the whole row
         # with no weight outside the slice
-        mean = Functional("mean")
         for columns, rows, _ in infinite_run_cases(100):
             s = np.column_stack(columns)
             sup, k = prepare_supports(s), s.shape[0]
@@ -562,18 +511,18 @@ class TestInfiniteAtoms:
                 for stop in range(start + 1, k + 1):
                     part = sup.atoms(start, stop)
                     assert part.values.shape[0] == stop - start
-                    for row in np.array(rows, dtype=float):
-                        whole = np.zeros(k)
-                        whole[start:stop] = row[start:stop]
+                    for row in np.array(rows, dtype=float)[:, None]:
+                        whole = np.zeros((1, k))
+                        whole[:, start:stop] = row[:, start:stop]
                         if not whole.any():
                             continue
                         try:
-                            want = evaluate_rows(mean, sup, whole)
+                            want = _mean_rows(sup, whole)
                         except IndeterminateSumError:
                             with pytest.raises(IndeterminateSumError):
-                                evaluate_rows(mean, part, row[start:stop])
+                                _mean_rows(part, row[:, start:stop])
                             continue
-                        assert np.array_equal(evaluate_rows(mean, part, row[start:stop]), want)
+                        assert np.array_equal(_mean_rows(part, row[:, start:stop]), want)
 
     @pytest.mark.parametrize("f", ["trunc-mean:0.5", "cvar:0.5"])
     def test_a_side_weighing_both_infinities_raises(self, f):
@@ -583,7 +532,7 @@ class TestInfiniteAtoms:
         counts = [1.0, 0.0, 3.0] if f.kind == "trunc_mean" else [3.0, 0.0, 1.0]
         supports = [-INF, 1.0, INF]
         with pytest.raises(IndeterminateSumError):
-            evaluate_rows(f, supports, counts)
+            whole_rows(f, supports, counts)
         with pytest.raises(IndeterminateSumError):
             f.evaluate(step(supports, np.array(counts) / 4.0))
         data = [x for x, c in zip(supports, counts) for _ in range(int(c))]
@@ -599,13 +548,14 @@ class TestInfiniteAtoms:
                 for row in rows:
                     want = limit_oracle(column, row, mean)
                     seen.add(repr(want) if want in (None, INF, -INF) else "finite")
+                    sup, weights = prepare_supports(column), np.array([row], dtype=float)
                     if want is None:
                         with pytest.raises(IndeterminateSumError):
-                            evaluate_rows(mean, column, np.array(row, dtype=float))
+                            _mean_rows(sup, weights)
                         with pytest.raises(IndeterminateSumError):
                             resampled(mean, column, row)
                         continue
-                    got = evaluate_rows(mean, column, np.array(row, dtype=float))[0]
+                    got = _mean_rows(sup, weights)[0, 0]
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
                     got = resampled(mean, column, row)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -632,14 +582,14 @@ class TestInfiniteAtoms:
                 if None in want[i]:
                     # both ways at once: the side sums -inf and +inf
                     with pytest.raises(IndeterminateSumError):
-                        evaluate_rows(f, s, row)
+                        whole_rows(f, s, row)
                     for c, column in enumerate(columns):
                         if want[i, c] is not None:
-                            got = evaluate_rows(f, column, row)[0]
+                            got = whole_rows(f, column, row)[0]
                             assert got == pytest.approx(want[i, c], rel=1e-12, abs=1e-12)
                     seen.add("None")
                     continue
-                got = evaluate_rows(f, s, row)[0]
+                got = whole_rows(f, s, row)[0]
                 for c, expect in enumerate(want[i]):
                     assert got[c] == pytest.approx(expect, rel=1e-12, abs=1e-12)
                     seen.add(repr(expect) if expect in (INF, -INF) else "finite")

@@ -47,7 +47,7 @@ def test_an_infinity_mismatch_is_reported_as_such(capsys):
 
 def test_equal_arrays_print_nothing(capsys):
     arrays = {"bis_run|median|15|1": np.array([-0.0, np.inf, -np.inf, np.nan, 1.5]),
-              "evaluate_rows|mean|200|3": np.arange(6.0).reshape(3, 2)}
+              "evaluate|mean|200|3": np.arange(6.0).reshape(3, 2)}
     assert digest.compare(arrays, {k: v.copy() for k, v in arrays.items()}) == 0
     assert capsys.readouterr().out == ""
 

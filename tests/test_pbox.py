@@ -299,9 +299,12 @@ class TestExpectedPbox:
     (lambda: WeightedStepCdf([], []), ValueError, "nonempty"),
     (lambda: WeightedStepCdf([math.nan], [1.0]), NonFiniteError, "NaN"),
     (lambda: WeightedStepCdf([1.0, 2.0], [1.5, -0.5]), ValueError, "nonnegative"),
+    (lambda: WeightedStepCdf([1.0, 2.0], [math.nan, 1.0]), ValueError, "nonnegative"),
+    (lambda: WeightedStepCdf([1.0, 2.0], [math.inf, 0.0]), ValueError, "sum to 1"),
     (lambda: WeightedStepCdf([1.0], [1.0]).cdf(math.nan), NonFiniteError, "NaN"),
     (lambda: IntervalEstimate(2.0, 1.0, 0.9), BadIntervalError, "malformed"),
-], ids=["empty", "nan-support", "negative-weight", "nan-cdf", "crossed-interval"])
+], ids=["empty", "nan-support", "negative-weight", "nan-weight", "infinite-weight", "nan-cdf",
+        "crossed-interval"])
 def test_invalid_arguments_raise(make, error, word):
     with pytest.raises(error, match=word):
         make()

@@ -11,8 +11,10 @@ Families:
   then on the same data with its three largest values set to +inf, and with
   its three smallest set to -inf (cases ending ``+inf`` and ``-inf``), so
   that resamples of the percentile bootstrap skip some infinite atoms.
-- ``evaluate_rows``: every functional on 200 fixed Dirichlet rows over the
-  cell endpoints of the same data and intervals, n <= 1000.
+- ``evaluate``: ``Functional.evaluate`` of every functional on the upper
+  and the lower bound (columns 0 and 1) of the ``cell_box`` of each of 200
+  fixed Dirichlet rows over the cells of the same data and intervals,
+  n <= 1000.
 - ``cli``: the bytes that fixed ``bis`` command lines write to stdout and to
   every ``--out`` and ``--qbox`` file, run on the n = 200 data of seed 1.
 
@@ -35,17 +37,19 @@ it can gate a change that claims to keep its bytes.
 
 The bytes also depend on the host: the BLAS build rounds the products of
 the mean and the split means of ``bis_run``, the Bayesian bootstrap and
-``evaluate_rows`` (the percentile bootstrap sums each resample's drawn
-values row by row and takes no product), and the kernel NumPy dispatches
+``evaluate`` (the percentile bootstrap sums each resample's drawn values
+row by row and takes no product), and the kernel NumPy dispatches
 float64 ``log`` to decides how unit Dirichlet weights are drawn (by inversion on
 an AVX-512 kernel, by the ziggurat elsewhere) and, with inversion, their
-last bits.  Medians, quantiles, the percentile bootstrap and the given
-rows of ``evaluate_rows`` keep their bytes across the dispatch (the
-inputs are drawn so that they do too).  ``--save`` records the NumPy
-version, the BLAS name and version, the CPU features NumPy dispatches to,
-and that ``log`` kernel and the unit draw as the library reads them
-(``dirichlet._log_kernel`` and ``dirichlet.UNIT_DRAW``), and ``--against``
-prints each of them that differs before the cases that
+last bits.  Medians, quantiles, the percentile bootstrap's mean and the
+given rows of ``evaluate`` keep their bytes across the dispatch (the
+inputs are drawn so that they do too); the percentile bootstrap's
+truncated means and CVaR move by a few ulps, as the dispatched partition
+leaves each side's drawn positions in another order.  ``--save`` records
+the NumPy version, the BLAS name and version, the CPU features NumPy
+dispatches to, and that ``log`` kernel and the unit draw as the library
+reads them (``dirichlet._log_kernel`` and ``dirichlet.UNIT_DRAW``), and
+``--against`` prints each of them that differs before the cases that
 moved, so a digest taken on another host reads as such: ``host unit_draw
 differs: inversion -> ziggurat`` names the fact that moves the bytes of
 the mean and the split means.
@@ -71,7 +75,7 @@ FUNCTIONALS = ("mean", "median", "quantile:0.99", "trunc-mean:0.5", "trunc-mean:
 SEEDS = (1, 2, 3)
 SIZES = ("15", "200", "200-zeros", "1000", "1000-ties", "100000")
 INTERVALS = ((0.0, 60.0), (0.0, np.inf), (-np.inf, 60.0), (-np.inf, np.inf))
-FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate_rows", "cli")
+FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate", "cli")
 # (name, argv) of each ``bis`` command line of the ``cli`` family, run on obs.txt
 CLI_RUNS = (
     ("infer", ["infer", "obs.txt", "--param", "mean", "--bounds", "0", "inf", "--seed", "1"]),
@@ -119,8 +123,7 @@ def infinite_ends(x: np.ndarray, sign: int) -> np.ndarray:
 
 def outputs(bis):
     """Yield ``(family, case, array)`` over the grid, in a fixed order."""
-    from bisampling.functionals import evaluate_rows
-    from bisampling.pbox import cell_endpoints
+    from bisampling.pbox import cell_box
 
     fs = [(name, bis.Functional.parse(name)) for name in FUNCTIONALS]
     for size in SIZES:
@@ -144,10 +147,11 @@ def outputs(bis):
                         yield family, (name, size, seed) + end, np.array([est.lo, est.hi])
             for lo, hi in INTERVALS:
                 reduced, _ = bis.merge_duplicates(x, bis.BoundingInterval(lo, hi))
-                cells = cell_endpoints(reduced)
-                rows = np.random.default_rng(seed).dirichlet(np.ones(len(cells)), size=200)
+                rows = np.random.default_rng(seed).dirichlet(np.ones(reduced.size - 1), size=200)
+                boxes = [cell_box(reduced, row) for row in rows]
                 for name, f in fs:
-                    yield "evaluate_rows", (name, size, seed, lo, hi), evaluate_rows(f, cells, rows)
+                    yield "evaluate", (name, size, seed, lo, hi), np.array(
+                        [[f.evaluate(box.upper), f.evaluate(box.lower)] for box in boxes])
     from bisampling import cli
 
     yield from cli_outputs(cli)
