@@ -190,6 +190,20 @@ class TestBoundsForMonotonic:
         with pytest.raises(ValueError):
             extremes(Functional("mean"), [0.0, 1.0], [0.5, 0.5])
 
+    def test_block_matches_single_rows(self):
+        # the row kernels read a block of rows on the cell endpoints as
+        # they read each row alone
+        rng = np.random.default_rng(37)
+        pts = np.array([0.0, 0.5, 0.5, 2.0, 3.5, INF])
+        block = rng.dirichlet(np.ones(5), size=40)
+        for f in (Functional("mean"), Functional("quantile", 0.4), Functional("cvar", 0.6)):
+            q_min, q_max = whole_rows(f, cell_endpoints(pts), block).T
+            assert q_min.shape == q_max.shape == (40,)
+            singles = np.array([whole_rows(f, cell_endpoints(pts), w)[0] for w in block])
+            # a block's mean is one matrix product, so it may differ in the last bits
+            np.testing.assert_allclose(q_min, singles[:, 0], rtol=1e-13)
+            np.testing.assert_allclose(q_max, singles[:, 1], rtol=1e-13)
+
     def test_ordering_over_random_instances(self):
         rng = np.random.default_rng(35)
         functionals = [
@@ -307,6 +321,63 @@ class TestWeightRows:
             assert whole_rows(f, s, w)[0] == pytest.approx(
                 f.evaluate(merged), abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ([1.0, 1.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0, 4.0]),
+            ([-INF, 1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 2.0, 4.0, 5.0]),
+            ([0.0, 1.0, 1.0, 3.0, 4.0], [1.0, 1.0, 3.0, 4.0, INF]),
+            ([-INF, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, INF]),
+            ([-INF, -INF, 1.0, 2.0, 4.0], [-INF, 1.0, 2.0, 4.0, 5.0]),
+            ([0.0, 1.0, 2.0, INF, INF], [1.0, 2.0, 3.0, 4.0, INF]),
+        ],
+        ids=["ties", "neg-inf-first", "pos-inf-last", "both-sides",
+             "neg-inf-counts", "pos-inf-counts"],
+    )
+    def test_support_matrix_matches_single_columns(self, left, right):
+        rng = np.random.default_rng(41)
+        w = rng.dirichlet(np.ones(5), size=40)
+        # rows without mass on an extreme atom, and rows whose split atom
+        # is the first or the last one
+        w[10:20, 0] = 0.0
+        w[20:30, -1] = 0.0
+        w[30:35] = [0.7, 0.1, 0.1, 0.05, 0.05]
+        w[35:] = [0.05, 0.05, 0.1, 0.1, 0.7]
+        w /= w.sum(axis=1, keepdims=True)
+        s = np.column_stack((left, right))
+        seen_inf = seen_finite = False
+        for f in (Functional("mean"), Functional("quantile", 0.5),
+                  Functional("trunc_mean", 0.6), Functional("cvar", 0.4)):
+            got = whole_rows(f, s, w)
+            assert got.shape == (40, 2)
+            for j in range(2):
+                want = whole_rows(f, s[:, j], w)
+                if f.kind == "quantile":
+                    assert np.array_equal(got[:, j], want)
+                else:
+                    np.testing.assert_allclose(got[:, j], want, rtol=1e-13)
+                    if np.isinf(s[:, j]).any():
+                        seen_inf |= np.isinf(want).any()
+                        seen_finite |= np.isfinite(want).any()
+        # with an infinite atom, forced and finite results both occur
+        assert seen_inf == seen_finite == (not np.isfinite(s).all())
+
+    def test_rows_need_not_sum_to_one(self):
+        # every functional is taken of the row divided by its total
+        rng = np.random.default_rng(47)
+        s = np.column_stack(([-INF, 1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 2.0, 4.0, INF]))
+        w = rng.dirichlet(np.ones(5), size=60)
+        w[:20, 0] = w[20:40, -1] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        scaled = w * np.geomspace(1e-6, 1e6, 60)[:, None]
+        for f in (Functional("mean"), Functional("quantile", 0.3),
+                  Functional("trunc_mean", 0.3), Functional("cvar", 0.3),
+                  Functional("trunc_mean", 1 - 1e-12), Functional("cvar", 1 - 1e-12)):
+            want = whole_rows(f, s, w)
+            got = whole_rows(f, s, scaled)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_cvar_keeps_small_tail_masses_near_one(self):
         # the atoms after the split carry 1e-11 to 1e-9 of the mass and p
