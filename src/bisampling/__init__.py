@@ -33,7 +33,6 @@ from .dirichlet import (
     sample_dirichlet,
     sample_split_index,
     sample_unit_dp_grid,
-    sample_unit_dp_stick,
 )
 from .functionals import Functional
 from .pbox import (
@@ -75,6 +74,5 @@ __all__ = [
     "sample_realization",
     "sample_split_index",
     "sample_unit_dp_grid",
-    "sample_unit_dp_stick",
     "student_t_interval",
 ]

@@ -32,7 +32,7 @@ from .bis import (
     interval_estimate,
     sample_realization,
 )
-from .dirichlet import merge_duplicates, sample_unit_dp_grid, sample_unit_dp_stick
+from .dirichlet import merge_duplicates, sample_unit_dp_grid
 from .errors import BisamplingError
 from .functionals import Functional
 from .pbox import BoundingInterval, expected_pbox
@@ -238,7 +238,7 @@ def cmd_udp_sample(args) -> int:
         raise BisamplingError("--cells must be at least 1")
     if args.count < 1:
         raise BisamplingError("--count must be at least 1")
-    if args.method == "grid" and args.alpha > 0 and args.alpha / args.cells == 0:
+    if args.alpha > 0 and args.alpha / args.cells == 0:
         raise BisamplingError(
             f"--alpha {args.alpha!r} / --cells {args.cells} underflows to 0: "
             "each grid cell's Dirichlet parameter is alpha / cells"
@@ -247,14 +247,9 @@ def cmd_udp_sample(args) -> int:
     header = ["x"] + [f"cdf_{i + 1}" for i in range(args.count)]
     columns = [grid]
     for i in range(args.count):
-        stream = rngmod.substream(args.seed, i)
-        if args.method == "grid":
-            real = sample_unit_dp_grid(args.alpha, args.cells, stream)
-        else:
-            real = sample_unit_dp_stick(args.alpha, args.terms, stream)
+        real = sample_unit_dp_grid(args.alpha, args.cells, rngmod.substream(args.seed, i))
         columns.append(real.cdf(grid))
-    manifest = _manifest("udp-sample", args, alpha=args.alpha, cells=args.cells,
-                         method=args.method)
+    manifest = _manifest("udp-sample", args, alpha=args.alpha, cells=args.cells)
     _write_text(_csv_text(manifest, header, zip(*columns)), args.out)
     return 0
 
@@ -314,11 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     udp = sub.add_parser("udp-sample", parents=[run], help="unit Dirichlet process realisations")
-    udp.add_argument("--alpha", type=float, required=True)
-    udp.add_argument("--cells", type=int, default=200)
-    udp.add_argument("--count", type=int, default=1)
-    udp.add_argument("--method", choices=("grid", "stick"), default="grid")
-    udp.add_argument("--terms", type=int, default=100)
+    udp.add_argument("--alpha", type=float, required=True,
+                     help="concentration of the unit Dirichlet process")
+    udp.add_argument("--cells", type=int, default=200,
+                     help="equal cells of [0, 1]; the CDF is written at their right ends")
+    udp.add_argument("--count", type=int, default=1,
+                     help="number of realisations, one CSV column each")
     udp.set_defaults(func=cmd_udp_sample)
 
     for command in sub.choices.values():

@@ -9,8 +9,9 @@ reaches a level without drawing weights: with integer parameters that
 cell holds a Binomial(A - 1, p) count of unit cells (Pyke 1965).  The
 unit Dirichlet process (sometimes called the identity Dirichlet process)
 is a random distortion of the uniform CDF on [0, 1] with concentration
-``alpha``; two samplers are provided, one on a fixed grid of cells and one
-by truncated stick breaking.
+``alpha``; ``sample_unit_dp_grid`` draws it on a fixed grid of cells, where
+its CDF at each grid point i/n_cells follows the exact law of the process,
+Beta(alpha * i/n_cells, alpha * (1 - i/n_cells)) (Ferguson 1973).
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def sample_unit_dp_grid(
     """Discretized unit-DP realisation on ``n_cells`` equal cells of [0, 1].
 
     Cell weights follow Dir[alpha/n_cells, ..., alpha/n_cells] and sit at
-    the cell right endpoints i/n_cells.
+    the cell right endpoints i/n_cells, where by aggregation the CDF has the
+    unit DP's exact law, Beta(alpha * i/n_cells, alpha * (1 - i/n_cells)).
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -185,26 +187,3 @@ def sample_unit_dp_grid(
     w = sample_dirichlet(np.full(n_cells, alpha / n_cells), rng)
     x = np.arange(1, n_cells + 1) / n_cells
     return WeightedStepCdf(x, w)
-
-
-def sample_unit_dp_stick(
-    alpha: float, n_terms: int, rng: np.random.Generator
-) -> WeightedStepCdf:
-    """Unit-DP realisation by stick breaking, truncated after ``n_terms``.
-
-    Atom locations are iid uniform on [0, 1] and stick fractions follow
-    Beta(1, alpha).  The mass left after ``n_terms`` breaks is closed into
-    one extra atom at a fresh uniform location (no renormalization), so the
-    result carries exactly unit mass.
-    """
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    _check_n_resample(n_terms, name="n_terms")
-    locations = rng.random(n_terms + 1)
-    b = rng.beta(1.0, alpha, size=n_terms)
-    leftover = np.cumprod(1.0 - b)
-    prefix = np.concatenate(([1.0], leftover[:-1]))
-    weights = np.empty(n_terms + 1)
-    weights[:-1] = b * prefix
-    weights[-1] = max(1.0 - float(weights[:-1].sum()), 0.0)
-    return WeightedStepCdf(locations, weights)

@@ -14,7 +14,9 @@ from conftest import SMALL_SAMPLE, child_env
 from bisampling import __version__, bis, cli
 from bisampling.baselines import preset
 from bisampling.cli import main, read_observations
+from bisampling.dirichlet import sample_unit_dp_grid
 from bisampling.errors import BisamplingError, IndeterminateSumError
+from bisampling.rng import substream
 
 
 @pytest.fixture()
@@ -455,7 +457,6 @@ class TestZeroOrNegativeOption:
             # NumPy refuses the 7 PiB of q-samples at once, allocating nothing
             ["infer", "--resamples", "1000000000000000"],
             ["udp-sample", "--alpha", "inf"],
-            ["udp-sample", "--alpha", "inf", "--method", "stick"],
         ],
         ids=" ".join,
     )
@@ -512,17 +513,31 @@ class TestUdpSample:
         assert "--alpha" in err and "--cells" in err and "underflows" in err
         assert "Dirichlet parameters" not in err
 
-    def test_stick_method(self, capsys):
+    def test_columns_are_grid_draws_from_the_seed_substreams(self, capsys):
         code, out, _ = run(
             capsys,
-            ["udp-sample", "--alpha", "5", "--cells", "50", "--method", "stick",
-             "--terms", "200", "--seed", "6"],
+            ["udp-sample", "--alpha", "1000", "--cells", "20", "--count", "3", "--seed", "1"],
         )
         assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[2:]]
-        cdf = [float(r[1]) for r in rows]
-        assert all(a <= b + 1e-12 for a, b in zip(cdf, cdf[1:]))
-        assert abs(cdf[-1] - 1.0) <= 1e-9
+        rows = np.array([line.split(",") for line in out.splitlines()[2:]], dtype=float)
+        grid = np.arange(1, 21) / 20
+        assert rows[:, 0].tolist() == grid.tolist()
+        for i in range(3):
+            real = sample_unit_dp_grid(1000.0, 20, substream(1, i))
+            assert rows[:, 1 + i].tolist() == real.cdf(grid).tolist()
+
+    # the Dirichlet draw over the cells is the only sampler: the truncated
+    # stick-breaking options are gone, even at the old default value
+    @pytest.mark.parametrize(
+        "options", [["--method", "grid"], ["--terms", "100"]], ids=" ".join
+    )
+    def test_removed_sampler_options_exit_2(self, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            main(["udp-sample", "--alpha", "5", *options])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err and options[0] in err
 
 
 class TestReproducibility:
@@ -594,7 +609,7 @@ class TestManifest:
             "true_q": preset("table4")["true_q"]}
         code, out, _ = run(capsys, ["udp-sample", "--alpha", "1", "--cells", "3"])
         assert code == 0 and self.csv_manifest(out) == {
-            **common, "command": "udp-sample", "alpha": 1.0, "cells": 3, "method": "grid"}
+            **common, "command": "udp-sample", "alpha": 1.0, "cells": 3}
 
 
 class TestOutputBytes:

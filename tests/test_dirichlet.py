@@ -14,7 +14,6 @@ from bisampling.dirichlet import (
     sample_dirichlet,
     sample_split_index,
     sample_unit_dp_grid,
-    sample_unit_dp_stick,
     weight_chunks,
 )
 from bisampling.errors import InvalidProbabilityError
@@ -410,15 +409,23 @@ class TestUnitDpGrid:
         assert d.supports.tolist() == [1.0]
         assert d.cdf(1.0) == 1.0
 
+    @staticmethod
+    def beta_marginal_pvalue(alpha, cells, i, size):
+        """KS p-value of the CDF at grid point i/n against its exact law,
+        Beta(alpha * i/n, alpha * (1 - i/n)), over size seeded draws."""
+        rng = stream(8)
+        x = i / cells
+        draws = np.array([sample_unit_dp_grid(alpha, cells, rng).cdf(x) for _ in range(size)])
+        a = alpha * x
+        return sps.kstest(draws, "beta", args=(a, alpha - a)).pvalue
+
     def test_cell_weight_beta_marginal(self):
         # first-cell mass follows Beta(alpha/n, alpha - alpha/n)
-        alpha, cells = 10.0, 20
-        rng = stream(8)
-        draws = np.array(
-            [sample_unit_dp_grid(alpha, cells, rng).cdf(1.0 / cells) for _ in range(20_000)]
-        )
-        a = alpha / cells
-        assert sps.kstest(draws, "beta", args=(a, alpha - a)).pvalue > 0.01
+        assert self.beta_marginal_pvalue(10.0, 20, 1, 20_000) > 0.01
+
+    def test_interior_point_beta_marginal_at_large_alpha(self):
+        # the law is narrow here (standard deviation 0.0145)
+        assert self.beta_marginal_pvalue(1000.0, 20, 6, 10_000) > 0.01
 
     def test_large_alpha_approaches_uniform(self):
         grid = np.arange(1, 201) / 200
@@ -431,48 +438,15 @@ class TestUnitDpGrid:
             sample_unit_dp_grid(5e-324, 200, stream(0))
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            sample_unit_dp_grid(0.0, 10, stream(0))
-        with pytest.raises(ValueError):
-            sample_unit_dp_grid(INF, 10, stream(0))
+        for alpha in (0.0, INF, float("nan")):
+            with pytest.raises(ValueError):
+                sample_unit_dp_grid(alpha, 10, stream(0))
         with pytest.raises(ValueError):
             sample_unit_dp_grid(1.0, 0, stream(0))
         for n_cells in (True, 2.5, "3"):
             with pytest.raises(ValueError, match="n_cells must be an integer of at least 1"):
                 sample_unit_dp_grid(1.0, n_cells, stream(0))
         assert sample_unit_dp_grid(1.0, np.int64(3), stream(0)).n_atoms == 3
-
-
-class TestUnitDpStick:
-    def test_truncation_base_case(self):
-        d = sample_unit_dp_stick(1.0, 1, stream(10))
-        assert d.n_atoms == 2
-        assert abs(d.weights.sum() - 1.0) <= 1e-12
-
-    def test_residual_mass_decays(self):
-        # E[residual] = (alpha/(1+alpha))^n, tiny for alpha=1 and n=100
-        rng = stream(11)
-        for _ in range(20):
-            d = sample_unit_dp_stick(1.0, 100, rng)
-            assert abs(d.weights.sum() - 1.0) <= 1e-12
-
-    def test_atom_locations_uniform(self):
-        rng = stream(12)
-        locations = np.concatenate(
-            [sample_unit_dp_stick(5.0, 30, rng).supports for _ in range(2_000)]
-        )
-        assert sps.kstest(locations, "uniform").pvalue > 0.01
-
-    def test_rejects_bad_args(self):
-        for alpha in (0.0, INF, float("nan")):
-            with pytest.raises(ValueError):
-                sample_unit_dp_stick(alpha, 10, stream(0))
-        with pytest.raises(ValueError):
-            sample_unit_dp_stick(1.0, 0, stream(0))
-        for n_terms in (True, 2.5, "3"):
-            with pytest.raises(ValueError, match="n_terms must be an integer of at least 1"):
-                sample_unit_dp_stick(1.0, n_terms, stream(0))
-        assert sample_unit_dp_stick(1.0, np.int64(3), stream(0)).n_atoms == 4
 
 
 class TestDeterminism:

@@ -161,6 +161,31 @@ class TestTwoPointOracle:
         assert sps.kstest(none.q_max, "beta", args=(1, 10)).pvalue > 1e-3
         assert sps.kstest(every.q_min, "beta", args=(10, 1)).pvalue > 1e-3
 
+    THETA = np.arange(1, 1000) / 1000
+
+    @classmethod
+    def coverage(cls, n, c):
+        """Exact coverage of the endpoints pinned above for Bernoulli(theta)
+        data, on THETA: sum over k of Binom(n, theta)(k) 1{lo_k <= theta <= hi_k}."""
+        k = np.arange(n + 1)
+        lo, hi = np.zeros(n + 1), np.ones(n + 1)
+        lo[1:] = sps.beta.ppf((1.0 - c) / 2.0, k[1:], n - k[1:] + 1)
+        hi[:-1] = sps.beta.ppf((1.0 + c) / 2.0, k[:-1] + 1, n - k[:-1])
+        inside = (lo[:, None] <= cls.THETA) & (cls.THETA <= hi[:, None])
+        return (sps.binom.pmf(k[:, None], n, cls.THETA) * inside).sum(axis=0)
+
+    @pytest.mark.parametrize("c", [0.9, 0.95])
+    @pytest.mark.parametrize("n", [5, 10, 20, 50, 100])
+    def test_clopper_pearson_covers_every_theta(self, n, c):
+        coverage = self.coverage(n, c)
+        assert coverage.min() >= c, self.THETA[coverage.argmin()]
+
+    @pytest.mark.parametrize("c", [0.9, 0.95])
+    def test_clopper_pearson_is_tight_somewhere(self, c):
+        # conservative, but not by a wide margin somewhere on the grid
+        worst = min(self.coverage(n, c).min() for n in (5, 10, 20, 50, 100))
+        assert c <= worst < c + 0.001
+
     @pytest.mark.parametrize("c", [0.8, 0.95])
     @pytest.mark.parametrize("n, k", [(10, 3), (30, 7), (200, 150)])
     def test_interval_is_clopper_pearson(self, n, k, c):
