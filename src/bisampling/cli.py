@@ -2,9 +2,15 @@
 
 Commands: ``infer`` (credible interval as JSON), ``pbox`` (expected
 probability box as CSV), ``compare`` (coverage experiment report as CSV)
-and ``udp-sample`` (unit Dirichlet process realisations as CSV).  Outputs
-embed a manifest of the run so results are reproducible from the file
-alone.  Exit codes: 0 success, 1 numeric failure, 2 usage or input error.
+and ``udp-sample`` (unit Dirichlet process realisations as CSV).  Every
+output embeds a manifest of the run: the parsed command line, each option
+by its dest save ``--out`` and ``--qbox``, with the value the command
+resolved for an option left unset (``infer``'s default resample count,
+``compare``'s preset settings, functional and target), and the library's
+version.  So a file names every setting that drew it, and the run is
+reproducible from the file alone on a host with the same unit draw and
+BLAS build.  Exit codes: 0 success, 1 numeric failure, 2 usage or input
+error.
 """
 
 from __future__ import annotations
@@ -114,22 +120,15 @@ def read_observations(path: str, column: str | None = None) -> np.ndarray:
     return data
 
 
-def _manifest(command: str, args, functional: str | None = None, credibility=None,
-              n_resample=None, **extra) -> dict:
-    """The run's manifest: its command, input, bounds and seed, the given
-    settings (None where the command has none) and the command's ``extra`` keys."""
-    bounds = getattr(args, "bounds", None)
-    return {
-        "command": command,
-        "input": getattr(args, "input", None),
-        "bounds": [_encode(b) for b in bounds] if bounds is not None else None,
-        "functional": functional,
-        "credibility": credibility,
-        "n_resample": n_resample,
-        "seed": args.seed,
-        "version": __version__,
-        **extra,
-    }
+def _manifest(args, **resolved) -> dict:
+    """The run's manifest: every option of its command line by its dest, save
+    where the outputs go, with each ``resolved`` value written over the
+    option the command resolved it for, and the library's version."""
+    skip = ("func", "out", "qbox")
+    settings = {k: v for k, v in vars(args).items() if k not in skip}
+    settings.update(resolved, version=__version__)
+    return {k: [_encode(x) for x in v] if isinstance(v, (list, tuple)) else _encode(v)
+            for k, v in settings.items()}
 
 
 def _write_text(text: str, out: str | None):
@@ -153,8 +152,8 @@ def _csv_text(manifest: dict, header: list[str], rows) -> str:
 def cmd_infer(args) -> int:
     data = read_observations(args.input, args.column)
     interval = BoundingInterval(args.bounds[0], args.bounds[1])
-    functional = Functional.parse(args.param)
-    n_resample = args.resamples
+    functional = Functional.parse(args.functional)
+    n_resample = args.n_resample
     if n_resample is None:
         n_resample = default_n_resample(args.credibility)
     cfg = BisConfig(
@@ -165,7 +164,7 @@ def cmd_infer(args) -> int:
     )
     qs = bis_run(data, interval, cfg)
     est = interval_estimate(qs, args.credibility)
-    manifest = _manifest("infer", args, args.param, args.credibility, n_resample)
+    manifest = _manifest(args, n_resample=n_resample)
     result = {
         "interval": {"lo": _encode(est.lo), "hi": _encode(est.hi)},
         "credibility": args.credibility,
@@ -201,29 +200,28 @@ def cmd_pbox(args) -> int:
             real = sample_realization(reduced, params, rngmod.substream(args.seed, i))
             header += [f"r{i + 1}_lower", f"r{i + 1}_upper"]
             columns += [real.lower.cdf(grid), real.upper.cdf(grid)]
-    _write_text(_csv_text(_manifest("pbox", args), header, zip(*columns)), args.out)
+    _write_text(_csv_text(_manifest(args), header, zip(*columns)), args.out)
     return 0
 
 
 def cmd_compare(args) -> int:
     config = preset(args.preset)
-    methods = args.methods or list(config["methods"])
-    n_resample = config["n_resample"] if args.resamples is None else args.resamples
-    credibility = config["credibility"] if args.credibility is None else args.credibility
-    n_sample = config["n_sample"] if args.n_sample is None else args.n_sample
-    manifest = _manifest("compare", args, config["functional"].kind, credibility, n_resample,
-                         preset=args.preset, n_trials=args.trials, true_q=config["true_q"])
+    # the preset's value of each override left unset
+    settings = {key: config[key] if getattr(args, key) is None else getattr(args, key)
+                for key in ("methods", "n_resample", "credibility", "n_sample")}
+    manifest = _manifest(args, **settings, functional=config["functional"].kind,
+                         true_q=config["true_q"])
     rows = []
-    for method in methods:
+    for method in settings["methods"]:
         report = coverage_experiment(
             gen=config["gen"],
             true_q=config["true_q"],
             method=method,
             f=config["functional"],
-            n_sample=n_sample,
-            credibility=credibility,
-            n_trials=args.trials,
-            n_resample=n_resample,
+            n_sample=settings["n_sample"],
+            credibility=settings["credibility"],
+            n_trials=args.n_trials,
+            n_resample=settings["n_resample"],
             interval=config["interval"],
             seed=args.seed,
         )
@@ -249,8 +247,7 @@ def cmd_udp_sample(args) -> int:
     for i in range(args.count):
         real = sample_unit_dp_grid(args.alpha, args.cells, rngmod.substream(args.seed, i))
         columns.append(real.cdf(grid))
-    manifest = _manifest("udp-sample", args, alpha=args.alpha, cells=args.cells)
-    _write_text(_csv_text(manifest, header, zip(*columns)), args.out)
+    _write_text(_csv_text(_manifest(args), header, zip(*columns)), args.out)
     return 0
 
 
@@ -284,13 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     infer = sub.add_parser("infer", parents=[run, data],
                            help="credible interval for a population parameter")
+    # --param, --resamples and --trials take the dests the manifest names them by
     infer.add_argument(
         "--param",
+        dest="functional",
         required=True,
         help="mean | median | quantile:p | trunc-mean:p | cvar:p",
     )
     infer.add_argument("--credibility", type=float, default=0.9)
-    infer.add_argument("--resamples", type=int, default=None)
+    infer.add_argument("--resamples", dest="n_resample", type=int, default=None)
     infer.add_argument("--qbox", default=None, help="also write the q-box ECDFs as CSV")
     infer.set_defaults(func=cmd_infer)
 
@@ -301,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", parents=[run],
                              help="coverage comparison of interval methods")
     compare.add_argument("--preset", choices=("table3", "table4"), required=True)
-    compare.add_argument("--trials", type=int, required=True)
+    compare.add_argument("--trials", dest="n_trials", type=int, required=True)
     compare.add_argument("--methods", nargs="+", choices=METHODS, default=None)
-    compare.add_argument("--resamples", type=int, default=None)
+    compare.add_argument("--resamples", dest="n_resample", type=int, default=None)
     compare.add_argument("--credibility", type=float, default=None)
     compare.add_argument("--n-sample", type=int, default=None)
     compare.set_defaults(func=cmd_compare)

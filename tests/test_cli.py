@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gzip
 import json
 import math
@@ -12,7 +14,7 @@ import pytest
 from conftest import SMALL_SAMPLE, child_env
 
 from bisampling import __version__, bis, cli
-from bisampling.baselines import preset
+from bisampling.baselines import coverage_experiment, preset
 from bisampling.cli import main, read_observations
 from bisampling.dirichlet import sample_unit_dp_grid
 from bisampling.errors import BisamplingError, IndeterminateSumError
@@ -436,6 +438,20 @@ class TestCompare:
         assert trials == []
         assert "bogus" in capsys.readouterr().err
 
+    def test_valid_overrides_reach_the_experiment(self, capsys):
+        with pytest.warns(UserWarning, match="rule of thumb"):
+            code, out, _ = run(capsys, ["compare", "--preset", "table3", "--trials", "3",
+                                        "--resamples", "200", "--seed", "1", "--methods", "bis",
+                                        "--n-sample", "10", "--credibility", "0.9"])
+            config = preset("table3")
+            report = coverage_experiment(
+                gen=config["gen"], true_q=config["true_q"], method="bis",
+                f=config["functional"], n_sample=10, credibility=0.9, n_trials=3,
+                n_resample=200, interval=config["interval"], seed=1)
+        assert code == 0
+        want = cli._csv_text({}, [], [dataclasses.astuple(report)]).splitlines()[2]
+        assert out.splitlines()[2:] == [want]
+
     def test_target_is_the_presets_own(self, capsys):
         # the preset's generator fixes the target, so no option sets another
         with pytest.raises(SystemExit) as exc:
@@ -588,9 +604,8 @@ class TestManifest:
         return json.loads(head[len("# manifest: "):])
 
     def test_each_command_records_its_settings(self, capsys, sample_file, tmp_path):
-        common = {"input": None, "bounds": None, "functional": None, "credibility": None,
-                  "n_resample": None, "seed": 0, "version": __version__}
-        data = {**common, "input": sample_file, "bounds": [0.0, "inf"]}
+        common = {"seed": 0, "version": __version__}
+        data = {**common, "input": sample_file, "column": None, "bounds": [0.0, "inf"]}
         qbox = tmp_path / "q.csv"
         code, out, _ = run(capsys, ["infer", sample_file, "--param", "mean", "--bounds", "0",
                                     "inf", "--qbox", str(qbox)])
@@ -599,17 +614,63 @@ class TestManifest:
         assert code == 0 and json.loads(out)["manifest"] == infer
         assert self.csv_manifest(qbox.read_text()) == infer
         code, out, _ = run(capsys, ["pbox", sample_file, "--bounds", "0", "inf"])
-        assert code == 0 and self.csv_manifest(out) == {**data, "command": "pbox"}
+        assert code == 0 and self.csv_manifest(out) == {
+            **data, "command": "pbox", "realisations": 0}
         with pytest.warns(UserWarning, match="rule of thumb"):
             code, out, _ = run(capsys, ["compare", "--preset", "table4", "--trials", "2",
                                         "--resamples", "200", "--seed", "3", "--methods", "bis"])
         assert code == 0 and self.csv_manifest(out) == {
             **common, "command": "compare", "functional": "mean", "credibility": 0.95,
             "n_resample": 200, "seed": 3, "preset": "table4", "n_trials": 2,
-            "true_q": preset("table4")["true_q"]}
+            "true_q": preset("table4")["true_q"], "methods": ["bis"], "n_sample": 50}
         code, out, _ = run(capsys, ["udp-sample", "--alpha", "1", "--cells", "3"])
         assert code == 0 and self.csv_manifest(out) == {
-            **common, "command": "udp-sample", "alpha": 1.0, "cells": 3}
+            **common, "command": "udp-sample", "alpha": 1.0, "cells": 3, "count": 1}
+
+    @classmethod
+    def manifest_of(cls, out):
+        return cls.csv_manifest(out) if out.startswith("#") else json.loads(out)["manifest"]
+
+    # one run of each subcommand, and the keys it may add to its options'
+    # dests: what it resolved that no option of its own sets
+    RUNS = {
+        "infer": (["--param", "median", "--bounds", "0", "inf"], set()),
+        "pbox": (["--bounds", "0", "inf"], set()),
+        "compare": (["--preset", "table3", "--trials", "2", "--methods", "student_t"],
+                    {"functional", "true_q"}),
+        "udp-sample": (["--alpha", "1", "--cells", "3"], set()),
+    }
+
+    def test_every_option_is_recorded(self, capsys, sample_file):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices) == set(self.RUNS)
+        for name, command in commands.choices.items():
+            options, resolved = self.RUNS[name]
+            data = [sample_file] if "input" in {a.dest for a in command._actions} else []
+            code, out, _ = run(capsys, [name, *data, *options])
+            assert code == 0
+            dests = {a.dest for a in command._actions} - {"out", "qbox", "help"}
+            keys = set(self.manifest_of(out))
+            assert dests <= keys, name
+            assert keys - dests == {"command", "version"} | resolved, name
+
+    def test_the_csv_column_is_recorded(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("x,y\n" + "".join(f"{v},{v * v}\n" for v in SMALL_SAMPLE))
+        argv = ["infer", str(path), "--param", "median", "--bounds", "0", "inf", "--seed", "1"]
+        x, y = (self.manifest_of(run(capsys, argv + ["--column", c])[1]) for c in "xy")
+        assert set(x) == set(y)
+        assert {k: (x[k], y[k]) for k in x if x[k] != y[k]} == {"column": ("x", "y")}
+
+    def test_n_sample_is_recorded(self, capsys):
+        argv = ["compare", "--preset", "table3", "--trials", "2", "--seed", "1",
+                "--methods", "student_t"]
+        code, out, _ = run(capsys, argv + ["--n-sample", "10"])
+        assert code == 0 and self.csv_manifest(out)["n_sample"] == 10
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and self.csv_manifest(out)["n_sample"] == 50
+        assert preset("table3")["n_sample"] == 50
 
 
 class TestOutputBytes:
@@ -620,8 +681,8 @@ class TestOutputBytes:
         code, out, _ = run(capsys, ["pbox", "obs.txt", "--bounds", "0", "4"])
         assert code == 0
         assert out == (
-            '# manifest: {"bounds": [0.0, 4.0], "command": "pbox", "credibility": null, '
-            '"functional": null, "input": "obs.txt", "n_resample": null, "seed": 0, '
+            '# manifest: {"bounds": [0.0, 4.0], "column": null, "command": "pbox", '
+            '"input": "obs.txt", "realisations": 0, "seed": 0, '
             f'"version": "{__version__}"}}\n'
             "x,F_lower,F_upper\n"
             "0.0,0.0,0.25\n"

@@ -182,10 +182,11 @@ def test_cli_family_digests_stdout_and_every_output_file():
     texts = {case: out.tobytes() for _, case, out in found}
     assert list(texts) == [
         ("infer", "stdout"), ("infer-qbox", "stdout"), ("infer-qbox", "infer.json"),
-        ("infer-qbox", "qbox.csv"), ("pbox", "stdout"), ("pbox-realisations", "stdout"),
-        ("pbox-realisations", "pbox.csv"), ("compare", "stdout"), ("udp-grid", "stdout"),
-        ("udp-grid", "udp.csv")]
+        ("infer-qbox", "qbox.csv"), ("infer-column", "stdout"), ("pbox", "stdout"),
+        ("pbox-realisations", "stdout"), ("pbox-realisations", "pbox.csv"), ("compare", "stdout"),
+        ("udp-grid", "stdout"), ("udp-grid", "udp.csv")]
     # a command writing to --out leaves stdout empty; the input path is as given
     assert [case for case, text in texts.items() if not text] == [
         ("infer-qbox", "stdout"), ("pbox-realisations", "stdout"), ("udp-grid", "stdout")]
     assert b'"input": "obs.txt"' in texts["pbox", "stdout"]
+    assert b'"column": "y"' in texts["infer-column", "stdout"]

@@ -66,6 +66,13 @@ def signed_zero_digests() -> dict:
                 for method, run in BOOTSTRAPS.items():
                     est = run(x, f, 0.5, 200, np.random.default_rng(seed))
                     update(f"{method} {name}", [est.lo, est.hi])
+            # the percentile bootstrap's mean sums each resample's values in
+            # draw order and draws no unit weights, so it keeps its bytes too;
+            # lognormal factors that keep each zero's sign make the sums round
+            y = x * np.random.default_rng(seed).lognormal(0.0, 1.0, n)
+            est = bootstrap_interval(y, Functional.parse("mean"), 0.5, 200,
+                                     np.random.default_rng(seed))
+            update("bootstrap mean", [est.lo, est.hi])
     return {family: h.hexdigest() for family, h in sha.items()}
 
 

@@ -15,10 +15,11 @@ Families:
   and the lower bound (columns 0 and 1) of the ``cell_box`` of each of 200
   fixed Dirichlet rows over the cells of the same data and intervals,
   n <= 1000.
-- ``cli``: the bytes that six fixed ``bis`` command lines (``CLI_RUNS``: two
-  of ``infer``, two of ``pbox``, one of ``compare`` and one of
+- ``cli``: the bytes that seven fixed ``bis`` command lines (``CLI_RUNS``:
+  three of ``infer``, two of ``pbox``, one of ``compare`` and one of
   ``udp-sample``) write to stdout and to every ``--out`` and ``--qbox``
-  file, run on the n = 200 data of seed 1.
+  file, run on the n = 200 data of seed 1, or, for ``infer --column y``, on
+  the CSV file whose column ``x`` holds those data and ``y`` their squares.
 
 The functionals are mean, median, quantile:0.99, and trunc-mean and cvar at
 0.5, 0.9 and 0.99.  Two checkouts that print the same line for a family
@@ -78,12 +79,15 @@ SEEDS = (1, 2, 3)
 SIZES = ("15", "200", "200-zeros", "1000", "1000-ties", "100000")
 INTERVALS = ((0.0, 60.0), (0.0, np.inf), (-np.inf, 60.0), (-np.inf, np.inf))
 FAMILIES = ("bis_run", "bayesian_bootstrap", "bootstrap", "evaluate", "cli")
-# (name, argv) of each ``bis`` command line of the ``cli`` family, run on obs.txt
+# (name, argv) of each ``bis`` command line of the ``cli`` family, run on
+# obs.txt or on the two columns of xy.csv
 CLI_RUNS = (
     ("infer", ["infer", "obs.txt", "--param", "mean", "--bounds", "0", "inf", "--seed", "1"]),
     ("infer-qbox", ["infer", "obs.txt", "--param", "cvar:0.9", "--bounds", "-inf", "60",
                     "--credibility", "0.8", "--seed", "2", "--out", "infer.json",
                     "--qbox", "qbox.csv"]),
+    ("infer-column", ["infer", "xy.csv", "--column", "y", "--param", "trunc-mean:0.9",
+                      "--bounds", "0", "inf", "--seed", "6"]),
     ("pbox", ["pbox", "obs.txt", "--bounds", "0", "inf"]),
     ("pbox-realisations", ["pbox", "obs.txt", "--bounds", "0", "60", "--realisations", "3",
                            "--seed", "3", "--out", "pbox.csv"]),
@@ -161,15 +165,18 @@ def outputs(bis):
 def cli_outputs(cli) -> list:
     """``("cli", (name, output), bytes)`` of each command line of ``CLI_RUNS``,
     run through ``cli.main`` in a fresh directory holding the n = 200 data of
-    seed 1 as obs.txt: its stdout, then each file it names after ``--out`` or
+    seed 1 as obs.txt, and as column ``x`` of xy.csv beside their squares as
+    column ``y``: its stdout, then each file it names after ``--out`` or
     ``--qbox``, the bytes as a uint8 array.  The manifest records the input
     path as given, so the path is relative and the bytes do not depend on the
     directory."""
     found, here = [], os.getcwd()
+    x = data("200", 1).tolist()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("obs.txt").write_text("".join(f"{v!r}\n" for v in data("200", 1).tolist()))
+            Path("obs.txt").write_text("".join(f"{v!r}\n" for v in x))
+            Path("xy.csv").write_text("x,y\n" + "".join(f"{v!r},{v * v!r}\n" for v in x))
             for name, argv in CLI_RUNS:
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
