@@ -40,7 +40,7 @@ TRUNC_LOGNORMAL_MEAN = 1.6458363416578858
 
 @dataclass(frozen=True)
 class TruncatedLognormal:
-    """exp(Normal(mu, sigma)) rejection-sampled into [lo, hi]."""
+    """``Generator.lognormal(mu, sigma)`` (libm's ``exp``) rejection-sampled into [lo, hi]."""
 
     mu: float
     sigma: float
@@ -90,7 +90,7 @@ def generate(gen: Generator, n: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty(n)
         filled = 0
         while filled < n:
-            draws = np.exp(rng.normal(gen.mu, gen.sigma, size=n - filled))
+            draws = rng.lognormal(gen.mu, gen.sigma, size=n - filled)
             kept = draws[(draws >= gen.lo) & (draws <= gen.hi)]
             out[filled : filled + kept.size] = kept
             filled += kept.size
@@ -117,13 +117,13 @@ def _observations(data, least: int, finite: bool = False) -> np.ndarray:
 
 def student_t_interval(data, credibility: float) -> IntervalEstimate:
     """Classic mean interval from Student's t with n-1 degrees of freedom."""
-    # imported by its one user, so importing the package does not load it
-    from scipy import stats as sps
+    # scipy.stats.t.ppf's own routine, imported on first use without scipy.stats
+    from scipy.special import stdtrit
 
     arr = _observations(data, 2, finite=True)
     m = float(arr.mean())
     s = float(arr.std(ddof=1))
-    tcrit = float(sps.t.ppf((1.0 + credibility) / 2.0, arr.size - 1))
+    tcrit = float(stdtrit(arr.size - 1, (1.0 + credibility) / 2.0))
     half = tcrit * s / math.sqrt(arr.size)
     return IntervalEstimate(lo=m - half, hi=m + half, credibility=credibility)
 

@@ -44,13 +44,6 @@ from .functionals import Functional
 from .pbox import BoundingInterval, expected_pbox
 
 
-def _parse_bound(token: str) -> float:
-    value = float(token)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("interval bound must not be NaN")
-    return value
-
-
 def _encode(value):
     """JSON-safe scalar: infinities become the tokens 'inf' / '-inf'."""
     if isinstance(value, float) and math.isinf(value):
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument(
         "--bounds",
         nargs=2,
-        type=_parse_bound,
+        type=float,
         required=True,
         metavar=("LO", "HI"),
         help="bounding interval; accepts inf and -inf",

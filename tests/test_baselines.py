@@ -122,10 +122,10 @@ class TestStudentT:
         with pytest.raises(NonFiniteError):
             student_t_interval([1.0, bad, 3.0, 4.0], 0.9)
 
-    def test_package_import_leaves_scipy_stats_to_first_use(self):
-        # a fresh interpreter: importing the package and its command line
-        # loads no scipy.stats, and the t interval still loads it and gives
-        # the interval this process gives
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # a fresh interpreter: neither importing the package and its command
+        # line nor the first t interval loads scipy.stats, and that interval
+        # is the one this process gives
         code = ("import sys, bisampling, bisampling.cli\n"
                 "print('scipy.stats' in sys.modules)\n"
                 "est = bisampling.student_t_interval([1.0, 2.5, 3.0, 7.0], 0.9)\n"
@@ -133,7 +133,17 @@ class TestStudentT:
         out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                              text=True, check=True, timeout=120).stdout.split("\n")
         est = student_t_interval([1.0, 2.5, 3.0, 7.0], 0.9)
-        assert out[:2] == ["False", f"True {est.lo!r} {est.hi!r}"]
+        assert out[:2] == ["False", f"False {est.lo!r} {est.hi!r}"]
+
+    @pytest.mark.parametrize("credibility", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_bits_of_scipy_stats_t_ppf(self, credibility):
+        # mean -+ t.ppf((1 + c)/2, n - 1) * s / sqrt(n), bit for bit
+        for n in range(2, 201):
+            data = stream(n).lognormal(0.0, 1.0, n)
+            m, s = float(data.mean()), float(data.std(ddof=1))
+            half = float(sps.t.ppf((1.0 + credibility) / 2.0, n - 1)) * s / math.sqrt(n)
+            est = student_t_interval(data, credibility)
+            assert (est.lo, est.hi) == (m - half, m + half)
 
     def test_median_endpoints_in_reference_setting(self):
         # 50 draws from the truncated lognormal at 95%: endpoint medians

@@ -88,19 +88,6 @@ class TestSampleRealization:
             real = sample_realization(reduced, params, rng)
             assert (real.lower.cdf(grid) <= real.upper.cdf(grid) + 1e-12).all()
 
-    def test_marginal_beta_laws_at_point(self, small_sample):
-        # lower/upper CDF values at x=1.0 follow Beta(6,10) and Beta(7,9)
-        reduced, params = merge_duplicates(small_sample, POSITIVE)
-        rng = stream(7)
-        lo = np.empty(10_000)
-        hi = np.empty(10_000)
-        for i in range(lo.size):
-            real = sample_realization(reduced, params, rng)
-            lo[i] = real.lower.cdf(1.0)
-            hi[i] = real.upper.cdf(1.0)
-        assert sps.kstest(lo, "beta", args=(6, 10)).pvalue > 0.01
-        assert sps.kstest(hi, "beta", args=(7, 9)).pvalue > 0.01
-
 
 class TestBisConfig:
     @pytest.mark.parametrize("n", [0, -1, 2.5, True], ids=["0", "-1", "2.5", "True"])

@@ -711,9 +711,15 @@ def test_bad_udp_sizes_exit_2(capsys, argv, word):
 
 
 def test_nan_bound_exits_2(capsys, sample_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["infer", sample_file, "--param", "mean", "--bounds", "nan", "1"])
-    assert exc.value.code == 2 and "NaN" in capsys.readouterr().err
+    # BoundingInterval rejects the NaN endpoint once the input is read
+    code, out, err = run(capsys, ["infer", sample_file, "--param", "mean", "--bounds", "nan", "1"])
+    assert code == 2 and "NaN" in err and out == ""
+
+
+def test_negative_scientific_bound_is_a_value(capsys, sample_file):
+    code, out, _ = run(capsys, ["infer", sample_file, "--param", "median",
+                                "--bounds", "-1e3", "inf", "--seed", "0"])
+    assert code == 0 and json.loads(out)["manifest"]["bounds"] == [-1000.0, "inf"]
 
 
 # an error raised by the run, and the code bis exits with: 1 for a numeric

@@ -22,7 +22,12 @@ from scipy import stats as sps
 from conftest import child_env
 
 from bisampling import dirichlet
-from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
+from bisampling.baselines import (
+    bayesian_bootstrap_interval,
+    bootstrap_interval,
+    generate,
+    preset,
+)
 from bisampling.bis import (
     BisConfig,
     bis_run,
@@ -44,7 +49,8 @@ def positive_zero_bytes(*arrays) -> bool:
 
 def signed_zero_digests() -> dict:
     """One sha1 per output family over seeded data drawn from signed zeros
-    and a few other values on [-5, 5]."""
+    and a few other values on [-5, 5], and over the synthetic data of the
+    table3 and table4 coverage studies."""
     interval = BoundingInterval(-5.0, 5.0)
     pool = np.array([-0.0, 0.0, -1.0, 1.5, 2.5, 3.0])
     sha = {}
@@ -73,6 +79,8 @@ def signed_zero_digests() -> dict:
             est = bootstrap_interval(y, Functional.parse("mean"), 0.5, 200,
                                      np.random.default_rng(seed))
             update("bootstrap mean", [est.lo, est.hi])
+        for table in ("table3", "table4"):
+            update("generate", generate(preset(table)["gen"], 50, np.random.default_rng(seed)))
     return {family: h.hexdigest() for family, h in sha.items()}
 
 
