@@ -141,7 +141,7 @@ def bootstrap_interval(
     ``functionals._resample_values``.
     """
     arr = _observations(data, 1)
-    _check_n_resample(n_resample, least=0)
+    _check_n_resample(n_resample)
     _check_open_unit(credibility, "credibility")
     sup = prepare_supports(np.sort(arr))
     n = arr.size
@@ -167,6 +167,7 @@ def bayesian_bootstrap_interval(
     that split, drawn given it (Pyke 1965).
     """
     arr = _observations(data, 1)
+    _check_n_resample(n_resample)
     _check_open_unit(credibility, "credibility")
     qs = _dirichlet_resample(f, np.ones(arr.size), np.sort(arr)[:, None], rng, n_resample)
     return interval_estimate(qs, credibility)

@@ -137,8 +137,7 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     ``values``, a ``(k, m)`` array of sorted support columns, one row per
     integer parameter: the draw of ``bis_run`` (the cells' endpoints) and
     of the Bayesian bootstrap (the sorted data).  Column 0 gives ``q_min``
-    and the last column ``q_max``.  The count is checked before anything is
-    drawn.
+    and the last column ``q_max``.  Callers check ``n_resample >= 1`` first.
 
     Every functional but the mean draws its split once, first: the unit
     cell K ~ Binomial(A - 1, p) of the A unit cells behind the parameters,
@@ -155,7 +154,6 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     atoms alone are prepared, and each chunk goes straight to its kernel on
     them, ``_mean_rows`` or ``_cut_mean``.
     """
-    _check_n_resample(n_resample, least=0)
     first, stop = 0, params.size
     tail = f.kind == "cvar"
     if f.kind != "mean":
@@ -165,9 +163,9 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
         shares = rng.standard_gamma(
             head[cell] - units if tail else units - head[cell] + params[cell] + 1.0)
         if tail:
-            first = int(cell.min(initial=stop - 1))
+            first = int(cell.min())
         else:
-            stop = int(cell.max(initial=0)) + 1
+            stop = int(cell.max()) + 1
     span = prepare_supports(values[first:stop])
     q = np.empty((values.shape[1], n_resample))
     start = 0

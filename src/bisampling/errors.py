@@ -39,10 +39,10 @@ class EmptySamplesError(BisamplingError):
     """An operation received an empty sample collection."""
 
 
-def _check_n_resample(n, least: int = 1, name: str = "n_resample") -> None:
-    """Reject a count ``name`` that is not an integer of at least ``least``."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
+def _check_n_resample(n, name: str = "n_resample") -> None:
+    """Reject a count ``name`` that is not an integer of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {n!r}")
 
 
 def _check_open_unit(value, name: str) -> None:

@@ -155,13 +155,18 @@ def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
     ``IndeterminateSumError``.  A ratio of rounded sums can land an ulp
     outside the atoms it averages, so each result is clipped to
     ``[low, high]``: by default the column's first and last atoms, for a
-    split mean its side's bounds.
+    split mean its side's bounds.  A sum that is not finite overflowed
+    (``terms`` zeroes infinities): its weights, over their total, are summed again.
     """
     s, m = sup.values, sup.values.shape[1]
-    sums = w @ sup.terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = w @ sup.terms
     total = sums[:, m]
     if not ((total > 0) & (total < np.inf)).all():
         raise ValueError("every weight row must have a positive, finite total")
+    if not np.isfinite(sums).all():
+        big = ~np.isfinite(sums).all(axis=1)
+        sums[big] = (w[big] / total[big, None]) @ sup.terms
     out = sums[:, :m] / sums[:, m:]
     for j in range(m):
         col = s[:, j]
@@ -196,7 +201,7 @@ def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
     """
     n = w.shape[1]
     w[np.arange(w.shape[0]), c] = share
-    lo, hi = int(c.min(initial=n - 1)), int(c.max(initial=0))
+    lo, hi = int(c.min()), int(c.max())
     if tail:
         band = w[:, lo:hi]
         band[np.arange(lo, hi) < c[:, None]] = 0.0
@@ -213,16 +218,19 @@ def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
 def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarray:
     """``f`` of each resample, a row of ``pos`` (positions in the sorted
     data, the one column of ``sup``), by the rules of weight rows on that
-    column; ``pos`` is partitioned in place.
+    column; ``pos`` is reordered in place unless ``f`` is the mean.
 
     A row of n positions splits at its r-th smallest position c, r being
-    the first count that reaches p n (``cum >= p * total``), found for every
-    row by one partition; a quantile is x_c.  A truncated mean (CVaR) weighs
-    the r - 1 smallest (n - r largest) drawn values by one and x_c by the
-    rest of the side's mass, p n ((1 - p) n); a mean weighs every drawn
-    value by one.  Each row is summed on its own, from ``terms``, so a value
-    does not depend on the rows beside it.  A zero share weighs nothing;
-    infinite atoms and the clip to the side follow ``_mean_rows``.
+    the first count that reaches p n (``cum >= p * total``); a quantile is
+    x_c, found for every row by one partition.  A truncated mean (CVaR)
+    weighs the r - 1 smallest (n - r largest) drawn values by one and x_c
+    by the rest of the side's mass, p n ((1 - p) n), each row sorted so
+    that its side sums in position order, which no CPU dispatch changes as
+    it would a partition's; a mean weighs every drawn value by one.  Each
+    row is summed on its own, from ``terms``, so a value does not depend on
+    the rows beside it.  A zero share weighs nothing; infinite atoms, the
+    clip to the side and the second sum of an overflowed row (values over
+    the side's mass) follow ``_mean_rows``.
     """
     x, finite, n = sup.values[:, 0], sup.terms[:, 0], pos.shape[1]
     c, share = None, 0.0
@@ -230,19 +238,27 @@ def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarra
         side, low, high = pos, x[0], x[-1]
     else:
         r = math.ceil(f.p * n)
-        pos.partition(r - 1, axis=1)
-        c = pos[:, r - 1]
         if f.kind == "quantile":
-            return x[c]
+            pos.partition(r - 1, axis=1)
+            return x[pos[:, r - 1]]
+        pos.sort(axis=1)
+        c = pos[:, r - 1]
         if f.kind == "cvar":
             side, share, low, high = pos[:, r:], (1.0 - f.p) * n - (n - r), x[c], x[-1]
         else:
             side, share, low, high = pos[:, : r - 1], f.p * n - (r - 1), x[0], x[c]
         share = max(share, 0.0)
-    sums = finite[side].sum(axis=1)
-    if share:
-        sums += share * finite[c]
-    out = sums / (side.shape[1] + share)
+    mass = side.shape[1] + share
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = finite[side].sum(axis=1)
+        if share:
+            out += share * finite[c]
+    out /= mass
+    if not np.isfinite(out).all():
+        big = ~np.isfinite(out)
+        out[big] = (finite[side[big]] / mass).sum(axis=1)
+        if share:
+            out[big] += share / mass * finite[c[big]]
     if x[0] == -np.inf or x[-1] == np.inf:
         # the initial values lie past the data's ends, so an empty side reaches no atom
         first, last = side.min(axis=1, initial=x.size), side.max(axis=1, initial=-1)

@@ -266,6 +266,24 @@ class TestInfer:
         assert code == 0
         assert json.loads(out)["interval"]["hi"] == 50.0
 
+    @pytest.mark.parametrize("bound", ["1e308", "1.7976931348623157e308"])
+    def test_a_bound_near_the_float_range_scales_like_a_small_one(self, capsys, tmp_path,
+                                                                  bound):
+        # a sum past the float range once ran into the clip: "hi" read 1e+308
+        # against 7.37e306 for the run scaled by 2**-20, with a RuntimeWarning
+        x = np.random.default_rng(4).lognormal(size=50)
+        path, ends = tmp_path / "ln50.txt", []
+        for scale in (1.0, 2.0**-20):
+            path.write_text("".join(f"{float(v)!r}\n" for v in x * scale))
+            code, out, err = run(capsys, ["infer", str(path), "--param", "mean",
+                                          "--bounds", "0", repr(float(bound) * scale),
+                                          "--credibility", "0.95", "--seed", "3"])
+            assert code == 0 and err == ""
+            interval = json.loads(out)["interval"]
+            ends.append(np.array([interval["lo"], interval["hi"]]) / scale)
+        assert np.all(np.abs(ends[0] - ends[1]) <= 15 * np.spacing(ends[1]))
+        assert ends[0][1] < 2e307
+
     @pytest.mark.parametrize("param", ["mean", "cvar:0.9"])
     def test_unbounded_both_sides(self, capsys, sample_file, param):
         # each bound CDF has mass at one infinity only: no indeterminate sum

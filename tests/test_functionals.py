@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import oracle_split_mean, random_fraction_instance, whole_rows
 
 from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
+from bisampling.bis import BisConfig, bis_run, interval_estimate
 from bisampling.dirichlet import merge_duplicates, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
 from bisampling.functionals import (
@@ -665,6 +667,41 @@ class TestInfiniteAtoms:
                     assert got[c] == pytest.approx(expect, rel=1e-12, abs=1e-12)
                     seen.add(repr(expect) if expect in (INF, -INF) else "finite")
         assert seen == {"None", "inf", "-inf", "finite"}
+
+
+METHODS = {"bootstrap": bootstrap_interval, "bayesian_bootstrap": bayesian_bootstrap_interval}
+
+
+@functools.cache
+def scaled_interval(method, name, k):
+    """The 0.9 interval of ``method`` for ``name`` on 1000 unit lognormal
+    draws capped at 50 on [0, 60], both times 2**k, N = 1000, seed 9."""
+    x = np.minimum(np.random.default_rng(9).lognormal(0.0, 1.0, 1000), 50.0) * 2.0**k
+    f = Functional.parse(name)
+    if method == "bis":
+        qs = bis_run(x, BoundingInterval(0.0, 60.0 * 2.0**k), BisConfig(f, 0.9, 1000, 9))
+        est = interval_estimate(qs, 0.9)
+    else:
+        est = METHODS[method](x, f, 0.9, 1000, stream(9))
+    return est.lo, est.hi
+
+
+class TestScaleOracle:
+    """Every method and functional commutes with a power-of-two scale: the
+    run on (2**k x, 2**k I) is 2**k times the run on (x, I).  Bit for bit
+    where no sum overflows, and to a few ulps past it, where an overflowed
+    row is summed again over its total; an overflow once ran into the clip
+    and read as an end of the bounding interval."""
+
+    @pytest.mark.parametrize("method", ["bis", *METHODS])
+    @pytest.mark.parametrize("name", ["mean", "median", "trunc-mean:0.5", "trunc-mean:0.9",
+                                      "cvar:0.9"])
+    @pytest.mark.parametrize("k, ulps", [(-40, 0), (20, 0), (1000, 0), (1012, 0), (1017, 15)])
+    def test_scaling_the_data_and_bounds_scales_the_interval(self, method, name, k, ulps):
+        got = scaled_interval(method, name, k)
+        for g, want in zip(got, scaled_interval(method, name, 0)):
+            want *= 2.0**k
+            assert abs(g - want) <= ulps * np.spacing(want), (g, want)
 
 
 @pytest.mark.parametrize("kind, p, word", [("median", None, "unknown"),

@@ -73,12 +73,14 @@ def signed_zero_digests() -> dict:
                     est = run(x, f, 0.5, 200, np.random.default_rng(seed))
                     update(f"{method} {name}", [est.lo, est.hi])
             # the percentile bootstrap's mean sums each resample's values in
-            # draw order and draws no unit weights, so it keeps its bytes too;
-            # lognormal factors that keep each zero's sign make the sums round
+            # draw order, and its split means each side in position order, and
+            # it draws no unit weights, so it keeps its bytes too; lognormal
+            # factors that keep each zero's sign make the sums round
             y = x * np.random.default_rng(seed).lognormal(0.0, 1.0, n)
-            est = bootstrap_interval(y, Functional.parse("mean"), 0.5, 200,
-                                     np.random.default_rng(seed))
-            update("bootstrap mean", [est.lo, est.hi])
+            for name in ("mean", "trunc-mean:0.5", "cvar:0.9"):
+                est = bootstrap_interval(y, Functional.parse(name), 0.5, 200,
+                                         np.random.default_rng(seed))
+                update(f"bootstrap {name}", [est.lo, est.hi])
         for table in ("table3", "table4"):
             update("generate", generate(preset(table)["gen"], 50, np.random.default_rng(seed)))
     return {family: h.hexdigest() for family, h in sha.items()}

@@ -44,12 +44,11 @@ the mean and the split means of ``bis_run``, the Bayesian bootstrap and
 row by row and takes no product), and the kernel NumPy dispatches
 float64 ``log`` to decides how unit Dirichlet weights are drawn (by inversion on
 an AVX-512 kernel, by the ziggurat elsewhere) and, with inversion, their
-last bits.  Medians, quantiles, the percentile bootstrap's mean and the
-given rows of ``evaluate`` keep their bytes across the dispatch (the
-inputs are drawn so that they do too); the percentile bootstrap's
-truncated means and CVaR move by a few ulps, as the dispatched partition
-leaves each side's drawn positions in another order.  ``--save`` records
-the NumPy version, the BLAS name and version, the CPU features NumPy
+last bits.  Medians, quantiles, every case of the percentile bootstrap
+(which sums a split resample's sides in sorted position order, whatever
+kernel sorts them) and the given rows of ``evaluate`` keep their bytes
+across the dispatch (the inputs are drawn so that they do too).
+``--save`` records the NumPy version, the BLAS name and version, the CPU features NumPy
 dispatches to, and that ``log`` kernel and the unit draw as the library
 reads them (``dirichlet._log_kernel`` and ``dirichlet.UNIT_DRAW``), and
 ``--against`` prints each of them that differs before the cases that
