@@ -143,7 +143,8 @@ def bootstrap_interval(
     arr = _observations(data, 1)
     _check_n_resample(n_resample)
     _check_open_unit(credibility, "credibility")
-    sup = prepare_supports(np.sort(arr))
+    arr.sort()
+    sup = prepare_supports(arr)
     n = arr.size
     # a chunk's positions and their drawn values are two (rows, n) arrays of 8 bytes
     chunk_rows = _chunk_rows(16 * n)
@@ -169,7 +170,8 @@ def bayesian_bootstrap_interval(
     arr = _observations(data, 1)
     _check_n_resample(n_resample)
     _check_open_unit(credibility, "credibility")
-    qs = _dirichlet_resample(f, np.ones(arr.size), np.sort(arr)[:, None], rng, n_resample)
+    arr.sort()
+    qs = _dirichlet_resample(f, np.ones(arr.size), arr[:, None], rng, n_resample)
     return interval_estimate(qs, credibility)
 
 

@@ -148,11 +148,12 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     (Pyke 1965), so the truncated mean is the Dirichlet mean of cells 0..c
     with the split cell's share of shape K - head[c-1] + 1, head being the
     cumulative parameters, and CVaR that of cells c..k-1 with a share of
-    shape head[c] - K.  All splits, then all shares, come first, each in one
-    call, then the rows over the span the splits fix, 0..max c or min c..k-1
-    (all cells for the mean), so the chunk size changes no draw.  The span's
-    atoms alone are prepared, and each chunk goes straight to its kernel on
-    them, ``_mean_rows`` or ``_cut_mean``.
+    shape head[c] - K; ``_unit_split`` returns head[c], and head[c-1] is
+    head[c] less the cell's own parameter.  All splits, then all shares,
+    come first, each in one call, then the rows over the span the splits
+    fix, 0..max c or min c..k-1 (all cells for the mean), so the chunk size
+    changes no draw.  The span's atoms alone are prepared, and each chunk
+    goes straight to its kernel on them, ``_mean_rows`` or ``_cut_mean``.
     """
     first, stop = 0, params.size
     tail = f.kind == "cvar"
@@ -161,7 +162,7 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
         if f.kind == "quantile":
             return QSamples(q_min=values[cell, 0], q_max=values[cell, -1])
         shares = rng.standard_gamma(
-            head[cell] - units if tail else units - head[cell] + params[cell] + 1.0)
+            head - units if tail else units - head + params[cell] + 1.0)
         if tail:
             first = int(cell.min())
         else:
@@ -236,8 +237,10 @@ def probabilistic_projection_params(
     value at an off-data point x follows Beta(n_below + 1/2, n_above + 1/2),
     the Jeffreys-prior posterior.
     """
-    points, counts = np.unique(make_extended_order_stats(data, interval), return_counts=True)
-    params = counts.astype(float)
+    points = make_extended_order_stats(data, interval)
+    # the points are sorted, so each run of ties is counted from its start
+    starts = np.flatnonzero(np.concatenate(([True], points[1:] != points[:-1], [True])))
+    points, params = points[starts[:-1]], np.subtract(starts[1:], starts[:-1], dtype=float)
     # each endpoint's run holds half of the interval's unit pseudo-observation
     # (Jeffreys) in place of a unit weight
     params[[0, -1]] -= 0.5

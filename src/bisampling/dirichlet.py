@@ -130,9 +130,12 @@ def sample_split_index(
 
 
 def _unit_split(params, p: float, rng: np.random.Generator, size: int) -> tuple:
-    """Check integer ``params`` and ``p``; return the cumulative parameters,
-    ``size`` Binomial(A - 1, p) unit-cell split indices, A their sum, and
-    the cells holding them: the first whose cumulative parameter exceeds each.
+    """Check integer ``params`` and ``p``; return, for each of ``size``
+    Binomial(A - 1, p) unit-cell split indices (A the parameters' sum), the
+    cumulative parameter of its cell, the index, and that cell: the first
+    whose cumulative parameter exceeds the index.  Of the cumulative
+    parameters only the split cells' are kept, so no n-sized array outlives
+    the call.
 
     Non-integer parameters are rejected: the binomial law holds only for
     a sum of unit cells.
@@ -143,7 +146,8 @@ def _unit_split(params, p: float, rng: np.random.Generator, size: int) -> tuple:
     _check_open_unit(p, "p")
     head = np.cumsum(a)
     units = rng.binomial(int(head[-1]) - 1, p, size)
-    return head, units, np.searchsorted(head, units, side="right")
+    cell = np.searchsorted(head, units, side="right")
+    return head[cell], units, cell
 
 
 def merge_duplicates(data, interval: BoundingInterval) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +168,7 @@ def merge_duplicates(data, interval: BoundingInterval) -> tuple[np.ndarray, np.n
     points = make_extended_order_stats(data, interval)
     step = np.concatenate(([True], points[1:] != points[:-1], [True]))
     ends = np.flatnonzero(step[:-1] | step[1:])  # the first and last point of each run
-    reduced, params = points[ends], np.diff(ends).astype(float)
+    reduced, params = points[ends], np.subtract(ends[1:], ends[:-1], dtype=float)
     reduced.setflags(write=False)
     params.setflags(write=False)
     return reduced, params

@@ -139,9 +139,20 @@ def prepare_supports(supports) -> Supports:
     if (cols[:, 1:] < cols[:, :-1]).any():
         raise ValueError("every support column must be sorted")
     terms = np.empty((n, m + 1), order="F")
-    terms.T[:m] = np.where(np.isfinite(cols), cols, 0.0)
+    terms.T[:m] = cols
+    for col in terms.T[:m]:
+        if col[0] == -np.inf or col[-1] == np.inf:
+            neg, pos = _infinite_runs(col)
+            col[:neg] = 0.0
+            col[pos:] = 0.0
     terms[:, m] = 1.0
     return Supports(s, terms)
+
+
+def _infinite_runs(col: np.ndarray) -> tuple[int, int]:
+    """The end of a sorted column's run of -inf atoms, which sort first,
+    and the start of its run of +inf atoms, which sort last."""
+    return np.searchsorted(col, -np.inf, "right"), np.searchsorted(col, np.inf, "left")
 
 
 def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
@@ -161,8 +172,8 @@ def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
     s, m = sup.values, sup.values.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         sums = w @ sup.terms
-    total = sums[:, m]
-    if not ((total > 0) & (total < np.inf)).all():
+    total = sums[:, m].copy()  # contiguous: a pass over the strided column is slower
+    if not (0 < total.min() and total.max() < np.inf):  # a NaN fails both
         raise ValueError("every weight row must have a positive, finite total")
     if not np.isfinite(sums).all():
         big = ~np.isfinite(sums).all(axis=1)
@@ -171,9 +182,8 @@ def _mean_rows(sup: Supports, w: np.ndarray, low=None, high=None) -> np.ndarray:
     for j in range(m):
         col = s[:, j]
         if col[0] == -np.inf or col[-1] == np.inf:
-            neg = w[:, : np.searchsorted(col, -np.inf, "right")].any(axis=1)
-            pos = w[:, np.searchsorted(col, np.inf, "left") :].any(axis=1)
-            _place_infinities(out[:, j], neg, pos)
+            neg, pos = _infinite_runs(col)
+            _place_infinities(out[:, j], w[:, :neg].any(axis=1), w[:, pos:].any(axis=1))
     return np.clip(out, s[:1] if low is None else low, s[-1:] if high is None else high, out=out)
 
 
@@ -264,6 +274,6 @@ def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarra
         first, last = side.min(axis=1, initial=x.size), side.max(axis=1, initial=-1)
         if share:
             first, last = np.minimum(first, c), np.maximum(last, c)
-        _place_infinities(out, first < np.searchsorted(x, -np.inf, "right"),
-                          last >= np.searchsorted(x, np.inf, "left"))
+        neg, pos = _infinite_runs(x)
+        _place_infinities(out, first < neg, last >= pos)
     return np.clip(out, low, high, out=out)

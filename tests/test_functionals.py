@@ -84,6 +84,30 @@ class TestMean:
         rows = np.random.default_rng(32).random((500, 7))
         assert (_mean_rows(prepare_supports(np.full(7, 0.1)), rows) == 0.1).all()
 
+    @pytest.mark.parametrize("n, tied, n_resample", [
+        (15, False, 2000), (1000, False, 2000), (10**5, False, 20), (12, True, 2000),
+    ], ids=["15", "1000", "1e5", "twelve-at-the-bound"])
+    def test_the_clip_absorbs_rounding_alone(self, n, tied, n_resample):
+        # against the unclipped ratio of the same sums, the clip to a
+        # column's first and last atoms moves no mean by more than 1 ulp
+        if tied:
+            # one cell of parameter 12, drawn by gammas, between two 50s
+            data, interval = np.full(n, 50.0), BoundingInterval(0.0, 50.0)
+        else:
+            data = np.minimum(stream(n).lognormal(0.0, 1.0, n), 59.0)
+            interval = BoundingInterval(0.0, 60.0)
+        reduced, params = merge_duplicates(data, interval)
+        sup = prepare_supports(cell_endpoints(reduced))
+        (w,) = weight_chunks(params, stream(9), n_resample, n_resample)
+        sums = w @ sup.terms
+        ratio = sums[:, :2] / sums[:, 2:]
+        # nonnegative floats order as their bits
+        ulps = np.abs(_mean_rows(sup, w).view(np.int64) - ratio.view(np.int64))
+        assert ulps.max() <= 1
+        if tied:
+            # the mean of a column of 50s lands an ulp off 50, unclipped
+            assert (ulps == 1).any()
+
     def test_within_support_range(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
