@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .dirichlet import _unit_split, merge_duplicates, sample_dirichlet, weight_chunks
+from .dirichlet import _run_steps, _unit_split, merge_duplicates, sample_dirichlet, weight_chunks
 from .errors import (
     AtObservationError,
     EmptySamplesError,
@@ -239,7 +239,7 @@ def probabilistic_projection_params(
     """
     points = make_extended_order_stats(data, interval)
     # the points are sorted, so each run of ties is counted from its start
-    starts = np.flatnonzero(np.concatenate(([True], points[1:] != points[:-1], [True])))
+    starts = np.flatnonzero(_run_steps(points))
     points, params = points[starts[:-1]], np.subtract(starts[1:], starts[:-1], dtype=float)
     # each endpoint's run holds half of the interval's unit pseudo-observation
     # (Jeffreys) in place of a unit weight

@@ -166,12 +166,18 @@ def merge_duplicates(data, interval: BoundingInterval) -> tuple[np.ndarray, np.n
     float equality.
     """
     points = make_extended_order_stats(data, interval)
-    step = np.concatenate(([True], points[1:] != points[:-1], [True]))
+    step = _run_steps(points)
     ends = np.flatnonzero(step[:-1] | step[1:])  # the first and last point of each run
     reduced, params = points[ends], np.subtract(ends[1:], ends[:-1], dtype=float)
     reduced.setflags(write=False)
     params.setflags(write=False)
     return reduced, params
+
+
+def _run_steps(points: np.ndarray) -> np.ndarray:
+    """For sorted ``points``, a bool array of size n + 1, true where a run
+    of tied points starts and at n, the end of the last run."""
+    return np.concatenate(([True], points[1:] != points[:-1], [True]))
 
 
 def sample_unit_dp_grid(

@@ -274,6 +274,6 @@ def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarra
         first, last = side.min(axis=1, initial=x.size), side.max(axis=1, initial=-1)
         if share:
             first, last = np.minimum(first, c), np.maximum(last, c)
-        neg, pos = _infinite_runs(x)
-        _place_infinities(out, first < neg, last >= pos)
+        neg_end, pos_start = _infinite_runs(x)
+        _place_infinities(out, first < neg_end, last >= pos_start)
     return np.clip(out, low, high, out=out)

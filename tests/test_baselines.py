@@ -434,7 +434,8 @@ class TestBootstrapsShared:
     def test_memory_bounded_at_large_n(self, method, f):
         # the rows of all 64 resamples would take 51 MB; chunks take one
         # row.  Beyond its input: the sorted copy of the data, its prepared
-        # terms (two columns) and a chunk, about five arrays of n floats
+        # terms (two columns) and a chunk, about five arrays of n floats (5.0
+        # read on NumPy 2.4; the bound leaves room for a small library temporary)
         n = 10**5
         data = np.exp(stream(3).normal(0.0, 1.0, n))
         tracemalloc.start()
@@ -443,7 +444,7 @@ class TestBootstrapsShared:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.2 * 8 * n
+        assert peak <= 5.5 * 8 * n
         assert data.min() <= est.lo <= est.hi <= data.max()
 
 

@@ -242,7 +242,8 @@ class TestChunkedPath:
         # the weights of all 64 resamples would take 51 MB; chunks take one
         # row.  Beyond its input a run holds the merged points, the cell
         # parameters, the prepared terms (three columns), one chunk and the
-        # q-samples: about six arrays of n floats for the mean
+        # q-samples: about six arrays of n floats for the mean (6.0 read on
+        # NumPy 2.4; the bound leaves room for a small library temporary)
         n = 10**5
         data = np.exp(stream(3).normal(0.0, 1.0, n))
         cfg = BisConfig(Functional.parse(f), 0.9, 64, 1)
@@ -252,7 +253,7 @@ class TestChunkedPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.2 * 8 * n
+        assert peak <= 6.6 * 8 * n
         assert (qs.q_min <= qs.q_max).all()
 
     def test_million_observations(self):

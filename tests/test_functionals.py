@@ -104,9 +104,6 @@ class TestMean:
         # nonnegative floats order as their bits
         ulps = np.abs(_mean_rows(sup, w).view(np.int64) - ratio.view(np.int64))
         assert ulps.max() <= 1
-        if tied:
-            # the mean of a column of 50s lands an ulp off 50, unclipped
-            assert (ulps == 1).any()
 
     def test_within_support_range(self):
         rng = np.random.default_rng(31)
