@@ -116,16 +116,32 @@ def _observations(data, least: int, finite: bool = False) -> np.ndarray:
 
 
 def student_t_interval(data, credibility: float) -> IntervalEstimate:
-    """Classic mean interval from Student's t with n-1 degrees of freedom."""
+    """Classic mean interval from Student's t with n-1 degrees of freedom.
+
+    As in ``_mean_rows``, a bound that is not finite overflowed (a sum or
+    a square of the finite data): both bounds are taken again on the data
+    over a power of two past their largest magnitude and scaled back, so
+    the interval scales with the data and a deviation near the float range
+    does not overflow the half-width.
+    """
     # scipy.stats.t.ppf's own routine, imported on first use without scipy.stats
     from scipy.special import stdtrit
 
     arr = _observations(data, 2, finite=True)
-    m = float(arr.mean())
-    s = float(arr.std(ddof=1))
     tcrit = float(stdtrit(arr.size - 1, (1.0 + credibility) / 2.0))
-    half = tcrit * s / math.sqrt(arr.size)
-    return IntervalEstimate(lo=m - half, hi=m + half, credibility=credibility)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _t_bounds(arr, tcrit)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            e = math.frexp(float(np.abs(arr).max()))[1]
+            lo, hi = (float(np.ldexp(b, e)) for b in _t_bounds(np.ldexp(arr, -e), tcrit))
+    return IntervalEstimate(lo=lo, hi=hi, credibility=credibility)
+
+
+def _t_bounds(arr: np.ndarray, tcrit: float) -> tuple[float, float]:
+    """The mean of ``arr`` less and plus ``tcrit`` standard errors."""
+    m = float(arr.mean())
+    half = tcrit * float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    return m - half, m + half
 
 
 def bootstrap_interval(

@@ -153,7 +153,9 @@ def _dirichlet_resample(f: Functional, params, values, rng, n_resample: int) -> 
     come first, each in one call, then the rows over the span the splits
     fix, 0..max c or min c..k-1 (all cells for the mean), so the chunk size
     changes no draw.  The span's atoms alone are prepared, and each chunk
-    goes straight to its kernel on them, ``_mean_rows`` or ``_cut_mean``.
+    goes straight to its kernel on all of them, ``_mean_rows`` or
+    ``_cut_mean``: the span is the one narrowing, so the chunk size moves
+    a q-sample only through the rows a product takes at once.
     """
     first, stop = 0, params.size
     tail = f.kind == "cvar"

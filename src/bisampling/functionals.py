@@ -105,22 +105,18 @@ class Supports:
     each block of weight rows.  ``terms`` holds the m columns of supports
     with infinities zeroed, then a ones column that sums the weight in the
     same product, whatever the supports hold.  ``terms`` is column-major,
-    so a run of atoms (``atoms``) is a contiguous piece of every column:
-    the split means of ``_cut_mean`` read only the atoms their cut rows
-    reach.  The kernels return ``(k, m)``, one result per row and column.
+    so each column's infinite end runs are zeroed in one contiguous piece.
+    The kernels return ``(k, m)``, one result per row and column.
     """
 
     values: np.ndarray  # (n, m) sorted columns
     terms: np.ndarray  # (n, m + 1), column-major
 
-    def atoms(self, start: int, stop: int) -> "Supports":
-        """The atoms ``start..stop-1``, a row slice with no copy."""
-        return Supports(self.values[start:stop], self.terms[start:stop])
-
 
 def prepare_supports(supports) -> Supports:
     """Prepare one sorted support vector, as one column, or an ``(n, m)``
-    matrix of columns.
+    matrix of columns, whole: a caller that reads fewer atoms prepares
+    only those, as the engine prepares its span.
 
     Supports the kernels cannot read raise ValueError: no atoms, a NaN, or
     a column out of order (its infinite atoms would be misplaced).
@@ -202,27 +198,23 @@ def _cut_mean(sup: Supports, w: np.ndarray, c: np.ndarray, tail: bool,
     truncated mean, or CVaR if ``tail``, given the split.  ``w`` is cut in
     place.
 
-    A row's split atom takes ``share`` and the far side of it is zeroed, in
-    the columns between the smallest and the largest split only; the mean
-    is taken on the row slice of the supports that the cut rows reach, so
-    the columns beyond are never read.  ``_mean_rows`` takes it and keeps
-    each result inside its side, [s_0, s_c] or [s_c, s_last]; infinite
-    atoms and a side weighing both of them are its rules too.
+    A row's split atom takes ``share`` and its far side is zeroed: every
+    row's atoms below c (CVaR) lie below the largest split, and those above
+    it (truncated mean) above the smallest, so only those columns are
+    searched.  ``_mean_rows`` takes the mean on the supports as given, with
+    no slice, and keeps each result inside its side, [s_0, s_c] or
+    [s_c, s_last]; infinite atoms and a side weighing both of them are its
+    rules too.
     """
-    n = w.shape[1]
     w[np.arange(w.shape[0]), c] = share
     lo, hi = int(c.min()), int(c.max())
     if tail:
-        band = w[:, lo:hi]
-        band[np.arange(lo, hi) < c[:, None]] = 0.0
-        start, stop = lo, n
+        w[:, :hi][np.arange(hi) < c[:, None]] = 0.0
     else:
-        band = w[:, lo + 1 : hi + 1]
-        band[np.arange(lo + 1, hi + 1) > c[:, None]] = 0.0
-        start, stop = 0, hi + 1
+        w[:, lo + 1 :][np.arange(lo + 1, w.shape[1]) > c[:, None]] = 0.0
     s = sup.values
     low, high = (s[c], s[-1]) if tail else (s[0], s[c])
-    return _mean_rows(sup.atoms(start, stop), w[:, start:stop], low, high)
+    return _mean_rows(sup, w, low, high)
 
 
 def _resample_values(f: Functional, sup: Supports, pos: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from bisampling.errors import (
     NonFiniteError,
     OutOfBoundsError,
 )
-from bisampling.functionals import Functional
+from bisampling.functionals import Functional, _mean_rows, prepare_supports
 from bisampling.pbox import BoundingInterval, cell_endpoints, make_extended_order_stats
 from bisampling.rng import stream, substream
 
@@ -321,26 +321,31 @@ class TestConditionalSplit:
                     assert np.array_equal(np.isinf(a), np.isinf(b))
                     np.testing.assert_allclose(a, b, rtol=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-row", "one-chunk"])
     @pytest.mark.parametrize("f", ["trunc-mean:0.5", "trunc-mean:0.99", "cvar:0.5", "cvar:0.99"])
-    def test_unit_parameters_draw_splits_then_shares_then_rows(self, monkeypatch, f):
+    def test_unit_parameters_draw_splits_then_shares_then_rows(self, monkeypatch, f, rows):
         # every split, then every split cell's share (Gamma(1) for unit
-        # parameters), then the rows over the span the splits fix
+        # parameters), then the rows over the span the splits fix; each
+        # chunk is the mean of its cut rows over the whole span, whatever
+        # splits the chunk holds (3 does not divide 200)
         functional, n_resample = Functional.parse(f), 200
         data = np.sort(np.exp(stream(3).normal(0.0, 1.0, 300)))
         ones = np.ones(data.size)
-        # one chunk holds every row
-        monkeypatch.setattr(bis, "_CHUNK_BYTES", 8 * data.size * n_resample)
-        got = bis._dirichlet_resample(functional, ones, data[:, None], stream(5), n_resample)
         rng = stream(5)
         cell = _unit_split(ones, functional.p, rng, n_resample)[2]
         shares = rng.standard_gamma(np.ones(n_resample))
         tail = functional.kind == "cvar"
         first, stop = (cell.min(), data.size) if tail else (0, cell.max() + 1)
+        rows = rows or n_resample
+        monkeypatch.setattr(bis, "_CHUNK_BYTES", rows * 8 * int(stop - first))
+        got = bis._dirichlet_resample(functional, ones, data[:, None], stream(5), n_resample)
         (w,) = weight_chunks(ones[first:stop], rng, n_resample, n_resample)
         w[np.arange(n_resample), cell - first] = shares
         span = np.arange(first, stop)
         w[span < cell[:, None] if tail else span > cell[:, None]] = 0.0
-        want = whole_rows(Functional("mean"), data[first:stop], w)
+        sup = prepare_supports(data[first:stop])
+        want = np.concatenate([_mean_rows(sup, w[start : start + rows])[:, 0]
+                               for start in range(0, n_resample, rows)])
         want = np.clip(want, data[cell], data[-1]) if tail else np.clip(want, data[0], data[cell])
         assert np.array_equal(got.q_min, want) and np.array_equal(got.q_max, want)
 

@@ -6,7 +6,11 @@ import pytest
 
 from conftest import oracle_split_mean, random_fraction_instance, whole_rows
 
-from bisampling.baselines import bayesian_bootstrap_interval, bootstrap_interval
+from bisampling.baselines import (
+    bayesian_bootstrap_interval,
+    bootstrap_interval,
+    student_t_interval,
+)
 from bisampling.bis import BisConfig, bis_run, interval_estimate
 from bisampling.dirichlet import merge_duplicates, weight_chunks
 from bisampling.errors import IndeterminateSumError, InvalidProbabilityError
@@ -484,9 +488,10 @@ def cut_at_split(w, p, tail):
 
 class TestSplitWindow:
     """The mean of rows with no weight outside a window of atoms is the mean
-    on that window, a row slice of the supports; a truncated mean or CVaR
-    is the mean of its row cut at the split, on the window the cut keeps,
-    clipped to the split atom.  The engine draws its split means so."""
+    on that window, prepared as the engine prepares its span; a truncated
+    mean or CVaR is the mean of its row cut at the split, on the window the
+    cut keeps, clipped to the split atom.  The engine draws its split means
+    so."""
 
     @pytest.mark.parametrize("p", [1e-12, 0.001, 0.5, 0.99, 1 - 1e-12])
     @pytest.mark.parametrize("case", list(WINDOW_CASES))
@@ -513,7 +518,7 @@ class TestSplitWindow:
             rows = w[w[:, lo : hi + 1].any(axis=1)]
             inside = np.zeros_like(rows)
             inside[:, lo : hi + 1] = rows[:, lo : hi + 1]
-            assert_same(_mean_rows(sup.atoms(lo, hi + 1), rows[:, lo : hi + 1]),
+            assert_same(_mean_rows(prepare_supports(s[lo : hi + 1]), rows[:, lo : hi + 1]),
                         _mean_rows(sup, inside))
         for kind in ("trunc_mean", "cvar"):
             tail = kind == "cvar"
@@ -522,7 +527,7 @@ class TestSplitWindow:
             for c in np.unique(split):
                 rows = split == c
                 lo, hi = (c, k - 1) if tail else (0, c)
-                block = _mean_rows(sup.atoms(lo, hi + 1), cut[rows, lo : hi + 1])
+                block = _mean_rows(prepare_supports(s[lo : hi + 1]), cut[rows, lo : hi + 1])
                 got[rows] = np.clip(block, s[c], s[-1]) if tail else np.clip(block, s[0], s[c])
             share = cut[np.arange(len(w)), split]
             assert_same(got, _cut_mean(sup, w.copy(), split, tail, share))
@@ -596,14 +601,14 @@ class TestInfiniteAtoms:
     are not all zero."""
 
     def test_atom_slices_count_their_own_infinities(self):
-        # the mean of a row slice of the supports is that of the whole row
-        # with no weight outside the slice
+        # the mean on a slice of the supports, prepared on its own, is that
+        # of the whole row with no weight outside the slice
         for columns, rows, _ in infinite_run_cases(100):
             s = np.column_stack(columns)
             sup, k = prepare_supports(s), s.shape[0]
             for start in range(k):
                 for stop in range(start + 1, k + 1):
-                    part = sup.atoms(start, stop)
+                    part = prepare_supports(s[start:stop])
                     assert part.values.shape[0] == stop - start
                     for row in np.array(rows, dtype=float)[:, None]:
                         whole = np.zeros((1, k))
@@ -702,6 +707,8 @@ def scaled_interval(method, name, k):
     if method == "bis":
         qs = bis_run(x, BoundingInterval(0.0, 60.0 * 2.0**k), BisConfig(f, 0.9, 1000, 9))
         est = interval_estimate(qs, 0.9)
+    elif method == "student_t":
+        est = student_t_interval(x, 0.9)
     else:
         est = METHODS[method](x, f, 0.9, 1000, stream(9))
     return est.lo, est.hi
@@ -723,6 +730,13 @@ class TestScaleOracle:
         for g, want in zip(got, scaled_interval(method, name, 0)):
             want *= 2.0**k
             assert abs(g - want) <= ulps * np.spacing(want), (g, want)
+
+    @pytest.mark.parametrize("k", [-40, 20, 510, 1000, 1012, 1017])
+    def test_student_t_scales_exactly(self, k):
+        # the deviation's squares overflow from k = 510 and the mean's sum
+        # near 1017: the bounds are taken again on data over a power of two
+        got = scaled_interval("student_t", "mean", k)
+        assert got == tuple(2.0**k * want for want in scaled_interval("student_t", "mean", 0))
 
 
 @pytest.mark.parametrize("kind, p, word", [("median", None, "unknown"),
