@@ -118,30 +118,23 @@ def _observations(data, least: int, finite: bool = False) -> np.ndarray:
 def student_t_interval(data, credibility: float) -> IntervalEstimate:
     """Classic mean interval from Student's t with n-1 degrees of freedom.
 
-    As in ``_mean_rows``, a bound that is not finite overflowed (a sum or
-    a square of the finite data): both bounds are taken again on the data
-    over a power of two past their largest magnitude and scaled back, so
-    the interval scales with the data and a deviation near the float range
-    does not overflow the half-width.
+    The mean and deviation are taken on the data over a power of two past
+    their largest magnitude and scaled back: the scaling is exact, so the
+    interval scales with the data, and neither a sum or square near the
+    float range overflows nor a square of tiny data underflows.
     """
     # scipy.stats.t.ppf's own routine, imported on first use without scipy.stats
     from scipy.special import stdtrit
 
     arr = _observations(data, 2, finite=True)
     tcrit = float(stdtrit(arr.size - 1, (1.0 + credibility) / 2.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = _t_bounds(arr, tcrit)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            e = math.frexp(float(np.abs(arr).max()))[1]
-            lo, hi = (float(np.ldexp(b, e)) for b in _t_bounds(np.ldexp(arr, -e), tcrit))
+    e = math.frexp(float(np.abs(arr).max()))[1]
+    scaled = np.ldexp(arr, -e)
+    m = float(scaled.mean())
+    half = tcrit * float(scaled.std(ddof=1)) / math.sqrt(arr.size)
+    with np.errstate(over="ignore"):
+        lo, hi = (float(np.ldexp(b, e)) for b in (m - half, m + half))
     return IntervalEstimate(lo=lo, hi=hi, credibility=credibility)
-
-
-def _t_bounds(arr: np.ndarray, tcrit: float) -> tuple[float, float]:
-    """The mean of ``arr`` less and plus ``tcrit`` standard errors."""
-    m = float(arr.mean())
-    half = tcrit * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    return m - half, m + half
 
 
 def bootstrap_interval(

@@ -731,10 +731,10 @@ class TestScaleOracle:
             want *= 2.0**k
             assert abs(g - want) <= ulps * np.spacing(want), (g, want)
 
-    @pytest.mark.parametrize("k", [-40, 20, 510, 1000, 1012, 1017])
+    @pytest.mark.parametrize("k", [-560, -520, -40, 20, 510, 1000, 1012, 1017])
     def test_student_t_scales_exactly(self, k):
-        # the deviation's squares overflow from k = 510 and the mean's sum
-        # near 1017: the bounds are taken again on data over a power of two
+        # unscaled, the deviation's squares underflow from k = -511 and
+        # overflow from k = 510, and the mean's sum overflows near 1017
         got = scaled_interval("student_t", "mean", k)
         assert got == tuple(2.0**k * want for want in scaled_interval("student_t", "mean", 0))
 
